@@ -1,7 +1,9 @@
 """Compare the compiled and pure-python Metropolis kernels.
 
 Runs the same seeded anneals through both backends, asserts bitwise
-identical sample sets, and reports wall-clock timings.
+identical sample sets, and reports wall-clock timings. When the compiled
+kernel does not import, it prints that the comparison was skipped and
+exits 0; a mismatch between the backends still fails.
 
 Usage: python3 benchmarks/bench_kernels.py [--reads N] [--sweeps N]
 """
@@ -25,8 +27,8 @@ def main():
     try:
         get_kernel("cython")
     except RuntimeError:
-        print("compiled kernel not available; nothing to compare")
-        return 1
+        print("skipped: only the python kernel imports, so there is nothing to compare")
+        return 0
 
     schedule = AnnealSchedule(sweeps=args.sweeps)
     print(f"reads={args.reads} sweeps={args.sweeps}")
@@ -41,7 +43,8 @@ def main():
                                                 seed=7, backend=backend)
             times[backend] = time.perf_counter() - t0
         same = np.array_equal(results["python"].spins, results["cython"].spins)
-        assert same, f"backend mismatch at n={n}"
+        if not same:
+            raise SystemExit(f"backend mismatch at n={n}")
         print(f"{n:>6} {times['python']:>12.3f} {times['cython']:>12.3f} "
               f"{times['python'] / times['cython']:>8.1f}x  {same}")
     return 0

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,9 @@ DEFAULTS = {
     "chain_length": {"slope": 0.122, "intercept": 1.0, "jitter": 0},
     "contour_tau": 0.02,
     "sweeps": 128,
-    "grid": None,
+    "grid": {axis: asdict(getattr(FitGrid(), f"{axis}_range"))
+             for axis in ("sigma_h", "sigma_c", "kappa")},
+    "out": None,
 }
 
 
@@ -61,11 +64,22 @@ def _sweep_values(spec) -> list:
     return list(spec)
 
 
+def _merge(base: dict, override: dict, where: str = "") -> None:
+    """Deep-merge `override` into `base`, rejecting keys that `base` lacks."""
+    for key, val in override.items():
+        if key not in base:
+            raise ValueError(f"unknown config key {where + key!r}")
+        if isinstance(base[key], dict) and isinstance(val, dict):
+            _merge(base[key], val, f"{where}{key}.")
+        else:
+            base[key] = val
+
+
 def _load_config(args) -> dict:
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if args.config:
         with open(args.config) as f:
-            cfg.update(json.load(f))
+            _merge(cfg, json.load(f))
     for key in ("seed", "reads", "out"):
         val = getattr(args, key, None)
         if val is not None:
@@ -89,12 +103,9 @@ def _chain_model(cfg) -> ChainLengthModel:
 
 
 def _grid(cfg) -> FitGrid:
-    if cfg.get("grid"):
-        g = cfg["grid"]
-        return FitGrid(sigma_h_range=GridRange(**g["sigma_h"]),
-                       sigma_c_range=GridRange(**g["sigma_c"]),
-                       kappa_range=GridRange(**g["kappa"]))
-    return FitGrid()
+    if not cfg["grid"]:
+        return FitGrid()
+    return FitGrid(**{f"{axis}_range": GridRange(**r) for axis, r in cfg["grid"].items()})
 
 
 def _write(path: Path, text: str):

@@ -22,6 +22,8 @@ from .problem import IsingModel, QuboInstance, qubo_to_ising
 from .rng import substream
 
 ENUMERATION_LIMIT = 24
+ORACLE_BLOCK_BYTES = 1 << 23  # split energies per row block of brute_force
+ORACLE_TIE_RTOL = 1e-12  # two sum orders of <= 301 terms differ by < 7e-14 of sum|terms|
 
 
 @dataclass
@@ -112,11 +114,9 @@ def schedule_betas(schedule: AnnealSchedule, h: np.ndarray, abs_coupling: np.nda
 
 
 def _edge_arrays(model: IsingModel):
-    keys = sorted(model.J.keys())
-    ei = np.array([i for i, _ in keys], dtype=np.int64)
-    ej = np.array([j for _, j in keys], dtype=np.int64)
-    jv = np.array([model.J[k] for k in keys], dtype=np.float64)
-    return keys, ei, ej, jv
+    keys = sorted(model.J)
+    ei, ej = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    return ei, ej, np.array([model.J[k] for k in keys], dtype=np.float64)
 
 
 def _padded_adjacency(n: int, ei, ej, jv):
@@ -144,20 +144,16 @@ def _padded_adjacency(n: int, ei, ej, jv):
 
 
 def _batch_energies(spins: np.ndarray, h, ei, ej, jv, offset) -> np.ndarray:
-    s = spins.astype(np.float64)
-    e = s @ h + np.full(len(s), offset)
+    """Energies of C-order spin rows; a row's value does not depend on the other rows."""
+    e = (spins * h).sum(axis=1) + offset
     if len(jv):
-        e += (s[:, ei] * s[:, ej]) @ jv
+        e += (spins.take(ei, axis=1) * spins.take(ej, axis=1) * jv).sum(axis=1)
     return e
-
-
-def _sweep_chunk(reads: int, n: int) -> int:
-    return int(np.clip((1 << 25) // max(1, reads * n), 1, 32))
 
 
 def _run_anneal(kernel, spins, h2, nbr_idx, nbr_val3, perms, betas, rng):
     reads, n = spins.shape
-    chunk = _sweep_chunk(reads, n)
+    chunk = int(np.clip((1 << 25) // max(1, reads * n), 1, 32))
     for start in range(0, len(betas), chunk):
         stop = min(start + chunk, len(betas))
         uniforms = rng.random((reads, stop - start, n))
@@ -180,7 +176,7 @@ def simulated_anneal(
     schedule = schedule or AnnealSchedule()
     kernel = get_kernel(backend)
     n = model.n
-    keys, ei, ej, jv = _edge_arrays(model)
+    ei, ej, jv = _edge_arrays(model)
     nbr_idx, nbr_val, _, _ = _padded_adjacency(n, ei, ej, jv)
     betas = schedule_betas(schedule, model.h, np.abs(nbr_val).sum(axis=1))
 
@@ -198,30 +194,48 @@ def simulated_anneal(
 
 
 def brute_force(model: IsingModel) -> dict:
-    """Global minimum by exhaustive enumeration (n <= 24).
+    """Global minimum by exhaustive enumeration (n <= ENUMERATION_LIMIT = 24).
 
-    Ties resolve to the lexicographically smallest spin assignment
-    (with -1 ordered before +1).
+    Split enumeration: the first n//2 spins form the high half and the
+    rest the low half. Assignment a * 2^(n - n//2) + b, with variable 0 on
+    the most significant bit so that index order is lexicographic order
+    (-1 before +1), has energy E_hi[a] + E_lo[b] + (S_hi[a] J_hl) . S_lo[b],
+    where J_hl holds the couplers between the halves. The (a, b) table is
+    built in row blocks of about ORACLE_BLOCK_BYTES.
+
+    Ties: every assignment whose split energy lies within ORACLE_TIE_RTOL *
+    (|offset| + sum|h| + sum|J|) of the running minimum is re-scored by a
+    per-row formula that does not depend on how many rows it sees, and the
+    lexicographically first minimum of those energies is returned.
+    Candidates are re-scored block by block, so memory stays bounded even
+    when every assignment ties.
     """
-    n = model.n
+    n, m = model.n, model.n // 2
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration limited to n <= {ENUMERATION_LIMIT}, got {n}")
-    _, ei, ej, jv = _edge_arrays(model)
-    best_e = math.inf
-    best_s = np.ones(n, dtype=np.int8)
-    if n == 0:
-        return {"best_spins": best_s[:0], "best_energy": float(model.offset)}
-    # variable 0 on the most significant bit: index order == lexicographic order
-    shifts = n - 1 - np.arange(n)
-    chunk = 1 << min(n, 16)
-    for start in range(0, 1 << n, chunk):
-        idx = np.arange(start, start + chunk, dtype=np.int64)
-        spins = (((idx[:, None] >> shifts) & 1) * 2 - 1).astype(np.int8)
-        e = _batch_energies(spins, model.h, ei, ej, jv, model.offset)
-        pos = int(np.argmin(e))
-        if e[pos] < best_e:
-            best_e = float(e[pos])
-            best_s = spins[pos].copy()
+    ei, ej, jv = _edge_arrays(model)
+    dense = np.zeros((n, n))
+    dense[ei, ej] = jv
+    hi, lo = ((((np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1) * 2 - 1)
+              .astype(np.int8) for k in (m, n - m))  # each half in lexicographic order
+    e_hi = ((hi @ dense[:m, :m]) * hi).sum(axis=1) + hi @ model.h[:m] + model.offset
+    e_lo = ((lo @ dense[m:, m:]) * lo).sum(axis=1) + lo @ model.h[m:]
+    tol = ORACLE_TIE_RTOL * (abs(model.offset) + np.abs(model.h).sum() + np.abs(jv).sum())
+    if not math.isfinite(tol):
+        raise ValueError("brute_force needs finite h, J and offset")
+    rows, chunk = max(1, ORACLE_BLOCK_BYTES // (8 * len(lo))), ORACLE_BLOCK_BYTES // (8 * n + 8)
+    floor = best_e = math.inf
+    for start in range(0, len(hi), rows):
+        e = hi[start:start + rows] @ dense[:m, m:] @ lo.T + e_hi[start:start + rows, None] + e_lo
+        floor = min(floor, float(e.min()))
+        a, b = np.nonzero(e <= floor + tol)
+        for c in range(0, len(a), chunk):
+            spins = np.concatenate([hi.take(a[c:c + chunk] + start, axis=0),
+                                    lo.take(b[c:c + chunk], axis=0)], axis=1)
+            exact = _batch_energies(spins, model.h, ei, ej, jv, model.offset)
+            k = int(np.argmin(exact))
+            if exact[k] < best_e:
+                best_e, best_s = float(exact[k]), spins[k].copy()
     return {"best_spins": best_s, "best_energy": best_e}
 
 
@@ -298,17 +312,17 @@ def margin_model_run(lengths, k: float, eta: float, nm: NoiseModel,
         raise ValueError("chain strength k must be > 0")
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must lie in (0, 1]")
+    if reads < 1:
+        raise ValueError("reads must be >= 1")
     lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
+    if lengths.size == 0:
+        raise ValueError("lengths must hold at least one chain length")
     margin = eta * k
     broken = np.zeros(reads, dtype=np.int64)
     for i, ell in enumerate(lengths):
         delta = chain_error_sample(int(ell), nm, substream(seed, "margin", i), size=reads)
         broken += np.abs(delta) > margin
     return broken / len(lengths)
-
-
-def _read_chunk(reads: int, n: int, width: int) -> int:
-    return int(np.clip((1 << 24) // max(1, n * width), 16, reads))
 
 
 def synthetic_hardware_run(
@@ -335,15 +349,14 @@ def synthetic_hardware_run(
     schedule = schedule or AnnealSchedule()
     kernel = get_kernel(backend)
     logical = qubo_to_ising(q)
-    if isinstance(chains_or_lengths_or_model, ChainLengthModel):
-        lengths = synth_chain_lengths(q.L, chains_or_lengths_or_model, seed)
-        emb = build_embedded_ising(logical, lengths, k)
-    else:
-        emb = build_embedded_ising(logical, chains_or_lengths_or_model, k)
+    spec = chains_or_lengths_or_model
+    if isinstance(spec, ChainLengthModel):
+        spec = synth_chain_lengths(q.L, spec, seed)
+    emb = build_embedded_ising(logical, spec, k)
     chains = emb.embedding.chains
     model = emb.model
     n = model.n
-    keys, ei, ej, jv = _edge_arrays(model)
+    ei, ej, jv = _edge_arrays(model)
     nbr_idx, nbr_val, slots_a, slots_b = _padded_adjacency(n, ei, ej, jv)
     betas = schedule_betas(schedule, model.h, np.abs(nbr_val).sum(axis=1))
 
@@ -357,8 +370,9 @@ def synthetic_hardware_run(
     perms = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (reads, 1)), axis=1)
 
     width = nbr_val.shape[1]
-    for start in range(0, reads, _read_chunk(reads, n, width)):
-        stop = min(start + _read_chunk(reads, n, width), reads)
+    chunk = int(np.clip((1 << 24) // max(1, n * width), 16, reads))
+    for start in range(0, reads, chunk):
+        stop = min(start + chunk, reads)
         rows = slice(start, stop) if redraw_per_read else slice(0, 1)
         h2 = model.h[None, :] + dh[rows]
         val3 = np.repeat(nbr_val[None, :, :], stop - start if redraw_per_read else 1, axis=0)
@@ -379,7 +393,7 @@ def synthetic_hardware_run(
     physical = SampleSet(spins=spins, energies=energies, cbf=cbf, metadata=meta)
 
     logical_spins = _resolve_batch(spins, chains, tie_policy, substream(seed, "tie"))
-    lkeys, lei, lej, ljv = _edge_arrays(logical)
+    lei, lej, ljv = _edge_arrays(logical)
     logical_energies = _batch_energies(logical_spins, logical.h, lei, lej, ljv, logical.offset)
     resolved = SampleSet(spins=logical_spins, energies=logical_energies, cbf=cbf,
                          metadata=dict(meta, resolved=True))

@@ -235,3 +235,26 @@ class TestConfigPrecedence:
         rc = main(["chainlen", "--config", write_config(tmp_path)])
         assert rc == 0
         assert (tmp_path / "envout" / "chainlen.csv").exists()
+
+    def test_nested_key_keeps_other_defaults(self, tmp_path):
+        cfg = write_config(tmp_path, {"noise": {"sigma_h": 0.1},
+                                      "ell_sweep": {"stop": 6}, "taus": [0.05]})
+        rc = main(["kstar", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "kstar.csv")
+        assert [int(r["l"]) for r in rows] == [3, 4, 5, 6]
+        nm = NoiseModel(sigma_h=0.1, sigma_c=0.005)
+        assert float(rows[0]["k_star"]) == pytest.approx(
+            critical_chain_strength(3, nm, 0.05, 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"reeds": 100}, "reeds"),
+        ({"noise": {"sigma_hh": 0.1}}, "noise.sigma_hh"),
+        ({"grid": {"sigma_h": {"lo": 0.01, "hi": 0.02, "step": 0.01}, "kapa": {}}}, "grid.kapa"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, extra, key):
+        cfg = write_config(tmp_path, extra)
+        rc = main(["chainlen", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "chainlen.csv").exists()

@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +12,9 @@ from embednoise.embedding import ChainLengthModel, build_embedded_ising
 from embednoise.noise import NoiseModel, variance_law
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
 from embednoise.rng import substream
-from embednoise.sampler import (AnnealSchedule, SampleSet, brute_force, detect_breaks,
-                                energy_stats, margin_model_run, resolve_chains,
-                                schedule_betas, simulated_anneal,
+from embednoise.sampler import (AnnealSchedule, SampleSet, _batch_energies, _edge_arrays,
+                                brute_force, detect_breaks, energy_stats, margin_model_run,
+                                resolve_chains, schedule_betas, simulated_anneal,
                                 synthetic_hardware_run)
 
 
@@ -68,6 +71,109 @@ class TestBruteForce:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             brute_force(IsingModel(n=25, h=np.zeros(25)))
+
+    @pytest.mark.parametrize("h, J", [([np.nan, 1.0], {}), ([0.0, 1.0], {(0, 1): np.inf})])
+    def test_rejects_non_finite_coefficients(self, h, J):
+        with pytest.raises(ValueError, match="finite"):
+            brute_force(IsingModel(n=2, h=np.array(h), J=J))
+
+    @staticmethod
+    def naive(m):
+        """First minimum of ising_energy over all assignments in lexicographic order."""
+        best_e, best_s = math.inf, None
+        for s in itertools.product((-1, 1), repeat=m.n):
+            e = ising_energy(m, np.array(s))
+            if e < best_e:
+                best_e, best_s = e, s
+        return best_e, np.array(best_s)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_naive_enumeration(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(2):
+            J = {(i, j): float(rng.uniform(-1, 1))
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6}
+            m = IsingModel(n, rng.uniform(-1, 1, n), J, float(rng.uniform(-2, 2)))
+            want_e, want_s = self.naive(m)
+            res = brute_force(m)
+            assert np.array_equal(res["best_spins"], want_s)
+            assert res["best_energy"] == pytest.approx(want_e, abs=1e-12)
+            got = ising_energy(m, res["best_spins"])
+            assert res["best_energy"] == pytest.approx(got, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [6, 9, 10, 11, 12])
+    def test_mirror_ties_follow_row_formula(self, n):
+        # h and J symmetric under i -> n-1-i, so mirrored assignments tie in exact
+        # arithmetic while the split and row sums round them differently
+        n_all = 1 << n
+        spins = (((np.arange(n_all)[:, None] >> np.arange(n - 1, -1, -1)) & 1) * 2 - 1)
+        spins = spins.astype(np.int8)
+        for seed in range(20):
+            rng = np.random.default_rng(100 * seed + n)
+            h = rng.uniform(-1, 1, n)
+            J = {}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if (n - 1 - j, n - 1 - i) not in J and rng.random() < 0.7:
+                        J[(i, j)] = J[(n - 1 - j, n - 1 - i)] = float(rng.uniform(-1, 1))
+            m = IsingModel(n, (h + h[::-1]) / 2, J, 0.3)
+            ei, ej, jv = _edge_arrays(m)
+            energies = _batch_energies(spins, m.h, ei, ej, jv, m.offset)
+            first = int(np.argmin(energies))
+            res = brute_force(m)
+            assert np.array_equal(res["best_spins"], spins[first])
+            assert res["best_energy"] == energies[first]
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    def test_z2_symmetric_ties_pick_s0_minus(self, n):
+        # h = 0: flipping every spin keeps the energy, so each minimum has a twin
+        rng = np.random.default_rng(n)
+        J = {(i, j): float(rng.integers(-2, 3)) for i in range(n) for j in range(i + 1, n)}
+        m = IsingModel(n, np.zeros(n), J)
+        want_e, want_s = self.naive(m)
+        res = brute_force(m)
+        assert res["best_spins"][0] == -1
+        assert np.array_equal(res["best_spins"], want_s)
+        assert res["best_energy"] == want_e
+
+    def test_planted_integer_ties(self):
+        # antiferromagnetic triangle plus a free spin: six minima at -1 with integer h, J
+        m = IsingModel(4, np.array([0.0, 0.0, 0.0, 0.0]),
+                       {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}, offset=0.0)
+        res = brute_force(m)
+        assert np.array_equal(res["best_spins"], [-1, -1, 1, -1])
+        assert res["best_energy"] == -1.0
+        m = IsingModel(6, np.array([1.0, -1.0, 0.0, 0.0, 2.0, 0.0]),
+                       {(0, 3): -1.0, (2, 5): 1.0, (1, 4): 1.0}, offset=3.0)
+        want_e, want_s = self.naive(m)
+        res = brute_force(m)
+        assert np.array_equal(res["best_spins"], want_s)
+        assert res["best_energy"] == want_e
+
+    def test_all_ties_at_the_limit(self):
+        # every one of the 2^24 assignments ties; memory must stay bounded
+        m = IsingModel(n=24, h=np.zeros(24), offset=0.5)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            res = brute_force(m)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(res["best_spins"], -np.ones(24))
+        assert res["best_energy"] == 0.5
+        assert peak < 128 * 2**20  # one int64 index per assignment alone would be 128 MB
+        assert elapsed < 20.0
+
+    def test_energy_rows_independent_of_batch(self):
+        m = qubo_to_ising(generate_random_qubo(24, 1.0, seed=3))
+        ei, ej, jv = _edge_arrays(m)
+        spins = (np.random.default_rng(0).integers(0, 2, (600, 24)) * 2 - 1).astype(np.int8)
+        batch = _batch_energies(spins, m.h, ei, ej, jv, m.offset)
+        for r in range(0, 600, 37):
+            alone = _batch_energies(spins[r:r + 1], m.h, ei, ej, jv, m.offset)
+            assert alone[0] == batch[r]
 
 
 class TestSimulatedAnneal:
@@ -209,6 +315,14 @@ class TestMarginModelRun:
             margin_model_run([5], 0.0, 1.0, nm, 10, seed=0)
         with pytest.raises(ValueError):
             margin_model_run([5], 0.5, 1.5, nm, 10, seed=0)
+
+    def test_rejects_empty_lengths_and_no_reads(self):
+        nm = NoiseModel(0.06, 0.005)
+        with pytest.raises(ValueError, match="lengths"):
+            margin_model_run([], 0.5, 1.0, nm, 10, seed=0)
+        for reads in (0, -1):
+            with pytest.raises(ValueError, match="reads"):
+                margin_model_run([5], 0.5, 1.0, nm, reads, seed=0)
 
     def test_reproducible(self):
         nm = NoiseModel(0.06, 0.005)
