@@ -1,6 +1,5 @@
 """Embedding-induced noise: chain-break laws, sampling and calibration."""
 
-from ._kernels import BACKEND
 from .analytics import (CbpModel, PowerLawFit, cbf_predict, cbp, cbp_vs_m,
                         critical_chain_strength, erfc, erfc_inv, power_law_fit)
 from .embedding import (ChainLengthModel, EmbeddedIsing, Embedding, ValidationReport,
@@ -20,7 +19,6 @@ from .topology import ZephyrCoordinate, ZephyrGraph, build_zephyr, degree_histog
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "AnnealSchedule", "CbpModel", "ChainLengthModel", "EmbeddedIsing",
     "Embedding", "FitGrid", "FitResult", "GridRange", "IsingModel",
     "NoiseModel", "PowerLawFit", "QuboInstance", "SampleSet",

@@ -1,42 +1,32 @@
-"""Metropolis sweep kernels: compiled extension with pure-python fallback.
-
-Both backends implement `run_metropolis` with identical semantics and
-consume the same pre-generated random arrays, so for a given seed they
-produce bitwise-identical sample sets. Set EMBEDNOISE_BACKEND=python to
-force the fallback (e.g. for benchmarking).
+"""Metropolis sweep kernels: sa.c through ctypes, or NumPy when `cc` is missing or
+the build fails (the reason is kept). Both give bitwise-identical spins.
 """
-
-from __future__ import annotations
-
 import os
 
 from . import _sa_py
 
-try:
-    from . import _sa_cy
+CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "embednoise")
+_loaded = None  # (kernel module, why C is unavailable or None) after the first load
 
-    _HAVE_CYTHON = True
-except ImportError:
-    _sa_cy = None
-    _HAVE_CYTHON = False
+
+def _load(cache_dir: str):
+    """Return (C kernel module, None), or (NumPy kernel module, why C is unavailable)."""
+    try:
+        from . import _sa_c
+        _sa_c.bind(cache_dir)
+        return _sa_c, None
+    except OSError as exc:
+        return _sa_py, str(exc)
 
 
 def get_kernel(name: str | None = None):
-    """Return the kernel module for `name` (cython|python|auto)."""
-    if name is None:
-        name = os.environ.get("EMBEDNOISE_BACKEND", "auto")
-    name = name.lower()
-    if name in ("auto", ""):
-        return _sa_cy if _HAVE_CYTHON else _sa_py
-    if name == "cython":
-        if not _HAVE_CYTHON:
-            raise RuntimeError("compiled kernel is not available")
-        return _sa_cy
+    """Return the kernel module for `name`: "auto" (or None), "c" or "python"."""
+    global _loaded
     if name == "python":
         return _sa_py
-    raise ValueError(f"unknown backend {name!r}")
-
-
-BACKEND = "cython" if _HAVE_CYTHON and os.environ.get(
-    "EMBEDNOISE_BACKEND", "auto") in ("auto", "", "cython") else "python"
-run_metropolis = get_kernel().run_metropolis
+    if name not in (None, "auto", "c"):
+        raise ValueError(f"unknown backend {name!r}")
+    _loaded = _loaded or _load(CACHE_DIR)
+    if name == "c" and _loaded[1]:
+        raise RuntimeError(f"C kernel unavailable: {_loaded[1]}")
+    return _loaded[0]

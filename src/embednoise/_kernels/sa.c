@@ -1,0 +1,20 @@
+/* Metropolis sweeps, one read after another; same arithmetic as _sa_py.run_metropolis.
+   h and nbr_val advance h_stride and val_stride doubles per read (0 when shared). */
+void run_metropolis(long reads, long n, long deg, long sweeps, signed char *spins,
+                    const double *h, long h_stride, const int *nbr_idx, const double *nbr_val,
+                    long val_stride, const int *perms, const double *betas, const double *log_u)
+{
+    for (long r = 0; r < reads; r++) {
+        signed char *s = spins + r * n;
+        const double *hr = h + r * h_stride, *vr = nbr_val + r * val_stride;
+        for (long c = 0; c < sweeps; c++)
+            for (long t = 0; t < n; t++) {
+                long i = perms[r * n + t];
+                double field = hr[i];
+                for (long d = 0; d < deg; d++)
+                    field += vr[i * deg + d] * s[nbr_idx[i * deg + d]];
+                if (log_u[(r * sweeps + c) * n + t] < -betas[c] * (-2.0 * s[i] * field))
+                    s[i] = -s[i];
+            }
+    }
+}

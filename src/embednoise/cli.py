@@ -113,8 +113,12 @@ def _write(path: Path, text: str):
     print(f"wrote {path}")
 
 
+def _seed_key(value) -> int:
+    return int(round(value * 1000))
+
+
 def _point_seed(seed: int, tag: str, value) -> int:
-    return int(substream(seed, tag, int(round(value * 1000))).integers(1 << 31))
+    return int(substream(seed, tag, _seed_key(value)).integers(1 << 31))
 
 
 def cmd_chainlen(cfg) -> int:
@@ -220,6 +224,12 @@ def cmd_heatmap(cfg) -> int:
     eta, tau = cfg["eta"], cfg["contour_tau"]
     Ls = [int(v) for v in _sweep_values(cfg["L_sweep"])]
     ks = [float(v) for v in _sweep_values(cfg["k_values"])]
+    first = {}
+    for k in ks:
+        other = first.setdefault(_seed_key(k), k)
+        if other != k:
+            raise ValueError(f"k values {other} and {k} would share a seed: "
+                             "heatmap seeds key k to 1e-3")
     lines = ["L,k,cbf_mean"]
     contour = ["L,k_star_empirical"]
     for L in Ls:
@@ -306,9 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUT_ENV} or cwd)")
         p.add_argument("--reads", type=int, default=None)
-        p.add_argument("--threads", type=int, default=0,
-                       help="0 = auto; engines are vectorized in-process, "
-                            "so this is accepted for interface stability")
         return p
 
     common(sub.add_parser("chainlen", help="chain-length vs L curve and linear fit"))

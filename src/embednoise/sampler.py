@@ -156,9 +156,9 @@ def _run_anneal(kernel, spins, h2, nbr_idx, nbr_val3, perms, betas, rng):
     chunk = int(np.clip((1 << 25) // max(1, reads * n), 1, 32))
     for start in range(0, len(betas), chunk):
         stop = min(start + chunk, len(betas))
-        uniforms = rng.random((reads, stop - start, n))
+        u = rng.random((reads, stop - start, n))
         kernel.run_metropolis(spins, h2, nbr_idx, nbr_val3, perms,
-                              np.ascontiguousarray(betas[start:stop]), uniforms)
+                              np.ascontiguousarray(betas[start:stop]), np.log(u, out=u))
 
 
 def simulated_anneal(
@@ -168,7 +168,11 @@ def simulated_anneal(
     seed: int = 0,
     backend: str | None = None,
 ) -> SampleSet:
-    """Sample `reads` independent Metropolis anneals of an Ising model."""
+    """Sample `reads` independent Metropolis anneals of an Ising model.
+
+    `backend` is "auto" (None), "c" or "python"; metadata["kernel"] names
+    the kernel that ran.
+    """
     if model.n < 1:
         raise ValueError("model must have at least one spin")
     if reads < 1:
@@ -188,7 +192,7 @@ def simulated_anneal(
     _run_anneal(kernel, spins, h2, nbr_idx, val3, perms, betas, rng)
 
     energies = _batch_energies(spins, model.h, ei, ej, jv, model.offset)
-    meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed,
+    meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
             "schedule": schedule.describe(), "betas": [float(betas[0]), float(betas[-1])]}
     return SampleSet(spins=spins, energies=energies, cbf=np.zeros(reads), metadata=meta)
 
@@ -387,7 +391,7 @@ def synthetic_hardware_run(
 
     energies = _batch_energies(spins, model.h, ei, ej, jv, model.offset)
     flags, cbf = _detect_breaks_batch(spins, chains)
-    meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed,
+    meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
             "schedule": schedule.describe(), "chain_strength": k,
             "noise": nm.to_dict(), "lengths": [len(c) for c in chains]}
     physical = SampleSet(spins=spins, energies=energies, cbf=cbf, metadata=meta)

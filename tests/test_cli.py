@@ -161,6 +161,14 @@ class TestHeatmap:
         assert header == ["L", "k_star_empirical"]
         assert rows  # contour crosses tau=0.02 inside the default k range
 
+    def test_k_values_sharing_a_seed_rejected(self, tmp_path, capsys):
+        # seeds key k by round(k * 1000), so 0.1 and 0.1004 would reuse one
+        cfg = write_config(tmp_path, {"k_values": {"start": 0.1, "stop": 0.1012, "step": 0.0004}})
+        rc = main(["heatmap", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "0.1 and 0.1004" in capsys.readouterr().err
+        assert not (tmp_path / "heatmap.csv").exists()
+
 
 class TestBench:
     def test_schema_and_oracle_bound(self, tmp_path):

@@ -1,16 +1,16 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from embednoise._kernels import _sa_py, get_kernel
+from embednoise import _kernels
+from embednoise._kernels import _load, _sa_c, _sa_py, get_kernel
+from embednoise.noise import NoiseModel
 from embednoise.problem import generate_random_qubo, qubo_to_ising
-from embednoise.sampler import simulated_anneal
+from embednoise.sampler import simulated_anneal, synthetic_hardware_run
 
-try:
-    from embednoise._kernels import _sa_cy
-except ImportError:
-    _sa_cy = None
-
-needs_cython = pytest.mark.skipif(_sa_cy is None, reason="compiled kernel unavailable")
+# a machine with cc must build the C kernel: a failed build fails these tests
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 def make_inputs(reads=8, n=12, sweeps=16, deg=4, seed=0):
@@ -21,8 +21,8 @@ def make_inputs(reads=8, n=12, sweeps=16, deg=4, seed=0):
     nbr_val = rng.normal(size=(reads, n, deg))
     perms = np.stack([rng.permutation(n) for _ in range(reads)]).astype(np.int32)
     betas = np.linspace(0.1, 3.0, sweeps)
-    uniforms = rng.random((reads, sweeps, n))
-    return spins, h, nbr_idx, nbr_val, perms, betas, uniforms
+    log_u = np.log(rng.random((reads, sweeps, n)))
+    return spins, h, nbr_idx, nbr_val, perms, betas, log_u
 
 
 class TestPythonKernel:
@@ -39,24 +39,24 @@ class TestPythonKernel:
         assert np.array_equal(a[0], b[0])
 
     def test_unit_uniforms_admit_only_downhill_moves(self):
-        # at u = 1 a flip needs exp(-beta*de) > 1, i.e. de < 0: with h = +1
-        # every +1 spin flips down and every -1 spin stays put
-        spins, h, nbr_idx, nbr_val, perms, betas, uniforms = make_inputs(sweeps=1)
-        uniforms[:] = 1.0
+        # at u = 1 (log u = 0) a flip needs -beta*de > 0, i.e. de < 0: with
+        # h = +1 every +1 spin flips down and every -1 spin stays put
+        spins, h, nbr_idx, nbr_val, perms, betas, log_u = make_inputs(sweeps=1)
+        log_u[:] = 0.0
         nbr_val[:] = 0.0
         h[:] = 1.0
-        _sa_py.run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas[:1], uniforms)
+        _sa_py.run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas[:1], log_u)
         assert np.all(spins == -1)
 
 
-@needs_cython
+@needs_cc
 class TestBackendParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_bitwise_identical_kernels(self, seed):
         a = make_inputs(seed=seed)
         b = make_inputs(seed=seed)
         _sa_py.run_metropolis(*a)
-        _sa_cy.run_metropolis(*b)
+        get_kernel("c").run_metropolis(*b)
         assert np.array_equal(a[0], b[0])
 
     def test_parity_with_broadcast_arrays(self):
@@ -69,25 +69,98 @@ class TestBackendParity:
             nbr_idx=rng.integers(0, n, (n, deg)).astype(np.int32),
             perms=np.stack([rng.permutation(n) for _ in range(reads)]).astype(np.int32),
             betas=np.linspace(0.2, 2.0, sweeps),
-            uniforms=rng.random((reads, sweeps, n)),
+            log_u=np.log(rng.random((reads, sweeps, n))),
         )
         spins0 = (rng.integers(0, 2, (reads, n)) * 2 - 1).astype(np.int8)
         out = {}
-        for name, mod in (("py", _sa_py), ("cy", _sa_cy)):
+        for name, mod in (("py", _sa_py), ("c", get_kernel("c"))):
             spins = spins0.copy()
             mod.run_metropolis(spins, np.broadcast_to(h1, (reads, n)),
                                base["nbr_idx"],
                                np.broadcast_to(val1, (reads, n, deg)),
-                               base["perms"], base["betas"], base["uniforms"])
+                               base["perms"], base["betas"], base["log_u"])
             out[name] = spins
-        assert np.array_equal(out["py"], out["cy"])
+        assert np.array_equal(out["py"], out["c"])
+
+    def test_cancelling_terms_summed_in_table_order(self):
+        # spin 0 = -1 sees h = 0 and terms (1e16, 1, -1e16) in read 0 and
+        # (1, 1e16, -1e16) in read 1. Summed from h in table order, 1e16 + 1
+        # rounds to 1e16, so both fields are 0 and log u = -1 < 0 flips spin
+        # 0. Any order that cancels the 1e16s first gives 1, which would
+        # need log u < -2, and keeps it: pairwise sums in read 0, the
+        # reverse order in read 1.
+        spins = np.array([[-1, 1, 1, 1]] * 2, dtype=np.int8)
+        nbr_idx = np.array([[1, 2, 3]] + [[0, 0, 0]] * 3, dtype=np.int32)
+        vals = np.zeros((2, 4, 3))
+        vals[:, 0] = [[1e16, 1.0, -1e16], [1.0, 1e16, -1e16]]
+        h = np.array([0.0, -10.0, -10.0, -10.0])
+        perms = np.tile(np.arange(4, dtype=np.int32), (2, 1))
+        args = (np.broadcast_to(h, (2, 4)), nbr_idx, vals, perms, np.array([1.0]),
+                np.full((2, 1, 4), -1.0))
+        for mod in (_sa_py, get_kernel("c")):
+            s = spins.copy()
+            mod.run_metropolis(s, *args)
+            assert s.tolist() == [[1, 1, 1, 1]] * 2
+
+    def test_c_kernel_rejects_unsafe_inputs(self):
+        c = get_kernel("c")
+        spins, h, nbr_idx, nbr_val, perms, betas, log_u = make_inputs()
+        bad = [(spins, h.astype(np.float32), nbr_idx, nbr_val, perms, betas, log_u),
+               (spins, h, nbr_idx, nbr_val[:, :, ::-1], perms, betas, log_u),
+               (spins, h, nbr_idx, nbr_val, perms, betas, log_u[:, :1]),
+               (spins, h, nbr_idx, nbr_val, perms + 1, betas, log_u),
+               (spins, h, np.full_like(nbr_idx, -1), nbr_val, perms, betas, log_u),
+               (np.broadcast_to(spins[0], spins.shape), h, nbr_idx, nbr_val, perms, betas, log_u)]
+        for args in bad:
+            with pytest.raises(ValueError):
+                c.run_metropolis(*args)
 
     def test_full_sampler_parity(self):
         m = qubo_to_ising(generate_random_qubo(14, 0.7, seed=11))
         a = simulated_anneal(m, 100, seed=2, backend="python")
-        b = simulated_anneal(m, 100, seed=2, backend="cython")
+        b = simulated_anneal(m, 100, seed=2, backend="c")
+        assert (a.metadata["kernel"], b.metadata["kernel"]) == ("python", "c")
         assert np.array_equal(a.spins, b.spins)
         assert np.array_equal(a.energies, b.energies)
+
+    @pytest.mark.parametrize("redraw", [True, False])
+    def test_synthetic_parity(self, redraw):
+        q = generate_random_qubo(6, 0.8, seed=4)
+        nm = NoiseModel(sigma_h=0.05, sigma_c=0.02)
+        a, b = (synthetic_hardware_run(q, [3, 2, 3, 1, 2, 3], 1.0, nm, reads=40, seed=5,
+                                       redraw_per_read=redraw, backend=k)[0]
+                for k in ("python", "c"))
+        assert np.array_equal(a.spins, b.spins)
+
+
+class TestLoader:
+    @needs_cc
+    def test_second_load_does_not_compile(self, tmp_path, monkeypatch):
+        assert _load(str(tmp_path)) == (_sa_c, None)
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))  # no cc from here on
+        assert _load(str(tmp_path)) == (_sa_c, None)
+        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+
+    def test_no_compiler_falls_back_with_reason(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        kernel, reason = _load(str(tmp_path / "cache"))
+        assert kernel is _sa_py
+        assert "No such file or directory: 'cc'" in reason
+
+    @needs_cc
+    def test_build_failure_falls_back_with_compiler_output(self, tmp_path, monkeypatch):
+        bad = tmp_path / "sa.c"
+        bad.write_text("this is not C\n")
+        monkeypatch.setattr(_sa_c, "SOURCE", str(bad))
+        kernel, reason = _load(str(tmp_path / "cache"))
+        assert kernel is _sa_py
+        assert reason.startswith("cc exited") and "error" in reason
+
+    def test_unavailable_c_kernel_raises_stored_reason(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_loaded", (_sa_py, "cc exited 1: boom"))
+        assert get_kernel("auto") is _sa_py
+        with pytest.raises(RuntimeError, match="boom"):
+            get_kernel("c")
 
 
 class TestBackendSelection:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from embednoise._kernels import get_kernel
 from embednoise.analytics import CbpModel, cbf_predict, cbp
 from embednoise.embedding import ChainLengthModel, build_embedded_ising
 from embednoise.noise import NoiseModel, variance_law
@@ -227,6 +228,14 @@ class TestSimulatedAnneal:
         assert ss.metadata["sweeps"] == 17
         assert ss.metadata["seed"] == 9
         assert "logarithmic" in ss.metadata["schedule"]
+        # the kernel that ran: "c" unless the C kernel is unavailable
+        assert ss.metadata["kernel"] == get_kernel().NAME in ("c", "python")
+        assert simulated_anneal(m, 3, seed=9, backend="python").metadata["kernel"] == "python"
+        q = generate_random_qubo(3, 1.0, seed=1)
+        for backend in (None, "python"):
+            phys, res = synthetic_hardware_run(q, [2, 1, 2], 1.0, NoiseModel(0.05, 0.01), reads=2,
+                                               backend=backend)
+            assert phys.metadata["kernel"] == res.metadata["kernel"] == get_kernel(backend).NAME
 
 
 class TestDetectBreaks:
