@@ -12,7 +12,7 @@ from .problem import (IsingModel, QuboInstance, generate_random_qubo,
                       ising_energy, qubo_energy, qubo_to_ising)
 from .rng import substream
 from .sampler import (AnnealSchedule, SampleSet, brute_force, detect_breaks,
-                      energy_stats, margin_model_run, resolve_chains,
+                      energy_stats, margin_errors, margin_model_run, resolve_chains,
                       simulated_anneal, synthetic_hardware_run)
 from .topology import ZephyrCoordinate, ZephyrGraph, build_zephyr, degree_histogram, vertex_count
 
@@ -28,7 +28,7 @@ __all__ = [
     "critical_chain_strength", "degree_histogram", "detect_breaks",
     "energy_stats", "erfc", "erfc_inv", "fit_linear", "fit_noise_params",
     "fit_report", "generate_random_qubo", "ising_energy",
-    "margin_model_run", "perturb_hamiltonian", "power_law_fit",
+    "margin_errors", "margin_model_run", "perturb_hamiltonian", "power_law_fit",
     "qubo_energy", "qubo_to_ising", "resolve_chains", "simulated_anneal",
     "sse", "substream", "synth_chain_lengths", "synthetic_hardware_run",
     "validate_embedding", "variance_law", "vertex_count",

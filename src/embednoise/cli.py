@@ -24,7 +24,7 @@ from .fitting import FitGrid, GridRange, fit_noise_params, fit_report, read_leng
 from .noise import NoiseModel
 from .problem import generate_random_qubo, qubo_to_ising
 from .rng import substream
-from .sampler import (AnnealSchedule, brute_force, margin_model_run,
+from .sampler import (AnnealSchedule, brute_force, margin_errors, margin_model_run,
                       simulated_anneal, synthetic_hardware_run)
 from .topology import build_zephyr, degree_histogram
 
@@ -113,12 +113,8 @@ def _write(path: Path, text: str):
     print(f"wrote {path}")
 
 
-def _seed_key(value) -> int:
-    return int(round(value * 1000))
-
-
 def _point_seed(seed: int, tag: str, value) -> int:
-    return int(substream(seed, tag, _seed_key(value)).integers(1 << 31))
+    return int(substream(seed, tag, int(round(value * 1000))).integers(1 << 31))
 
 
 def cmd_chainlen(cfg) -> int:
@@ -176,23 +172,22 @@ def cmd_fit(cfg, observations_path: str, lengths_path: str | None) -> int:
 
 
 def empirical_kstar(ell: int, nm: NoiseModel, tau: float, eta: float,
-                    reads: int, seed: int, iters: int = 40) -> float:
-    """Bisect chain strength until the margin-model mean CBF hits tau."""
-    def cbf(k):
-        return float(np.mean(margin_model_run([ell], k, eta, nm, reads, seed)))
+                    reads: int, seed: int) -> float:
+    """Smallest chain strength whose margin-model mean CBF is at most tau.
 
-    lo, hi = 1e-9, 1.0
-    while cbf(hi) > tau:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e6:
-            raise RuntimeError("bisection bracket failed")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if cbf(mid) > tau:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    With m the most reads that may break (the largest m with m / reads <= tau),
+    that is the (reads - m)-th smallest |delta| over eta: an exact order statistic.
+    Zero noise gives 0.0, the infimum of the chain strengths that break nothing.
+    """
+    if not (0.0 < tau < 1.0):
+        raise ValueError("tau must lie in (0, 1)")
+    if not (0.0 < eta <= 1.0):
+        raise ValueError("eta must lie in (0, 1]")
+    mags = np.abs(margin_errors([ell], nm, reads, seed)[:, 0])
+    m = int(tau * reads)
+    m += (m + 1) / reads <= tau  # match the float test count / reads <= tau
+    m -= m / reads > tau
+    return float(np.partition(mags, reads - m - 1)[reads - m - 1]) / eta
 
 
 def cmd_kstar(cfg, empirical: bool = False) -> int:
@@ -224,22 +219,16 @@ def cmd_heatmap(cfg) -> int:
     eta, tau = cfg["eta"], cfg["contour_tau"]
     Ls = [int(v) for v in _sweep_values(cfg["L_sweep"])]
     ks = [float(v) for v in _sweep_values(cfg["k_values"])]
-    first = {}
-    for k in ks:
-        other = first.setdefault(_seed_key(k), k)
-        if other != k:
-            raise ValueError(f"k values {other} and {k} would share a seed: "
-                             "heatmap seeds key k to 1e-3")
+    if any(k <= 0 for k in ks) or not (0.0 < eta <= 1.0):
+        raise ValueError("heatmap needs every chain strength k > 0 and eta in (0, 1]")
     lines = ["L,k,cbf_mean"]
     contour = ["L,k_star_empirical"]
     for L in Ls:
         lengths = synth_chain_lengths(L, model, cfg["seed"])
-        row = []
-        for k in ks:
-            seed = _point_seed(cfg["seed"], f"heatmap-{L}", k)
-            cbf = float(np.mean(margin_model_run(lengths, k, eta, nm, cfg["reads"], seed)))
-            row.append(cbf)
-            lines.append(f"{L},{k:.12g},{cbf:.12g}")
+        mags = margin_errors(lengths, nm, cfg["reads"], _point_seed(cfg["seed"], "heatmap", L))
+        np.abs(mags, out=mags)
+        row = [float(np.mean(mags > eta * k)) for k in ks]  # every k shares the draws
+        lines += [f"{L},{k:.12g},{cbf:.12g}" for k, cbf in zip(ks, row)]
         # smallest k reaching cbf <= tau, linearly interpolated on the k grid
         for j in range(1, len(ks)):
             if row[j] <= tau < row[j - 1]:
@@ -325,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", default=None, help="JSON {L: [chain lengths]}")
     p = common(sub.add_parser("kstar", help="critical chain strength sweep"))
     p.add_argument("--empirical", action="store_true",
-                   help="bisect Monte Carlo CBF instead of the closed form")
+                   help="order statistic of margin-model draws instead of the closed form")
     common(sub.add_parser("heatmap", help="mean CBF over the (L, k) plane"))
     common(sub.add_parser("bench", help="solver comparison at desk scale"))
     p = common(sub.add_parser("zephyr", help="emit a Zephyr graph fixture"))

@@ -103,17 +103,19 @@ def build_embedded_ising(
 ) -> EmbeddedIsing:
     """Build the physical Hamiltonian for an embedding of `logical`.
 
-    `chains_or_lengths` is either an Embedding or a sequence of chain
-    lengths; lengths are materialized as path chains over fresh physical
-    ids, with every logical edge realized by a single physical edge
-    between the lowest-index qubits of the two chains.
+    `chains_or_lengths` is an Embedding with a hardware graph (its own or
+    `topology`), or a sequence of chain lengths, which become path chains
+    over fresh physical ids, with every logical edge realized by a single
+    physical edge between the lowest-index qubits of the two chains.
     """
     if k <= 0:
         raise ValueError("chain strength k must be > 0")
 
     if isinstance(chains_or_lengths, Embedding):
         emb = chains_or_lengths
-        if topology is not None and emb.hardware is None:
+        if emb.hardware is None:
+            if topology is None:
+                raise ValueError("an Embedding needs a hardware graph; lengths mean path chains")
             emb = Embedding(emb.chains, emb.source_edges, topology)
     else:
         lengths = [int(v) for v in chains_or_lengths]

@@ -17,7 +17,8 @@ import numpy as np
 
 from ._kernels import get_kernel
 from .embedding import ChainLengthModel, Embedding, build_embedded_ising, synth_chain_lengths
-from .noise import NoiseModel, chain_error_sample
+from .noise import NoiseModel, variance_law
+from .noise import chain_error_sample  # noqa: F401  unused here; perfbench's tracer wraps it
 from .problem import IsingModel, QuboInstance, qubo_to_ising
 from .rng import substream
 
@@ -304,29 +305,35 @@ def _resolve_batch(spins2d, chains, policy, stream) -> np.ndarray:
     return out
 
 
-def margin_model_run(lengths, k: float, eta: float, nm: NoiseModel,
-                     reads: int, seed: int) -> np.ndarray:
-    """Per-read CBF from the exact generative margin model.
+def margin_errors(lengths, nm: NoiseModel, reads: int, seed: int) -> np.ndarray:
+    """Chain errors delta, shape (reads, chains), one scaled standard normal each.
 
-    Each chain accumulates a Gaussian error; it breaks when the error
-    magnitude exceeds the margin eta * k. Chains use independent
-    substreams, so results do not depend on evaluation order.
+    Column i is N(0, variance_law(lengths[i], nm)): chain_error_sample's
+    distribution, correlated term included, from the (seed, "margin") stream.
     """
-    if k <= 0:
-        raise ValueError("chain strength k must be > 0")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError("eta must lie in (0, 1]")
     if reads < 1:
         raise ValueError("reads must be >= 1")
     lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
     if lengths.size == 0:
         raise ValueError("lengths must hold at least one chain length")
-    margin = eta * k
-    broken = np.zeros(reads, dtype=np.int64)
-    for i, ell in enumerate(lengths):
-        delta = chain_error_sample(int(ell), nm, substream(seed, "margin", i), size=reads)
-        broken += np.abs(delta) > margin
-    return broken / len(lengths)
+    delta = substream(seed, "margin").standard_normal((reads, lengths.size))
+    delta *= np.sqrt([variance_law(ell, nm) for ell in lengths])
+    return delta
+
+
+def margin_model_run(lengths, k: float, eta: float, nm: NoiseModel,
+                     reads: int, seed: int) -> np.ndarray:
+    """Per-read CBF from the exact generative margin model.
+
+    Each chain's error delta comes from margin_errors; the chain breaks
+    when |delta| exceeds the margin eta * k.
+    """
+    if k <= 0:
+        raise ValueError("chain strength k must be > 0")
+    if not (0.0 < eta <= 1.0):
+        raise ValueError("eta must lie in (0, 1]")
+    delta = margin_errors(lengths, nm, reads, seed)
+    return (np.abs(delta, out=delta) > eta * k).mean(axis=1)
 
 
 def synthetic_hardware_run(

@@ -2,11 +2,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from embednoise.analytics import critical_chain_strength
 from embednoise.cli import empirical_kstar, main
 from embednoise.noise import NoiseModel
+from embednoise.sampler import margin_model_run
 
 FAST_SWEEP = {"L_sweep": {"start": 5, "stop": 40, "step": 5}, "reads": 400}
 
@@ -129,6 +131,48 @@ class TestKstar:
         emp = empirical_kstar(8, nm, tau=0.02, eta=1.0, reads=10**6, seed=5)
         assert abs(emp - analytic) / analytic < 0.02
 
+    @staticmethod
+    def bisect_kstar(ell, nm, tau, eta, reads, seed):
+        def cbf(k):
+            return float(np.mean(margin_model_run([ell], k, eta, nm, reads, seed)))
+
+        lo, hi = 0.0, 1.0
+        while cbf(hi) > tau:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if cbf(mid) > tau else (lo, mid)
+        return hi
+
+    @pytest.mark.parametrize("reads,tau", [(1000, 0.02), (999, 0.02), (2000, 0.05),
+                                           (100, 0.29), (37, 0.1)])
+    @pytest.mark.parametrize("eta", [1.0, 0.6])
+    def test_empirical_is_bisection_limit(self, reads, tau, eta):
+        # tau * reads is an integer for (1000, 0.02) and (2000, 0.05), not for
+        # (999, 0.02) or (37, 0.1); 0.29 * 100 rounds below 29 in floating point
+        nm = NoiseModel(sigma_h=0.06, sigma_c=0.005)
+        for ell in (3, 13):
+            want = self.bisect_kstar(ell, nm, tau, eta, reads, seed=40 + ell)
+            got = empirical_kstar(ell, nm, tau, eta, reads, seed=40 + ell)
+            assert got == pytest.approx(want, rel=1e-9)
+            assert np.mean(margin_model_run([ell], got, eta, nm, reads, 40 + ell)) <= tau
+
+    def test_empirical_zero_noise_is_zero(self):
+        assert empirical_kstar(8, NoiseModel(0.0, 0.0), 0.02, 1.0, 100, seed=1) == 0.0
+
+    def test_empirical_rejects_bad_inputs(self):
+        nm = NoiseModel(sigma_h=0.06, sigma_c=0.005)
+        for tau in (0.0, -0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match="tau"):
+                empirical_kstar(8, nm, tau, 1.0, 100, seed=1)
+        for eta in (0.0, 1.5):
+            with pytest.raises(ValueError, match="eta"):
+                empirical_kstar(8, nm, 0.02, eta, 100, seed=1)
+        with pytest.raises(ValueError, match="reads"):
+            empirical_kstar(8, nm, 0.02, 1.0, 0, seed=1)
+
 
 class TestHeatmap:
     def test_monotone_rows_and_columns(self, tmp_path):
@@ -161,12 +205,30 @@ class TestHeatmap:
         assert header == ["L", "k_star_empirical"]
         assert rows  # contour crosses tau=0.02 inside the default k range
 
-    def test_k_values_sharing_a_seed_rejected(self, tmp_path, capsys):
-        # seeds key k by round(k * 1000), so 0.1 and 0.1004 would reuse one
+    def test_k_grid_finer_than_1e3_accepted(self, tmp_path):
+        # every k of one L reads the same draws, so no k step is too fine and
+        # each row is exactly nonincreasing in k
         cfg = write_config(tmp_path, {"k_values": {"start": 0.1, "stop": 0.1012, "step": 0.0004}})
         rc = main(["heatmap", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == 1
-        assert "0.1 and 0.1004" in capsys.readouterr().err
+        assert rc == 0
+        rows = {}
+        for r in read_csv(tmp_path / "heatmap.csv")[1]:
+            rows.setdefault(r["L"], []).append((float(r["k"]), float(r["cbf_mean"])))
+        assert len(rows) == 8
+        for row in rows.values():
+            ks, cbfs = zip(*row)
+            assert len(ks) == 4 and list(ks) == sorted(ks)
+            assert all(a >= b for a, b in zip(cbfs, cbfs[1:]))
+
+    @pytest.mark.parametrize("extra", [
+        {"k_values": {"start": 0.0, "stop": 0.2, "step": 0.1}},
+        {"k_values": [0.3, -0.1]},
+        {"eta": 0.0},
+        {"eta": 1.5}])
+    def test_rejects_bad_k_and_eta(self, tmp_path, capsys, extra):
+        cfg = write_config(tmp_path, extra)
+        assert main(["heatmap", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "k > 0 and eta in (0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "heatmap.csv").exists()
 
 

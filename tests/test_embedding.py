@@ -141,6 +141,24 @@ class TestBuildEmbeddedIsing:
         inter = [e for e, tag in emb.provenance.items() if tag[0] == "inter"]
         assert sum(emb.model.J[e] for e in inter) == pytest.approx(1.0)
 
+    def test_embedding_without_hardware_rejected(self):
+        # consecutive ids would be taken as chain edges that may not exist
+        logical = IsingModel(n=2, h=np.zeros(2), J={(0, 1): 1.0})
+        bare = Embedding([[0, 1], [2, 3]], [(0, 1)])
+        with pytest.raises(ValueError, match="hardware"):
+            build_embedded_ising(logical, bare, k=1.0)
+
+    def test_topology_supplies_missing_hardware(self):
+        hw = build_zephyr(2, 2)
+        adj = hw.adjacency()
+        a, b, _ = hw.edges[0]
+        chain_a = [a, next(v for v in adj[a] if v != b)]
+        logical = IsingModel(n=2, h=np.zeros(2), J={(0, 1): 1.0})
+        emb = build_embedded_ising(logical, Embedding([chain_a, [b]], [(0, 1)]), k=1.0,
+                                   topology=hw)
+        hw_pairs = {(min(x, y), max(x, y)) for x, y, _ in hw.edges}
+        assert emb.embedding.hardware is hw and set(emb.model.J) <= hw_pairs
+
     def test_chain_count_mismatch(self):
         logical = IsingModel(n=3, h=np.zeros(3))
         with pytest.raises(ValueError):

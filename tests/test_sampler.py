@@ -10,13 +10,13 @@ import pytest
 from embednoise._kernels import get_kernel
 from embednoise.analytics import CbpModel, cbf_predict, cbp
 from embednoise.embedding import ChainLengthModel, build_embedded_ising
-from embednoise.noise import NoiseModel, variance_law
+from embednoise.noise import NoiseModel, chain_error_sample, variance_law
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
 from embednoise.rng import substream
 from embednoise.sampler import (AnnealSchedule, SampleSet, _batch_energies, _edge_arrays,
-                                brute_force, detect_breaks, energy_stats, margin_model_run,
-                                resolve_chains, schedule_betas, simulated_anneal,
-                                synthetic_hardware_run)
+                                brute_force, detect_breaks, energy_stats, margin_errors,
+                                margin_model_run, resolve_chains, schedule_betas,
+                                simulated_anneal, synthetic_hardware_run)
 
 
 class TestAnnealSchedule:
@@ -338,6 +338,47 @@ class TestMarginModelRun:
         a = margin_model_run([4, 9], 0.3, 1.0, nm, 500, seed=7)
         b = margin_model_run([4, 9], 0.3, 1.0, nm, 500, seed=7)
         assert np.array_equal(a, b)
+
+
+class TestMarginErrors:
+    @pytest.mark.parametrize("nm", [NoiseModel(sigma_h=0.06, sigma_c=0.015),
+                                    NoiseModel(sigma_h=0.06, sigma_c=0.015,
+                                               corr_strength=0.002, corr_exponent=1.5)])
+    def test_column_variance_is_variance_law(self, nm):
+        lengths = [2, 8, 32]
+        delta = margin_errors(lengths, nm, 10**6, seed=21)
+        assert delta.shape == (10**6, 3)
+        for col, ell in enumerate(lengths):
+            assert abs(delta[:, col].var() / variance_law(ell, nm) - 1.0) < 0.01
+
+    def test_same_distribution_as_literal_sum(self):
+        from scipy.stats import ks_2samp
+
+        nm = NoiseModel(sigma_h=0.06, sigma_c=0.015, corr_strength=0.002, corr_exponent=1.5)
+        fast = margin_errors([8], nm, 200_000, seed=22)[:, 0]
+        literal = chain_error_sample(8, nm, substream(23, "ks"), size=200_000)
+        assert ks_2samp(fast, literal).pvalue > 0.01
+
+    def test_columns_are_independent_chains(self):
+        nm = NoiseModel(sigma_h=0.06, sigma_c=0.005)
+        delta = margin_errors([5, 5], nm, 200_000, seed=24)
+        assert abs(np.corrcoef(delta.T)[0, 1]) < 5 / math.sqrt(200_000)
+
+    def test_reproducible_and_drives_margin_model_run(self):
+        nm = NoiseModel(0.06, 0.005)
+        delta = margin_errors([4, 9], nm, 500, seed=7)
+        assert np.array_equal(delta, margin_errors([4, 9], nm, 500, seed=7))
+        want = (np.abs(delta) > 0.5 * 0.3).mean(axis=1)
+        assert np.array_equal(margin_model_run([4, 9], 0.3, 0.5, nm, 500, seed=7), want)
+
+    def test_rejects_bad_inputs(self):
+        nm = NoiseModel(0.06, 0.005)
+        with pytest.raises(ValueError, match="lengths"):
+            margin_errors([], nm, 10, seed=0)
+        with pytest.raises(ValueError, match="reads"):
+            margin_errors([5], nm, 0, seed=0)
+        with pytest.raises(ValueError, match="length"):
+            margin_errors([5, 0], nm, 10, seed=0)
 
 
 class TestSyntheticHardwareRun:
