@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .embedding import fit_linear
 from .noise import NoiseModel, variance_law
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def erfc(x: float) -> float:
@@ -31,36 +30,11 @@ def erfc(x: float) -> float:
 
 
 def erfc_inv(p: float) -> float:
-    """Inverse of erfc on (0, 2), via safeguarded Newton iteration."""
+    """Inverse of erfc on (0, 2): erfc(x) = p at x = -Phi^-1(p / 2) / sqrt(2)."""
     p = float(p)
     if not (0.0 < p < 2.0):
         raise ValueError(f"erfc_inv requires 0 < p < 2, got {p}")
-    if p == 1.0:
-        return 0.0
-    # erfc_inv(p) = -erfc_inv(2 - p); solve on the positive branch.
-    if p > 1.0:
-        return -erfc_inv(2.0 - p)
-
-    lo, hi = 0.0, 1.0
-    while math.erfc(hi) > p:  # bracket: erfc(hi) <= p <= erfc(lo)
-        lo, hi = hi, hi * 2.0
-        if hi > 40.0:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        f = math.erfc(x) - p
-        if f > 0.0:
-            lo = x
-        else:
-            hi = x
-        step = f / (_TWO_OVER_SQRT_PI * math.exp(-x * x))
-        x_new = x + step  # erfc decreases: f > 0 means x too small
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            break
-        x = x_new
-    return x
+    return -NormalDist().inv_cdf(p / 2.0) / math.sqrt(2.0) + 0.0  # + 0.0: no -0.0 at p = 1
 
 
 @dataclass

@@ -173,7 +173,12 @@ def cmd_fit(cfg, observations_path: str, lengths_path: str | None) -> int:
 
 def empirical_kstar(ell: int, nm: NoiseModel, tau: float, eta: float,
                     reads: int, seed: int) -> float:
-    """Smallest chain strength whose margin-model mean CBF is at most tau.
+    """Smallest chain strength whose margin-model mean CBF is at most tau."""
+    return _kstar_of_draws(np.abs(margin_errors([ell], nm, reads, seed)[:, 0]), tau, eta)
+
+
+def _kstar_of_draws(mags: np.ndarray, tau: float, eta: float) -> float:
+    """Smallest k with at most a tau share of the |delta| in `mags` above eta * k.
 
     With m the most reads that may break (the largest m with m / reads <= tau),
     that is the (reads - m)-th smallest |delta| over eta: an exact order statistic.
@@ -183,7 +188,7 @@ def empirical_kstar(ell: int, nm: NoiseModel, tau: float, eta: float,
         raise ValueError("tau must lie in (0, 1)")
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must lie in (0, 1]")
-    mags = np.abs(margin_errors([ell], nm, reads, seed)[:, 0])
+    reads = len(mags)
     m = int(tau * reads)
     m += (m + 1) / reads <= tau  # match the float test count / reads <= tau
     m -= m / reads > tau
@@ -194,12 +199,15 @@ def cmd_kstar(cfg, empirical: bool = False) -> int:
     nm = _noise(cfg)
     eta = cfg["eta"]
     ells = [int(v) for v in _sweep_values(cfg["ell_sweep"])]
+    if empirical:  # one draw per length, seeded by the length alone, read at every tau
+        seeds = [_point_seed(cfg["seed"], "kstar", ell) for ell in ells]
+        draws = [np.abs(margin_errors([ell], nm, cfg["reads"], seed)[:, 0])
+                 for ell, seed in zip(ells, seeds)]
     lines = ["l,k_star,tau"]
     fits = {}
     for tau in cfg["taus"]:
         if empirical:
-            ks = [empirical_kstar(ell, nm, tau, eta, cfg["reads"],
-                                  _point_seed(cfg["seed"], "kstar", ell)) for ell in ells]
+            ks = [_kstar_of_draws(mags, tau, eta) for mags in draws]
         else:
             ks = [critical_chain_strength(ell, nm, tau, eta) for ell in ells]
         lines += [f"{ell},{k:.12g},{tau:.12g}" for ell, k in zip(ells, ks)]

@@ -11,7 +11,7 @@ chains lower the energy by k per intra-chain edge).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +37,9 @@ class ChainLengthModel:
 
 @dataclass
 class Embedding:
-    """Chains T_i (disjoint sets of physical qubit ids) plus the logical edge list."""
+    """Chains T_i (disjoint sets of physical qubit ids) on an optional hardware graph."""
 
     chains: list[list[int]]
-    source_edges: list[tuple[int, int]] = field(default_factory=list)
     hardware: ZephyrGraph | None = None
 
     def lengths(self) -> list[int]:
@@ -116,59 +115,51 @@ def build_embedded_ising(
         if emb.hardware is None:
             if topology is None:
                 raise ValueError("an Embedding needs a hardware graph; lengths mean path chains")
-            emb = Embedding(emb.chains, emb.source_edges, topology)
+            emb = Embedding(emb.chains, topology)
     else:
         lengths = [int(v) for v in chains_or_lengths]
         if any(v < 1 for v in lengths):
             raise ValueError("chain lengths must be >= 1")
-        chains, nxt = [], 0
-        for ell in lengths:
-            chains.append(list(range(nxt, nxt + ell)))
-            nxt += ell
-        emb = Embedding(chains, sorted(logical.J.keys()))
+        ends = np.cumsum(lengths).tolist()
+        emb = Embedding([list(range(e - ell, e)) for ell, e in zip(lengths, ends)])
 
     if len(emb.chains) != logical.n:
         raise ValueError(f"embedding has {len(emb.chains)} chains for {logical.n} logical spins")
 
-    n_phys = 1 + max(p for c in emb.chains for p in c)
-    h = np.zeros(n_phys)
-    J: dict[tuple[int, int], float] = {}
-    provenance: dict[tuple[int, int], tuple] = {}
+    sizes = np.array([len(c) for c in emb.chains])
+    share = np.repeat(logical.h, sizes) / np.repeat(sizes, sizes)
+    h = np.zeros(1 + max(p for c in emb.chains for p in c))
+    np.add.at(h, np.concatenate(emb.chains), share)
 
     hw_edges = None
     if emb.hardware is not None:
         hw_edges = {(min(a, b), max(a, b)) for a, b, _ in emb.hardware.edges}
 
-    for i, chain in enumerate(emb.chains):
-        for p in chain:
-            h[p] += logical.h[i] / len(chain)
-        if hw_edges is not None:
-            intra = [(min(p, q), max(p, q)) for ai, p in enumerate(chain)
-                     for q in chain[ai + 1:] if (min(p, q), max(p, q)) in hw_edges]
-        else:
-            intra = [tuple(sorted((chain[a], chain[a + 1]))) for a in range(len(chain) - 1)]
-        for e in intra:
-            J[e] = -k
-            provenance[e] = ("intra", i)
+    def links(a, b):
+        """Sorted hardware couplers (p, q), p < q, between qubit lists a and b."""
+        return sorted({(min(p, q), max(p, q)) for p in a for q in b
+                       if p != q and (min(p, q), max(p, q)) in hw_edges})
 
-    logical_edges = sorted(logical.J.keys())
-    for (i, j) in logical_edges:
-        if hw_edges is not None:
-            connecting = sorted(
-                (min(p, q), max(p, q))
-                for p in emb.chains[i] for q in emb.chains[j]
-                if (min(p, q), max(p, q)) in hw_edges
-            )
+    edges, values, provenance = [], [], {}
+    for i, chain in enumerate(emb.chains):
+        intra = list(zip(chain[:-1], chain[1:])) if hw_edges is None else links(chain, chain)
+        edges += intra
+        values += [-k] * len(intra)
+        provenance.update((e, ("intra", i)) for e in intra)
+
+    for i, j, v in zip(logical.ei.tolist(), logical.ej.tolist(), logical.jv.tolist()):
+        if hw_edges is None:
+            connecting = [(emb.chains[i][0], emb.chains[j][0])]
+        else:
+            connecting = links(emb.chains[i], emb.chains[j])
             if not connecting:
                 raise ValueError(f"logical edge ({i},{j}) has no physical edge between chains")
-        else:
-            connecting = [tuple(sorted((emb.chains[i][0], emb.chains[j][0])))]
-        share = logical.J[(i, j)] / len(connecting)
-        for e in connecting:
-            J[e] = J.get(e, 0.0) + share
-            provenance[e] = ("inter", (i, j))
+        edges += connecting
+        values += [v / len(connecting)] * len(connecting)
+        provenance.update((e, ("inter", (i, j))) for e in connecting)
 
-    model = IsingModel(n=n_phys, h=h, J=J, offset=logical.offset)
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    model = IsingModel(len(h), h, (pairs[:, 0], pairs[:, 1], values), logical.offset)
     return EmbeddedIsing(model=model, chain_strength=k, provenance=provenance, embedding=emb)
 
 

@@ -153,13 +153,8 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
 
 
 def _erfc_array(x: np.ndarray) -> np.ndarray:
-    try:
-        from scipy.special import erfc as _erfc
-        return _erfc(x)
-    except ImportError:
-        flat = x.ravel()
-        out = np.fromiter((math.erfc(v) for v in flat), dtype=np.float64, count=flat.size)
-        return out.reshape(x.shape)
+    from scipy.special import erfc  # here, not at the top: it imports slower than the package
+    return erfc(x)
 
 
 def fitted_noise_model(fr: FitResult, corr_strength: float = 0.0,

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .problem import IsingModel
+
 
 @dataclass
 class NoiseModel:
@@ -82,6 +84,18 @@ def chain_error_sample(ell: int, nm: NoiseModel, stream: np.random.Generator, si
     return float(total) if size is None else total
 
 
+def control_errors(model, nm: NoiseModel, stream: np.random.Generator, batch: tuple = ()):
+    """Gaussian deviations of every programmed field and coupler of an IsingModel.
+
+    Returns (dh, dj) of shapes batch + (n,) and batch + (couplers,), with
+    widths sigma_h and sigma_c, drawn as standard normals: all field draws
+    first, then all coupler draws, in the model's (i, j) coupler order.
+    """
+    dh = stream.normal(0.0, 1.0, size=batch + (model.n,)) * nm.sigma_h
+    dj = stream.normal(0.0, 1.0, size=batch + (len(model.jv),)) * nm.sigma_c
+    return dh, dj
+
+
 def perturb_hamiltonian(emb, nm: NoiseModel, stream: np.random.Generator):
     """Return a copy of an EmbeddedIsing with every programmed coefficient perturbed.
 
@@ -89,10 +103,6 @@ def perturb_hamiltonian(emb, nm: NoiseModel, stream: np.random.Generator):
     physical couplers (intra- and inter-chain) receive N(0, sigma_c^2),
     deterministically for a given stream state.
     """
-    model = emb.model
-    h = model.h + stream.normal(0.0, 1.0, size=model.n) * nm.sigma_h
-    keys = sorted(model.J.keys())
-    dj = stream.normal(0.0, 1.0, size=len(keys)) * nm.sigma_c
-    J = {key: model.J[key] + d for key, d in zip(keys, dj)}
-    perturbed = replace(model, h=h, J=J)
-    return replace(emb, model=perturbed)
+    m = emb.model
+    dh, dj = control_errors(m, nm, stream)
+    return replace(emb, model=IsingModel(m.n, m.h + dh, (m.ei, m.ej, m.jv + dj), m.offset))

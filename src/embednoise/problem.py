@@ -12,7 +12,7 @@ energies exactly for every assignment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,25 +64,38 @@ class QuboInstance:
         return cls.from_dict(json.loads(s))
 
 
-@dataclass
 class IsingModel:
-    """Spin model with local fields h, couplers J (i < j) and constant offset."""
+    """Spin model with local fields h, couplers J_ij (i < j) and a constant offset.
 
-    n: int
-    h: np.ndarray
-    J: dict[tuple[int, int], float] = field(default_factory=dict)
-    offset: float = 0.0
+    Couplers are stored only as COO arrays: ei[e] < ej[e] < n, pairs unique
+    and sorted by (i, j), with values jv[e]. `J` may be given as a
+    {(i, j): v} mapping or as an (ei, ej, jv) triple in any order.
+    """
 
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=np.float64)
-        if self.h.shape != (self.n,):
-            raise ValueError(f"h must have length n={self.n}")
-        for i, j in self.J:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"J key ({i},{j}) violates 0 <= i < j < n")
+    def __init__(self, n: int, h, J=None, offset: float = 0.0):
+        self.n, self.offset = n, offset
+        self.h = np.asarray(h, dtype=np.float64)
+        if self.h.shape != (n,):
+            raise ValueError(f"h must have length n={n}")
+        J = {} if J is None else J
+        if isinstance(J, dict):
+            pairs = np.array(list(J), dtype=np.int64).reshape(-1, 2)
+            J = pairs[:, 0], pairs[:, 1], list(J.values())
+        ei, ej = np.asarray(J[0], dtype=np.int64), np.asarray(J[1], dtype=np.int64)
+        jv = np.asarray(J[2], dtype=np.float64)
+        if not (ei.ndim == 1 and ei.shape == ej.shape == jv.shape):
+            raise ValueError("coupler arrays ei, ej, jv must be 1-d and of equal length")
+        bad = (ei < 0) | (ei >= ej) | (ej >= n)
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise ValueError(f"coupler ({ei[e]},{ej[e]}) violates 0 <= i < j < n")
+        order = np.lexsort((ej, ei))
+        self.ei, self.ej, self.jv = ei[order], ej[order], jv[order]
+        if np.any((np.diff(self.ei) == 0) & (np.diff(self.ej) == 0)):
+            raise ValueError("couplers must be unique pairs (i, j)")
 
     def to_dict(self) -> dict:
-        triples = [[i, j, v] for (i, j), v in sorted(self.J.items())]
+        triples = [list(t) for t in zip(self.ei.tolist(), self.ej.tolist(), self.jv.tolist())]
         return {"n": self.n, "h": self.h.tolist(), "J": triples, "offset": self.offset}
 
     @classmethod
@@ -129,6 +142,14 @@ def qubo_energy(q: QuboInstance, x) -> float:
     return e
 
 
+def _batch_energies(spins: np.ndarray, h, ei, ej, jv, offset) -> np.ndarray:
+    """Energies of C-order spin rows; a row's value does not depend on the other rows."""
+    e = (spins * h).sum(axis=1) + offset
+    if len(jv):
+        e += (spins.take(ei, axis=1) * spins.take(ej, axis=1) * jv).sum(axis=1)
+    return e
+
+
 def ising_energy(m: IsingModel, s) -> float:
     """Evaluate the Ising energy of a +/-1 spin assignment."""
     s = np.asarray(s)
@@ -136,20 +157,18 @@ def ising_energy(m: IsingModel, s) -> float:
         raise ValueError(f"assignment length {s.shape} does not match n={m.n}")
     if not np.all(np.abs(s) == 1):
         raise ValueError("spin entries must be -1 or +1")
-    e = float(np.dot(m.h, s)) + m.offset
-    for (i, j), v in m.J.items():
-        e += v * s[i] * s[j]
-    return e
+    return float(_batch_energies(s[None, :], m.h, m.ei, m.ej, m.jv, m.offset)[0])
 
 
 def qubo_to_ising(q: QuboInstance) -> IsingModel:
-    """Convert via x_i = (1 + s_i) / 2; energies match for every assignment."""
+    """Convert via x_i = (1 + s_i) / 2; energies match for every assignment.
+
+    Each coupler Q_ij / 4 is added to h_i, then h_j, then the offset, in
+    the order of q.offdiag, as a loop over its items would.
+    """
+    pairs = np.array(list(q.offdiag), dtype=np.int64).reshape(-1, 2)
+    w = np.array(list(q.offdiag.values()), dtype=np.float64) / 4.0
     h = q.diag / 2.0
-    J = {}
-    offset = float(np.sum(q.diag)) / 2.0
-    for (i, j), v in q.offdiag.items():
-        J[(i, j)] = v / 4.0
-        h[i] += v / 4.0
-        h[j] += v / 4.0
-        offset += v / 4.0
-    return IsingModel(n=q.L, h=h, J=J, offset=offset)
+    np.add.at(h, pairs.ravel(), np.repeat(w, 2))
+    offset = float(np.add.accumulate(np.append(float(np.sum(q.diag)) / 2.0, w))[-1])
+    return IsingModel(n=q.L, h=h, J=(pairs[:, 0], pairs[:, 1], w), offset=offset)

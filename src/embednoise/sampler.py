@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import get_kernel
-from .embedding import ChainLengthModel, Embedding, build_embedded_ising, synth_chain_lengths
-from .noise import NoiseModel, variance_law
+from .embedding import ChainLengthModel, build_embedded_ising, synth_chain_lengths
+from .noise import NoiseModel, control_errors, variance_law
 from .noise import chain_error_sample  # noqa: F401  unused here; perfbench's tracer wraps it
-from .problem import IsingModel, QuboInstance, qubo_to_ising
+from .problem import IsingModel, QuboInstance, _batch_energies, qubo_to_ising
 from .rng import substream
 
 ENUMERATION_LIMIT = 24
@@ -114,42 +114,23 @@ def schedule_betas(schedule: AnnealSchedule, h: np.ndarray, abs_coupling: np.nda
     return bmin + (bmax - bmin) * frac
 
 
-def _edge_arrays(model: IsingModel):
-    keys = sorted(model.J)
-    ei, ej = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-    return ei, ej, np.array([model.J[k] for k in keys], dtype=np.float64)
+def _padded_adjacency(model: IsingModel):
+    """Padded neighbor tables plus the (row, slot) of each edge endpoint.
 
-
-def _padded_adjacency(n: int, ei, ej, jv):
-    """Padded neighbor tables plus the (row, slot) of each edge endpoint."""
-    deg = np.zeros(n, dtype=np.int64)
-    for a, b in zip(ei, ej):
-        deg[a] += 1
-        deg[b] += 1
-    width = max(1, int(deg.max()) if n else 1)
-    nbr_idx = np.zeros((n, width), dtype=np.int32)
-    nbr_val = np.zeros((n, width), dtype=np.float64)
-    cursor = np.zeros(n, dtype=np.int64)
-    slots_a = np.empty(len(jv), dtype=np.int64)
-    slots_b = np.empty(len(jv), dtype=np.int64)
-    for e, (a, b, v) in enumerate(zip(ei, ej, jv)):
-        slots_a[e] = cursor[a]
-        nbr_idx[a, cursor[a]] = b
-        nbr_val[a, cursor[a]] = v
-        cursor[a] += 1
-        slots_b[e] = cursor[b]
-        nbr_idx[b, cursor[b]] = a
-        nbr_val[b, cursor[b]] = v
-        cursor[b] += 1
-    return nbr_idx, nbr_val, slots_a, slots_b
-
-
-def _batch_energies(spins: np.ndarray, h, ei, ej, jv, offset) -> np.ndarray:
-    """Energies of C-order spin rows; a row's value does not depend on the other rows."""
-    e = (spins * h).sum(axis=1) + offset
-    if len(jv):
-        e += (spins.take(ei, axis=1) * spins.take(ej, axis=1) * jv).sum(axis=1)
-    return e
+    Row r lists r's neighbors in coupler order: a stable sort of the
+    endpoints (edge e's at 2e and 2e + 1) by row gives each one its slot.
+    """
+    rows = np.stack([model.ei, model.ej], axis=1).ravel()
+    deg = np.bincount(rows, minlength=model.n)
+    slots = np.empty_like(rows)
+    first = np.repeat(np.cumsum(deg) - deg, deg)  # sorted position of each row's slot 0
+    slots[np.argsort(rows, kind="stable")] = np.arange(len(rows)) - first
+    width = max(1, int(deg.max()) if model.n else 1)
+    nbr_idx = np.zeros((model.n, width), dtype=np.int32)
+    nbr_val = np.zeros((model.n, width), dtype=np.float64)
+    nbr_idx[rows, slots] = np.stack([model.ej, model.ei], axis=1).ravel()
+    nbr_val[rows, slots] = np.repeat(model.jv, 2)
+    return nbr_idx, nbr_val, slots[0::2], slots[1::2]
 
 
 def _run_anneal(kernel, spins, h2, nbr_idx, nbr_val3, perms, betas, rng):
@@ -181,8 +162,7 @@ def simulated_anneal(
     schedule = schedule or AnnealSchedule()
     kernel = get_kernel(backend)
     n = model.n
-    ei, ej, jv = _edge_arrays(model)
-    nbr_idx, nbr_val, _, _ = _padded_adjacency(n, ei, ej, jv)
+    nbr_idx, nbr_val, _, _ = _padded_adjacency(model)
     betas = schedule_betas(schedule, model.h, np.abs(nbr_val).sum(axis=1))
 
     rng = substream(seed, "sa")
@@ -192,7 +172,7 @@ def simulated_anneal(
     val3 = np.broadcast_to(nbr_val, (reads, n, nbr_val.shape[1]))
     _run_anneal(kernel, spins, h2, nbr_idx, val3, perms, betas, rng)
 
-    energies = _batch_energies(spins, model.h, ei, ej, jv, model.offset)
+    energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
     meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
             "schedule": schedule.describe(), "betas": [float(betas[0]), float(betas[-1])]}
     return SampleSet(spins=spins, energies=energies, cbf=np.zeros(reads), metadata=meta)
@@ -218,7 +198,7 @@ def brute_force(model: IsingModel) -> dict:
     n, m = model.n, model.n // 2
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration limited to n <= {ENUMERATION_LIMIT}, got {n}")
-    ei, ej, jv = _edge_arrays(model)
+    ei, ej, jv = model.ei, model.ej, model.jv
     dense = np.zeros((n, n))
     dense[ei, ej] = jv
     hi, lo = ((((np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1) * 2 - 1)
@@ -244,65 +224,43 @@ def brute_force(model: IsingModel) -> dict:
     return {"best_spins": best_s, "best_energy": best_e}
 
 
-def _as_chains(embedding_or_chains) -> list[list[int]]:
-    if isinstance(embedding_or_chains, Embedding):
-        return embedding_or_chains.chains
-    return [list(c) for c in embedding_or_chains]
-
-
 def detect_breaks(spins, embedding_or_chains) -> dict:
-    """Flag broken chains (spins not all equal) and compute the read's CBF."""
-    chains = _as_chains(embedding_or_chains)
+    """Flag broken chains (spins not all equal) and compute the chain-break fraction.
+
+    `spins` is one read (n,), giving a list of flags and a float CBF, or a
+    batch (reads, n), giving a (reads, chains) flag array and a CBF per read.
+    """
+    chains = getattr(embedding_or_chains, "chains", embedding_or_chains)
     spins = np.asarray(spins)
-    n_needed = 1 + max(p for c in chains for p in c)
-    if spins.shape[-1] < n_needed:
+    if spins.shape[-1] < 1 + max(p for c in chains for p in c):
         raise ValueError("spin vector does not cover all physical ids in the chains")
-    flags = []
-    for chain in chains:
-        vals = spins[..., chain]
-        flags.append(bool(np.any(vals != vals[..., :1])))
-    return {"broken": flags, "cbf": float(np.mean(flags))}
-
-
-def _detect_breaks_batch(spins2d: np.ndarray, chains) -> tuple[np.ndarray, np.ndarray]:
-    flags = np.zeros((spins2d.shape[0], len(chains)), dtype=bool)
-    for c, chain in enumerate(chains):
-        vals = spins2d[:, chain]
-        flags[:, c] = np.any(vals != vals[:, :1], axis=1)
-    return flags, flags.mean(axis=1)
+    flags = np.stack([np.any(spins[..., c] != spins[..., c[:1]], axis=-1) for c in chains], axis=-1)
+    if spins.ndim == 1:
+        return {"broken": flags.tolist(), "cbf": float(flags.mean())}
+    return {"broken": flags, "cbf": flags.mean(axis=-1)}
 
 
 def resolve_chains(spins, embedding_or_chains, policy: str = "coin",
                    stream: np.random.Generator | None = None) -> np.ndarray:
-    """Collapse physical spins to logical spins by per-chain majority vote.
+    """Collapse physical spins, one read (n,) or a batch (reads, n), to logical
+    spins by per-chain majority vote.
 
     Even splits resolve by a draw from `stream` (policy "coin") or to +1
     (policy "plus_one").
     """
-    chains = _as_chains(embedding_or_chains)
+    chains = getattr(embedding_or_chains, "chains", embedding_or_chains)
     spins = np.asarray(spins)
-    batch = spins.ndim == 2
-    spins2d = spins if batch else spins[None, :]
-    out = _resolve_batch(spins2d, chains, policy, stream)
-    return out if batch else out[0]
-
-
-def _resolve_batch(spins2d, chains, policy, stream) -> np.ndarray:
-    reads = spins2d.shape[0]
-    out = np.empty((reads, len(chains)), dtype=np.int8)
+    shape = spins.shape[:-1] + (len(chains),)
     if policy == "coin":
         if stream is None:
             raise ValueError("coin policy needs a random stream")
-        coins = (stream.integers(0, 2, size=(reads, len(chains))) * 2 - 1).astype(np.int8)
+        coins = (stream.integers(0, 2, size=shape) * 2 - 1).astype(np.int8)
     elif policy == "plus_one":
-        coins = np.ones((reads, len(chains)), dtype=np.int8)
+        coins = np.ones(shape, dtype=np.int8)
     else:
         raise ValueError(f"unknown tie policy {policy!r}")
-    for c, chain in enumerate(chains):
-        total = spins2d[:, chain].sum(axis=1, dtype=np.int64)
-        maj = np.sign(total).astype(np.int8)
-        out[:, c] = np.where(maj == 0, coins[:, c], maj)
-    return out
+    maj = np.stack([np.sign(spins[..., c].sum(axis=-1, dtype=np.int64)) for c in chains], axis=-1)
+    return np.where(maj == 0, coins, maj.astype(np.int8))
 
 
 def margin_errors(lengths, nm: NoiseModel, reads: int, seed: int) -> np.ndarray:
@@ -364,17 +322,12 @@ def synthetic_hardware_run(
     if isinstance(spec, ChainLengthModel):
         spec = synth_chain_lengths(q.L, spec, seed)
     emb = build_embedded_ising(logical, spec, k)
-    chains = emb.embedding.chains
-    model = emb.model
-    n = model.n
-    ei, ej, jv = _edge_arrays(model)
-    nbr_idx, nbr_val, slots_a, slots_b = _padded_adjacency(n, ei, ej, jv)
+    chains, model = emb.embedding.chains, emb.model
+    n, ei, ej = model.n, model.ei, model.ej
+    nbr_idx, nbr_val, slots_a, slots_b = _padded_adjacency(model)
     betas = schedule_betas(schedule, model.h, np.abs(nbr_val).sum(axis=1))
-
-    pert = substream(seed, "perturb")
-    shape = (reads,) if redraw_per_read else (1,)
-    dh = pert.normal(0.0, 1.0, size=shape + (n,)) * nm.sigma_h
-    dj = pert.normal(0.0, 1.0, size=shape + (len(jv),)) * nm.sigma_c
+    dh, dj = control_errors(model, nm, substream(seed, "perturb"),
+                            (reads if redraw_per_read else 1,))
 
     rng = substream(seed, "sa")
     spins = (rng.integers(0, 2, size=(reads, n)) * 2 - 1).astype(np.int8)
@@ -387,7 +340,7 @@ def synthetic_hardware_run(
         rows = slice(start, stop) if redraw_per_read else slice(0, 1)
         h2 = model.h[None, :] + dh[rows]
         val3 = np.repeat(nbr_val[None, :, :], stop - start if redraw_per_read else 1, axis=0)
-        if len(jv):
+        if len(ei):
             val3[:, ei, slots_a] += dj[rows]
             val3[:, ej, slots_b] += dj[rows]
         if not redraw_per_read:
@@ -396,16 +349,16 @@ def synthetic_hardware_run(
         _run_anneal(kernel, spins[start:stop], h2, nbr_idx, val3,
                     perms[start:stop], betas, rng)
 
-    energies = _batch_energies(spins, model.h, ei, ej, jv, model.offset)
-    flags, cbf = _detect_breaks_batch(spins, chains)
+    energies = _batch_energies(spins, model.h, ei, ej, model.jv, model.offset)
+    cbf = detect_breaks(spins, chains)["cbf"]
     meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
             "schedule": schedule.describe(), "chain_strength": k,
             "noise": nm.to_dict(), "lengths": [len(c) for c in chains]}
     physical = SampleSet(spins=spins, energies=energies, cbf=cbf, metadata=meta)
 
-    logical_spins = _resolve_batch(spins, chains, tie_policy, substream(seed, "tie"))
-    lei, lej, ljv = _edge_arrays(logical)
-    logical_energies = _batch_energies(logical_spins, logical.h, lei, lej, ljv, logical.offset)
+    logical_spins = resolve_chains(spins, chains, tie_policy, substream(seed, "tie"))
+    logical_energies = _batch_energies(logical_spins, logical.h, logical.ei, logical.ej,
+                                       logical.jv, logical.offset)
     resolved = SampleSet(spins=logical_spins, energies=logical_energies, cbf=cbf,
                          metadata=dict(meta, resolved=True))
     return physical, resolved

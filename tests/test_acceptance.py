@@ -173,7 +173,7 @@ def test_criterion_7_embedded_energy_identity():
         # 2k flip penalty is a pure coupler-sign check, so isolate it on a
         # zero-field copy: flipping the far end of a chain of length >= 2
         # breaks exactly one intra edge (inter edges attach at chain heads)
-        bare = en.IsingModel(n=n, h=np.zeros(n), J=logical.J, offset=0.0)
+        bare = en.IsingModel(n=n, h=np.zeros(n), J=(logical.ei, logical.ej, logical.jv), offset=0.0)
         emb0 = en.build_embedded_ising(bare, lengths, k)
         for idx in range(1 << n):
             s = np.array([2 * ((idx >> (n - 1 - b)) & 1) - 1 for b in range(n)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcinv
 
 from embednoise.analytics import (CbpModel, cbf_predict, cbp, cbp_vs_m,
                                   critical_chain_strength, erfc, erfc_inv,
@@ -69,6 +70,17 @@ class TestErfcInv:
     @given(p=st.floats(1e-9, 2.0 - 1e-9))
     def test_round_trip_property(self, p):
         assert erfc(erfc_inv(p)) == pytest.approx(p, abs=1e-10)
+
+    # 1e-270 lies where a Newton step on erfc divided by an underflowed
+    # exp(-x^2); at 1e-100 that solver was 1.5e-5 off
+    @pytest.mark.parametrize("p", [1e-270, 1e-100, *np.logspace(-300, math.log10(1.99), 41)])
+    def test_matches_scipy_erfcinv(self, p):
+        assert erfc_inv(p) == pytest.approx(float(erfcinv(p)), rel=1e-12)
+
+    def test_critical_strength_at_tiny_tau(self):
+        nm = NoiseModel(0.06, 0.005)
+        want = math.sqrt(2 * variance_law(10, nm)) * float(erfcinv(1e-270))
+        assert critical_chain_strength(10, nm, 1e-270) == pytest.approx(want, rel=1e-12)
 
 
 def model(kappa=0.35, sigma_h=0.06, sigma_c=0.005, **kw):

@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from embednoise.analytics import critical_chain_strength
-from embednoise.cli import empirical_kstar, main
+import embednoise
+from embednoise import cli
+from embednoise.cli import _point_seed, empirical_kstar, main
 from embednoise.noise import NoiseModel
 from embednoise.sampler import margin_model_run
 
@@ -158,6 +163,22 @@ class TestKstar:
             got = empirical_kstar(ell, nm, tau, eta, reads, seed=40 + ell)
             assert got == pytest.approx(want, rel=1e-9)
             assert np.mean(margin_model_run([ell], got, eta, nm, reads, 40 + ell)) <= tau
+
+    def test_empirical_reads_every_tau_off_one_draw_per_length(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {"ell_sweep": {"start": 3, "stop": 9, "step": 3}})
+        draws = []
+        monkeypatch.setattr(cli, "margin_errors",
+                            lambda *a: draws.append(a) or embednoise.margin_errors(*a))
+        assert main(["kstar", "--empirical", "--config", cfg, "--out", str(tmp_path),
+                     "--seed", "4"]) == 0
+        assert [a[0] for a in draws] == [[3], [6], [9]]
+        _, rows = read_csv(tmp_path / "kstar.csv")
+        assert len(rows) == 9
+        nm = NoiseModel(sigma_h=0.06, sigma_c=0.005)
+        for row in rows:
+            ell, tau = int(row["l"]), float(row["tau"])
+            want = empirical_kstar(ell, nm, tau, 1.0, 400, _point_seed(4, "kstar", ell))
+            assert row["k_star"] == f"{want:.12g}"
 
     def test_empirical_zero_noise_is_zero(self):
         assert empirical_kstar(8, NoiseModel(0.0, 0.0), 0.02, 1.0, 100, seed=1) == 0.0
@@ -328,3 +349,15 @@ class TestConfigPrecedence:
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "chainlen.csv").exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.special takes longer to import than the whole package, so only a fit loads it
+    src = str(Path(embednoise.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, embednoise, embednoise.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

@@ -8,6 +8,11 @@ from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, q
 from embednoise.topology import build_zephyr
 
 
+def couplers(m):
+    """The model's couplers as {(i, j): J_ij}, read from its arrays."""
+    return dict(zip(zip(m.ei.tolist(), m.ej.tolist()), m.jv.tolist()))
+
+
 def enumerate_spins(n):
     for idx in range(1 << n):
         yield np.array([2 * ((idx >> (n - 1 - b)) & 1) - 1 for b in range(n)])
@@ -74,8 +79,9 @@ class TestBuildEmbeddedIsing:
         assert np.allclose(m.h[:3], 0.2)
         assert np.allclose(m.h[3:], -0.2)
         # chains are paths 0-1-2 and 3-4; one connecting edge carries J
-        assert m.J[(0, 1)] == -1.5 and m.J[(1, 2)] == -1.5 and m.J[(3, 4)] == -1.5
-        assert m.J[(0, 3)] == pytest.approx(0.8)
+        J = couplers(m)
+        assert J[(0, 1)] == -1.5 and J[(1, 2)] == -1.5 and J[(3, 4)] == -1.5
+        assert J[(0, 3)] == pytest.approx(0.8)
         assert m.offset == 0.25
         assert emb.intra_edge_count() == 3
 
@@ -92,12 +98,12 @@ class TestBuildEmbeddedIsing:
         for edge, tag in emb.provenance.items():
             if tag[0] == "inter":
                 shares.setdefault(tag[1], 0.0)
-                shares[tag[1]] += emb.model.J[edge]
+                shares[tag[1]] += couplers(emb.model)[edge]
             else:
-                assert emb.model.J[edge] == -2.0
+                assert couplers(emb.model)[edge] == -2.0
         for key, v in shares.items():
-            assert v == pytest.approx(logical.J[key], abs=1e-12)
-        assert set(emb.provenance) == set(emb.model.J)
+            assert v == pytest.approx(couplers(logical)[key], abs=1e-12)
+        assert set(emb.provenance) == set(couplers(emb.model))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("lengths", [[1, 1], [2, 3], [3, 3, 2], [1, 2, 3, 2]])
@@ -135,16 +141,16 @@ class TestBuildEmbeddedIsing:
         chain_a = [a, next(v for v in adj[a] if v != b)]
         chain_b = [b, next(v for v in adj[b] if v not in chain_a and v != a)]
         logical = IsingModel(n=2, h=np.array([0.5, -0.5]), J={(0, 1): 1.0})
-        emb = build_embedded_ising(logical, Embedding([chain_a, chain_b], [(0, 1)], hw), k=1.0)
+        emb = build_embedded_ising(logical, Embedding([chain_a, chain_b], hw), k=1.0)
         hw_pairs = {(min(x, y), max(x, y)) for x, y, _ in hw.edges}
-        assert set(emb.model.J) <= hw_pairs
+        assert set(couplers(emb.model)) <= hw_pairs
         inter = [e for e, tag in emb.provenance.items() if tag[0] == "inter"]
-        assert sum(emb.model.J[e] for e in inter) == pytest.approx(1.0)
+        assert sum(couplers(emb.model)[e] for e in inter) == pytest.approx(1.0)
 
     def test_embedding_without_hardware_rejected(self):
         # consecutive ids would be taken as chain edges that may not exist
         logical = IsingModel(n=2, h=np.zeros(2), J={(0, 1): 1.0})
-        bare = Embedding([[0, 1], [2, 3]], [(0, 1)])
+        bare = Embedding([[0, 1], [2, 3]])
         with pytest.raises(ValueError, match="hardware"):
             build_embedded_ising(logical, bare, k=1.0)
 
@@ -154,10 +160,10 @@ class TestBuildEmbeddedIsing:
         a, b, _ = hw.edges[0]
         chain_a = [a, next(v for v in adj[a] if v != b)]
         logical = IsingModel(n=2, h=np.zeros(2), J={(0, 1): 1.0})
-        emb = build_embedded_ising(logical, Embedding([chain_a, [b]], [(0, 1)]), k=1.0,
+        emb = build_embedded_ising(logical, Embedding([chain_a, [b]]), k=1.0,
                                    topology=hw)
         hw_pairs = {(min(x, y), max(x, y)) for x, y, _ in hw.edges}
-        assert emb.embedding.hardware is hw and set(emb.model.J) <= hw_pairs
+        assert emb.embedding.hardware is hw and set(couplers(emb.model)) <= hw_pairs
 
     def test_chain_count_mismatch(self):
         logical = IsingModel(n=3, h=np.zeros(3))

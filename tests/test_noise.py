@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from embednoise.embedding import build_embedded_ising
-from embednoise.noise import (NoiseModel, chain_error_sample, perturb_hamiltonian,
+from embednoise.noise import (NoiseModel, chain_error_sample, control_errors, perturb_hamiltonian,
                               variance_law)
 from embednoise.problem import IsingModel, generate_random_qubo, qubo_to_ising
 from embednoise.rng import substream
+
+
+def couplers(m):
+    """The model's couplers as {(i, j): J_ij}, read from its arrays."""
+    return dict(zip(zip(m.ei.tolist(), m.ej.tolist()), m.jv.tolist()))
 
 
 class TestVarianceLaw:
@@ -91,7 +96,7 @@ class TestPerturbHamiltonian:
         emb = self.make_embedded()
         out = perturb_hamiltonian(emb, NoiseModel(0.0, 0.0), substream(0, "p"))
         assert np.array_equal(out.model.h, emb.model.h)
-        assert out.model.J == emb.model.J
+        assert couplers(out.model) == couplers(emb.model)
 
     def test_deterministic(self):
         emb = self.make_embedded()
@@ -99,15 +104,32 @@ class TestPerturbHamiltonian:
         a = perturb_hamiltonian(emb, nm, substream(5, "p"))
         b = perturb_hamiltonian(emb, nm, substream(5, "p"))
         assert np.array_equal(a.model.h, b.model.h)
-        assert a.model.J == b.model.J
+        assert couplers(a.model) == couplers(b.model)
 
     def test_does_not_mutate_input(self):
         emb = self.make_embedded()
         h_before = emb.model.h.copy()
-        J_before = dict(emb.model.J)
+        J_before = couplers(emb.model)
         perturb_hamiltonian(emb, NoiseModel(0.1, 0.1), substream(6, "p"))
         assert np.array_equal(emb.model.h, h_before)
-        assert emb.model.J == J_before
+        assert couplers(emb.model) == J_before
+
+    def test_draws_fields_then_couplers(self):
+        emb = self.make_embedded()
+        m, nm = emb.model, NoiseModel(sigma_h=0.06, sigma_c=0.02)
+        out = perturb_hamiltonian(emb, nm, substream(9, "p"))
+        z = substream(9, "p").standard_normal(m.n + len(m.jv))
+        assert out.model.h.tolist() == (m.h + z[:m.n] * 0.06).tolist()
+        assert out.model.jv.tolist() == (m.jv + z[m.n:] * 0.02).tolist()
+        assert (out.model.ei.tolist(), out.model.ej.tolist()) == (m.ei.tolist(), m.ej.tolist())
+
+    def test_batch_draws_every_field_row_first(self):
+        m, nm = self.make_embedded().model, NoiseModel(sigma_h=0.06, sigma_c=0.02)
+        dh, dj = control_errors(m, nm, substream(9, "p"), (3,))
+        z = substream(9, "p").standard_normal(3 * (m.n + len(m.jv)))
+        assert dh.shape == (3, m.n) and dj.shape == (3, len(m.jv))
+        assert dh.ravel().tolist() == (z[:3 * m.n] * 0.06).tolist()
+        assert dj.ravel().tolist() == (z[3 * m.n:] * 0.02).tolist()
 
     def test_perturbation_moments(self):
         logical = IsingModel(n=2, h=np.zeros(2), J={(0, 1): 0.0})
@@ -120,7 +142,7 @@ class TestPerturbHamiltonian:
         for r in range(n_draws):
             out = perturb_hamiltonian(emb, nm, stream)
             dh[r] = out.model.h[0]
-            dj[r] = out.model.J[(0, 1)] - emb.model.J[(0, 1)]
+            dj[r] = couplers(out.model)[(0, 1)] - couplers(emb.model)[(0, 1)]
         assert dh.var() == pytest.approx(nm.sigma_h**2, rel=0.02)
         assert dj.var() == pytest.approx(nm.sigma_c**2, rel=0.02)
 

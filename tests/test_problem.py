@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embednoise.problem import (IsingModel, QuboInstance, generate_random_qubo,
+from embednoise.problem import (IsingModel, QuboInstance, _batch_energies, generate_random_qubo,
                                 ising_energy, qubo_energy, qubo_to_ising)
+
+
+def couplers(m):
+    """The model's couplers as {(i, j): J_ij}, read from its arrays."""
+    return dict(zip(zip(m.ei.tolist(), m.ej.tolist()), m.jv.tolist()))
 
 
 def enumerate_bits(n):
@@ -58,12 +63,12 @@ class TestQuboToIsing:
         m = qubo_to_ising(q)
         assert m.h[0] == pytest.approx(0.4)
         assert m.offset == pytest.approx(0.4)
-        assert m.J == {}
+        assert couplers(m) == {}
 
     def test_single_coupler(self):
         q = QuboInstance(L=2, diag=np.zeros(2), offdiag={(0, 1): 1.0}, density=1.0, seed=0)
         m = qubo_to_ising(q)
-        assert m.J[(0, 1)] == pytest.approx(0.25)
+        assert couplers(m)[(0, 1)] == pytest.approx(0.25)
         assert m.h[0] == pytest.approx(0.25)
         assert m.h[1] == pytest.approx(0.25)
         assert m.offset == pytest.approx(0.25)
@@ -71,7 +76,7 @@ class TestQuboToIsing:
     def test_all_zero(self):
         q = QuboInstance(L=3, diag=np.zeros(3), offdiag={}, density=0.0, seed=0)
         m = qubo_to_ising(q)
-        assert np.all(m.h == 0) and m.J == {} and m.offset == 0
+        assert np.all(m.h == 0) and couplers(m) == {} and m.offset == 0
 
     @pytest.mark.parametrize("L,rho,seed", [(2, 1.0, 0), (5, 0.5, 3), (8, 0.8, 11), (12, 0.4, 5)])
     def test_energy_equivalence_exhaustive(self, L, rho, seed):
@@ -105,7 +110,7 @@ class TestEnergies:
     def test_ising_all_up_all_down(self):
         m = IsingModel(n=3, h=np.array([0.1, -0.2, 0.3]), J={(0, 1): 0.5, (1, 2): -0.25},
                        offset=1.5)
-        hs, js = float(np.sum(m.h)), sum(m.J.values())
+        hs, js = float(np.sum(m.h)), sum(couplers(m).values())
         assert ising_energy(m, np.ones(3)) == pytest.approx(hs + js + 1.5)
         assert ising_energy(m, -np.ones(3)) == pytest.approx(-hs + js + 1.5)
 
@@ -134,6 +139,62 @@ class TestValidation:
             QuboInstance(L=3, diag=np.zeros(2), offdiag={}, density=0.0, seed=0)
 
 
+class TestIsingModelArrays:
+    def test_mapping_and_arrays_store_the_same_sorted_couplers(self):
+        J = {(1, 3): 0.5, (0, 2): -1.0, (0, 1): 0.25, (2, 3): 2.0}
+        a = IsingModel(4, np.zeros(4), J)
+        b = IsingModel(4, np.zeros(4), ([1, 0, 0, 2], [3, 2, 1, 3], [0.5, -1.0, 0.25, 2.0]))
+        for m in (a, b):
+            assert m.ei.tolist() == [0, 0, 1, 2] and m.ej.tolist() == [1, 2, 3, 3]
+            assert m.jv.tolist() == [0.25, -1.0, 0.5, 2.0]
+            assert m.ei.dtype == m.ej.dtype == np.int64 and m.jv.dtype == np.float64
+        assert a.dumps() == b.dumps()
+        assert not any(isinstance(v, dict) for v in vars(a).values())
+
+    def test_no_couplers(self):
+        m = IsingModel(3, np.zeros(3))
+        assert m.ei.shape == m.ej.shape == m.jv.shape == (0,)
+        assert m.to_dict()["J"] == []
+
+    @pytest.mark.parametrize("J", [([0], [0], [1.0]), ([1], [0], [1.0]), ([0], [3], [1.0]),
+                                   ([-1], [1], [1.0]), ([0, 0], [1, 1], [1.0, 2.0]),
+                                   ([0, 1], [1, 2], [1.0]), ([[0]], [[1]], [[1.0]])])
+    def test_rejects_bad_arrays(self, J):
+        with pytest.raises(ValueError):
+            IsingModel(3, np.zeros(3), J)
+
+    def test_json_triples_sorted(self):
+        m = IsingModel(3, np.zeros(3), {(1, 2): 0.5, (0, 2): 1.5})
+        assert m.to_dict()["J"] == [[0, 2, 1.5], [1, 2, 0.5]]
+        assert IsingModel.loads(m.dumps()).dumps() == m.dumps()
+
+    def test_ising_energy_is_the_row_formula(self):
+        m = qubo_to_ising(generate_random_qubo(30, 0.7, seed=8))
+        spins = (np.random.default_rng(1).integers(0, 2, (20, 30)) * 2 - 1).astype(np.int8)
+        rows = _batch_energies(spins, m.h, m.ei, m.ej, m.jv, m.offset)
+        assert [ising_energy(m, s) for s in spins] == rows.tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_qubo_to_ising_adds_in_the_order_of_a_loop(seed):
+    # any insertion order of q.offdiag: h_i, h_j and the offset take each
+    # Q_ij / 4 in turn, bit for bit as a loop over the items does
+    rng = np.random.default_rng(seed)
+    q = generate_random_qubo(25, 0.6, seed)
+    items = list(q.offdiag.items())
+    if seed % 2:
+        items = [items[k] for k in rng.permutation(len(items))]
+    q = QuboInstance(25, q.diag, dict(items), 0.6, seed)
+    h, offset = q.diag / 2.0, float(np.sum(q.diag)) / 2.0
+    for (i, j), v in items:
+        h[i] += v / 4.0
+        h[j] += v / 4.0
+        offset += v / 4.0
+    m = qubo_to_ising(q)
+    assert m.h.tobytes() == h.tobytes() and m.offset == offset
+    assert couplers(m) == {key: v / 4.0 for key, v in items}
+
+
 class TestSerialization:
     def test_qubo_roundtrip(self):
         q = generate_random_qubo(8, 0.6, seed=4)
@@ -143,7 +204,7 @@ class TestSerialization:
     def test_ising_roundtrip(self):
         m = qubo_to_ising(generate_random_qubo(8, 0.6, seed=4))
         r = IsingModel.loads(m.dumps())
-        assert np.array_equal(m.h, r.h) and m.J == r.J and m.offset == r.offset
+        assert np.array_equal(m.h, r.h) and couplers(m) == couplers(r) and m.offset == r.offset
 
     def test_offdiag_sorted_in_json(self):
         q = generate_random_qubo(8, 1.0, seed=4)

@@ -13,7 +13,8 @@ from embednoise.embedding import ChainLengthModel, build_embedded_ising
 from embednoise.noise import NoiseModel, chain_error_sample, variance_law
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
 from embednoise.rng import substream
-from embednoise.sampler import (AnnealSchedule, SampleSet, _batch_energies, _edge_arrays,
+from embednoise.noise import perturb_hamiltonian
+from embednoise.sampler import (AnnealSchedule, SampleSet, _batch_energies, _padded_adjacency,
                                 brute_force, detect_breaks, energy_stats, margin_errors,
                                 margin_model_run, resolve_chains, schedule_betas,
                                 simulated_anneal, synthetic_hardware_run)
@@ -118,7 +119,7 @@ class TestBruteForce:
                     if (n - 1 - j, n - 1 - i) not in J and rng.random() < 0.7:
                         J[(i, j)] = J[(n - 1 - j, n - 1 - i)] = float(rng.uniform(-1, 1))
             m = IsingModel(n, (h + h[::-1]) / 2, J, 0.3)
-            ei, ej, jv = _edge_arrays(m)
+            ei, ej, jv = m.ei, m.ej, m.jv
             energies = _batch_energies(spins, m.h, ei, ej, jv, m.offset)
             first = int(np.argmin(energies))
             res = brute_force(m)
@@ -169,7 +170,7 @@ class TestBruteForce:
 
     def test_energy_rows_independent_of_batch(self):
         m = qubo_to_ising(generate_random_qubo(24, 1.0, seed=3))
-        ei, ej, jv = _edge_arrays(m)
+        ei, ej, jv = m.ei, m.ej, m.jv
         spins = (np.random.default_rng(0).integers(0, 2, (600, 24)) * 2 - 1).astype(np.int8)
         batch = _batch_energies(spins, m.h, ei, ej, jv, m.offset)
         for r in range(0, 600, 37):
@@ -238,6 +239,31 @@ class TestSimulatedAnneal:
             assert phys.metadata["kernel"] == res.metadata["kernel"] == get_kernel(backend).NAME
 
 
+class TestPaddedAdjacency:
+    @staticmethod
+    def per_edge_loop(m):
+        """Reference tables: each edge in (i, j) order appends to row i, then row j."""
+        deg = np.bincount(np.concatenate([m.ei, m.ej]), minlength=m.n)
+        width = max(1, int(deg.max()))
+        idx, val = np.zeros((m.n, width), np.int32), np.zeros((m.n, width))
+        cursor, slots = np.zeros(m.n, np.int64), []
+        for a, b, v in zip(m.ei, m.ej, m.jv):
+            for r, other in ((a, b), (b, a)):
+                idx[r, cursor[r]], val[r, cursor[r]] = other, v
+                slots.append(cursor[r])
+                cursor[r] += 1
+        return idx, val, np.array(slots[0::2]), np.array(slots[1::2])
+
+    @pytest.mark.parametrize("L,rho,seed", [(1, 0.0, 0), (6, 0.0, 1), (12, 0.3, 2), (20, 1.0, 3)])
+    def test_matches_a_per_edge_loop(self, L, rho, seed):
+        logical = qubo_to_ising(generate_random_qubo(L, rho, seed))
+        lengths = np.random.default_rng(seed).integers(1, 4, size=L)
+        for m in (logical, build_embedded_ising(logical, lengths, 1.5).model):
+            got, want = _padded_adjacency(m), self.per_edge_loop(m)
+            assert all(np.array_equal(g, w) and g.shape == w.shape for g, w in zip(got, want))
+            assert got[0].dtype == np.int32
+
+
 class TestDetectBreaks:
     def test_all_aligned(self):
         spins = np.array([1, 1, -1, -1, -1])
@@ -261,6 +287,16 @@ class TestDetectBreaks:
         with pytest.raises(ValueError):
             detect_breaks(np.ones(2), [[0, 5]])
 
+    def test_batch_matches_each_read(self):
+        chains = [[0, 1, 2], [3], [4, 5], (6, 7)]
+        spins = (np.random.default_rng(2).integers(0, 2, (30, 8)) * 2 - 1).astype(np.int8)
+        out = detect_breaks(spins, chains)
+        assert out["broken"].shape == (30, 4) and out["cbf"].shape == (30,)
+        for r in range(30):
+            one = detect_breaks(spins[r], chains)
+            assert one["broken"] == out["broken"][r].tolist()
+            assert isinstance(one["cbf"], float) and one["cbf"] == out["cbf"][r]
+
 
 class TestResolveChains:
     def test_unbroken_chain(self):
@@ -282,6 +318,17 @@ class TestResolveChains:
     def test_coin_requires_stream(self):
         with pytest.raises(ValueError):
             resolve_chains(np.array([1, -1]), [[0, 1]], policy="coin")
+
+    def test_batch_matches_each_read(self):
+        chains = [[0, 1], [2, 3, 4], [5, 6], [7]]
+        spins = (np.random.default_rng(3).integers(0, 2, (40, 8)) * 2 - 1).astype(np.int8)
+        batch = resolve_chains(spins, chains, policy="coin", stream=substream(4, "tie"))
+        assert batch.dtype == np.int8 and batch.shape == (40, 4)
+        stream = substream(4, "tie")  # one read at a time draws the same coins in turn
+        for r in range(40):
+            assert resolve_chains(spins[r], chains, "coin", stream).tolist() == batch[r].tolist()
+        plus = resolve_chains(spins, chains, policy="plus_one")
+        assert np.array_equal(plus, [resolve_chains(s, chains, "plus_one") for s in spins])
 
 
 class TestMarginModelRun:
@@ -424,6 +471,25 @@ class TestSyntheticHardwareRun:
         a, _ = synthetic_hardware_run(q, [2] * 6, redraw_per_read=True, **kw)
         b, _ = synthetic_hardware_run(q, [2] * 6, redraw_per_read=False, **kw)
         assert not np.array_equal(a.spins, b.spins)
+
+    def test_shared_programming_is_perturb_hamiltonian(self):
+        # redraw_per_read=False anneals every read on one perturbation, drawn
+        # as perturb_hamiltonian draws it from the (seed, "perturb") stream
+        q = generate_random_qubo(6, 1.0, seed=6)
+        nm, schedule = NoiseModel(0.3, 0.2), AnnealSchedule(beta_min=0.1, beta_max=3.0, sweeps=32)
+        phys, _ = synthetic_hardware_run(q, [2, 1, 3, 2, 1, 2], 1.0, nm, schedule, reads=12,
+                                         seed=5, redraw_per_read=False)
+        emb = build_embedded_ising(qubo_to_ising(q), [2, 1, 3, 2, 1, 2], 1.0)
+        perturbed = perturb_hamiltonian(emb, nm, substream(5, "perturb")).model
+        assert np.array_equal(phys.spins, simulated_anneal(perturbed, 12, schedule, seed=5).spins)
+
+    def test_cbf_is_detect_breaks_of_the_batch(self):
+        q = generate_random_qubo(8, 1.0, seed=7)
+        phys, res = synthetic_hardware_run(q, [3] * 8, k=0.5, nm=NoiseModel(0.3, 0.1),
+                                           reads=30, seed=4)
+        chains = build_embedded_ising(qubo_to_ising(q), [3] * 8, 0.5).embedding
+        assert np.array_equal(phys.cbf, detect_breaks(phys.spins, chains)["cbf"])
+        assert np.array_equal(res.cbf, phys.cbf) and phys.cbf.max() > 0
 
     def test_cbf_increases_with_noise(self):
         q = generate_random_qubo(8, 1.0, seed=7)
