@@ -116,6 +116,12 @@ def build_embedded_ising(
             if topology is None:
                 raise ValueError("an Embedding needs a hardware graph; lengths mean path chains")
             emb = Embedding(emb.chains, topology)
+        qubits = len(emb.hardware.vertices)
+        for i, chain in enumerate(emb.chains):
+            if not chain:
+                raise ValueError(f"chain {i} is empty")
+            if not all(0 <= p < qubits for p in chain):
+                raise ValueError(f"chain {i} holds a qubit id outside 0..{qubits - 1}")
     else:
         lengths = [int(v) for v in chains_or_lengths]
         if any(v < 1 for v in lengths):
@@ -173,35 +179,33 @@ class ValidationReport:
 
 
 def validate_embedding(e: Embedding, hardware: ZephyrGraph, logical_edges) -> ValidationReport:
-    """Check disjointness, connectivity and logical-edge coverage.
+    """Check qubit ids, disjointness, connectivity and logical-edge coverage.
 
     Violations are reported as data; an empty report means the embedding
     is valid.
     """
     violations: list[dict] = []
     seen: dict[int, int] = {}
+    adj = hardware.adjacency()
     for i, chain in enumerate(e.chains):
         if not chain:
             violations.append({"kind": "empty_chain", "chain": i})
         for p in chain:
+            if not 0 <= p < len(adj):
+                violations.append({"kind": "unknown_qubit", "chain": i, "qubit": p})
             if p in seen:
                 violations.append({"kind": "disjointness", "qubit": p,
                                    "chains": [seen[p], i]})
             seen[p] = i
 
-    adj: dict[int, set[int]] = {}
-    for a, b, _ in hardware.edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
     for i, chain in enumerate(e.chains):
-        if not chain:
-            continue
+        if not chain or not all(0 <= p < len(adj) for p in chain):
+            continue  # reported above
         members = set(chain)
         stack, reached = [chain[0]], {chain[0]}
         while stack:
             v = stack.pop()
-            for w in adj.get(v, ()):
+            for w in adj[v]:
                 if w in members and w not in reached:
                     reached.add(w)
                     stack.append(w)

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseModel
-
 
 @dataclass
 class GridRange:
@@ -155,12 +153,6 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
 def _erfc_array(x: np.ndarray) -> np.ndarray:
     from scipy.special import erfc  # here, not at the top: it imports slower than the package
     return erfc(x)
-
-
-def fitted_noise_model(fr: FitResult, corr_strength: float = 0.0,
-                       corr_exponent: float = 0.0) -> NoiseModel:
-    return NoiseModel(sigma_h=fr.sigma_h, sigma_c=fr.sigma_c,
-                      corr_strength=corr_strength, corr_exponent=corr_exponent)
 
 
 def fit_report(fr: FitResult) -> str:

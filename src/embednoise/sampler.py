@@ -1,10 +1,10 @@
 """Monte Carlo engines: simulated annealing, exhaustive search, margin-model
 chain-break sampling and the synthetic-hardware pipeline.
 
-The annealer pre-generates every random array (initial spins, per-read
-visit permutations, acceptance uniforms) from named substreams and feeds
-them to a Metropolis sweep kernel, so results are reproducible per seed
-and identical across kernel backends.
+The annealer draws its initial spins and per-read visit permutations up
+front and its acceptance uniforms block by block, all from named
+substreams, and feeds them to a Metropolis sweep kernel, so results are
+reproducible per seed and identical across kernel backends.
 """
 
 from __future__ import annotations
@@ -133,14 +133,51 @@ def _padded_adjacency(model: IsingModel):
     return nbr_idx, nbr_val, slots[0::2], slots[1::2]
 
 
-def _run_anneal(kernel, spins, h2, nbr_idx, nbr_val3, perms, betas, rng):
-    reads, n = spins.shape
-    chunk = int(np.clip((1 << 25) // max(1, reads * n), 1, 32))
-    for start in range(0, len(betas), chunk):
-        stop = min(start + chunk, len(betas))
-        u = rng.random((reads, stop - start, n))
-        kernel.run_metropolis(spins, h2, nbr_idx, nbr_val3, perms,
-                              np.ascontiguousarray(betas[start:stop]), np.log(u, out=u))
+def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed: int,
+            backend: str | None, errors=None) -> SampleSet:
+    """Anneal `reads` Metropolis reads of `model` with the (seed, "sa") stream.
+
+    With errors = (dh, dj), read r runs on h + dh[r] and jv + dj[r]; betas
+    and energies come from the unperturbed model. The stream gives the
+    initial spins, the visit orders, then the log acceptance uniforms block
+    by block: one block of all reads when they share a table, else blocks
+    of clip(2^24 // (n * width), 16, reads) reads with their own tables;
+    inside a block, sweep chunks of clip(2^25 // (block reads * n), 1, 32).
+    These sizes decide which uniform goes to which (read, sweep, spin), so
+    changing them changes every seeded SA stream.
+    """
+    if model.n < 1:
+        raise ValueError("model must have at least one spin")
+    if reads < 1:
+        raise ValueError("reads must be >= 1")
+    schedule = schedule or AnnealSchedule()
+    kernel = get_kernel(backend)
+    nbr_idx, nbr_val, slots_a, slots_b = _padded_adjacency(model)
+    n, width = nbr_val.shape
+    betas = schedule_betas(schedule, model.h, np.abs(nbr_val).sum(axis=1))
+
+    rng = substream(seed, "sa")
+    spins = (rng.integers(0, 2, size=(reads, n)) * 2 - 1).astype(np.int8)
+    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (reads, 1)), axis=1)
+    block = reads if errors is None else int(np.clip((1 << 24) // (n * width), 16, reads))
+    for start in range(0, reads, block):
+        rows = slice(start, min(start + block, reads))
+        size = rows.stop - start
+        h2, val3 = np.broadcast_to(model.h, (size, n)), np.broadcast_to(nbr_val, (size, n, width))
+        if errors is not None:
+            h2, val3 = h2 + errors[0][rows], val3.copy()
+            val3[:, model.ei, slots_a] += errors[1][rows]
+            val3[:, model.ej, slots_b] += errors[1][rows]
+        chunk = int(np.clip((1 << 25) // (size * n), 1, 32))
+        for s in range(0, len(betas), chunk):
+            b = np.ascontiguousarray(betas[s:s + chunk])
+            u = rng.random((size, len(b), n))
+            kernel.run_metropolis(spins[rows], h2, nbr_idx, val3, perms[rows], b, np.log(u, out=u))
+
+    energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
+    meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
+            "schedule": schedule.describe(), "betas": [float(betas[0]), float(betas[-1])]}
+    return SampleSet(spins=spins, energies=energies, cbf=np.zeros(reads), metadata=meta)
 
 
 def simulated_anneal(
@@ -155,27 +192,7 @@ def simulated_anneal(
     `backend` is "auto" (None), "c" or "python"; metadata["kernel"] names
     the kernel that ran.
     """
-    if model.n < 1:
-        raise ValueError("model must have at least one spin")
-    if reads < 1:
-        raise ValueError("reads must be >= 1")
-    schedule = schedule or AnnealSchedule()
-    kernel = get_kernel(backend)
-    n = model.n
-    nbr_idx, nbr_val, _, _ = _padded_adjacency(model)
-    betas = schedule_betas(schedule, model.h, np.abs(nbr_val).sum(axis=1))
-
-    rng = substream(seed, "sa")
-    spins = (rng.integers(0, 2, size=(reads, n)) * 2 - 1).astype(np.int8)
-    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (reads, 1)), axis=1)
-    h2 = np.broadcast_to(model.h, (reads, n))
-    val3 = np.broadcast_to(nbr_val, (reads, n, nbr_val.shape[1]))
-    _run_anneal(kernel, spins, h2, nbr_idx, val3, perms, betas, rng)
-
-    energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
-    meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
-            "schedule": schedule.describe(), "betas": [float(betas[0]), float(betas[-1])]}
-    return SampleSet(spins=spins, energies=energies, cbf=np.zeros(reads), metadata=meta)
+    return _anneal(model, reads, schedule, seed, backend)
 
 
 def brute_force(model: IsingModel) -> dict:
@@ -302,65 +319,35 @@ def synthetic_hardware_run(
     schedule: AnnealSchedule | None = None,
     reads: int = 2000,
     seed: int = 0,
-    redraw_per_read: bool = True,
-    tie_policy: str = "coin",
     backend: str | None = None,
 ) -> tuple[SampleSet, SampleSet]:
     """Anneal ICE-perturbed embedded Hamiltonians on synthetic hardware.
 
-    Per read: perturb the programmed embedded model (fresh substream),
-    run one annealing read, score the spins against the unperturbed
-    model, detect chain breaks and majority-resolve to logical spins.
-    Returns (physical SampleSet, resolved logical SampleSet).
+    Per read: perturb the programmed embedded model (one row of control
+    errors from the (seed, "perturb") stream), run one annealing read,
+    score the spins against the unperturbed model, detect chain breaks
+    and majority-resolve to logical spins, even splits by a coin from the
+    (seed, "tie") stream. Returns (physical SampleSet, resolved logical
+    SampleSet).
     """
     if reads < 1:
         raise ValueError("reads must be >= 1")
-    schedule = schedule or AnnealSchedule()
-    kernel = get_kernel(backend)
     logical = qubo_to_ising(q)
     spec = chains_or_lengths_or_model
     if isinstance(spec, ChainLengthModel):
         spec = synth_chain_lengths(q.L, spec, seed)
     emb = build_embedded_ising(logical, spec, k)
     chains, model = emb.embedding.chains, emb.model
-    n, ei, ej = model.n, model.ei, model.ej
-    nbr_idx, nbr_val, slots_a, slots_b = _padded_adjacency(model)
-    betas = schedule_betas(schedule, model.h, np.abs(nbr_val).sum(axis=1))
-    dh, dj = control_errors(model, nm, substream(seed, "perturb"),
-                            (reads if redraw_per_read else 1,))
+    errors = control_errors(model, nm, substream(seed, "perturb"), (reads,))
+    physical = _anneal(model, reads, schedule, seed, backend, errors)
+    physical.cbf = detect_breaks(physical.spins, chains)["cbf"]
+    physical.metadata.update(chain_strength=k, noise=nm.to_dict(), lengths=[len(c) for c in chains])
 
-    rng = substream(seed, "sa")
-    spins = (rng.integers(0, 2, size=(reads, n)) * 2 - 1).astype(np.int8)
-    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (reads, 1)), axis=1)
-
-    width = nbr_val.shape[1]
-    chunk = int(np.clip((1 << 24) // max(1, n * width), 16, reads))
-    for start in range(0, reads, chunk):
-        stop = min(start + chunk, reads)
-        rows = slice(start, stop) if redraw_per_read else slice(0, 1)
-        h2 = model.h[None, :] + dh[rows]
-        val3 = np.repeat(nbr_val[None, :, :], stop - start if redraw_per_read else 1, axis=0)
-        if len(ei):
-            val3[:, ei, slots_a] += dj[rows]
-            val3[:, ej, slots_b] += dj[rows]
-        if not redraw_per_read:
-            h2 = np.broadcast_to(h2, (stop - start, n))
-            val3 = np.broadcast_to(val3[0], (stop - start, n, width))
-        _run_anneal(kernel, spins[start:stop], h2, nbr_idx, val3,
-                    perms[start:stop], betas, rng)
-
-    energies = _batch_energies(spins, model.h, ei, ej, model.jv, model.offset)
-    cbf = detect_breaks(spins, chains)["cbf"]
-    meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
-            "schedule": schedule.describe(), "chain_strength": k,
-            "noise": nm.to_dict(), "lengths": [len(c) for c in chains]}
-    physical = SampleSet(spins=spins, energies=energies, cbf=cbf, metadata=meta)
-
-    logical_spins = resolve_chains(spins, chains, tie_policy, substream(seed, "tie"))
+    logical_spins = resolve_chains(physical.spins, chains, "coin", substream(seed, "tie"))
     logical_energies = _batch_energies(logical_spins, logical.h, logical.ei, logical.ej,
                                        logical.jv, logical.offset)
-    resolved = SampleSet(spins=logical_spins, energies=logical_energies, cbf=cbf,
-                         metadata=dict(meta, resolved=True))
+    resolved = SampleSet(spins=logical_spins, energies=logical_energies, cbf=physical.cbf,
+                         metadata=dict(physical.metadata, resolved=True))
     return physical, resolved
 
 

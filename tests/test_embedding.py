@@ -165,6 +165,18 @@ class TestBuildEmbeddedIsing:
         hw_pairs = {(min(x, y), max(x, y)) for x, y, _ in hw.edges}
         assert emb.embedding.hardware is hw and set(couplers(emb.model)) <= hw_pairs
 
+    @pytest.mark.parametrize("chains, match", [
+        ([[0], []], "chain 1 is empty"),
+        ([[-1], [0]], "chain 0 holds a qubit id outside 0..11"),
+        ([[0], [5000]], "chain 1 holds a qubit id outside 0..11"),
+    ], ids=["empty", "negative", "too-large"])
+    def test_bad_chain_rejected(self, chains, match):
+        # ids index the hardware's qubits: -1 used to wrap onto qubit 0 and
+        # 5000 to build a 5001-spin model on 12 qubits
+        logical = IsingModel(n=2, h=np.array([0.5, -0.5]))
+        with pytest.raises(ValueError, match=match):
+            build_embedded_ising(logical, Embedding(chains, build_zephyr(1, 1)), k=1.0)
+
     def test_chain_count_mismatch(self):
         logical = IsingModel(n=3, h=np.zeros(3))
         with pytest.raises(ValueError):
@@ -200,6 +212,14 @@ class TestValidateEmbedding:
     def test_empty_chain(self):
         report = validate_embedding(Embedding([[]]), self.hw, [])
         assert any(v["kind"] == "empty_chain" for v in report.violations)
+
+    # Z(1,1) has qubits 0..11; [11, -1] is connected only if -1 wraps onto 11
+    @pytest.mark.parametrize("chains, chain, qubit", [
+        ([[0], [10**6]], 1, 10**6), ([[0], [-3]], 1, -3), ([[11, -1]], 0, -1),
+    ], ids=["too-large", "negative", "negative-in-chain"])
+    def test_unknown_qubit(self, chains, chain, qubit):
+        report = validate_embedding(Embedding(chains), build_zephyr(1, 1), [])
+        assert report.violations == [{"kind": "unknown_qubit", "chain": chain, "qubit": qubit}]
 
 
 class TestChainStats:

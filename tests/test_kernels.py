@@ -123,12 +123,11 @@ class TestBackendParity:
         assert np.array_equal(a.spins, b.spins)
         assert np.array_equal(a.energies, b.energies)
 
-    @pytest.mark.parametrize("redraw", [True, False])
-    def test_synthetic_parity(self, redraw):
+    def test_synthetic_parity(self):
         q = generate_random_qubo(6, 0.8, seed=4)
         nm = NoiseModel(sigma_h=0.05, sigma_c=0.02)
         a, b = (synthetic_hardware_run(q, [3, 2, 3, 1, 2, 3], 1.0, nm, reads=40, seed=5,
-                                       redraw_per_read=redraw, backend=k)[0]
+                                       backend=k)[0]
                 for k in ("python", "c"))
         assert np.array_equal(a.spins, b.spins)
 

@@ -13,7 +13,7 @@ from embednoise.embedding import ChainLengthModel, build_embedded_ising
 from embednoise.noise import NoiseModel, chain_error_sample, variance_law
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
 from embednoise.rng import substream
-from embednoise.noise import perturb_hamiltonian
+from embednoise import sampler
 from embednoise.sampler import (AnnealSchedule, SampleSet, _batch_energies, _padded_adjacency,
                                 brute_force, detect_breaks, energy_stats, margin_errors,
                                 margin_model_run, resolve_chains, schedule_betas,
@@ -465,23 +465,20 @@ class TestSyntheticHardwareRun:
         assert np.array_equal(a_phys.spins, b_phys.spins)
         assert np.array_equal(a_res.spins, b_res.spins)
 
-    def test_per_programming_flag_differs_from_per_read(self):
+    def test_zero_noise_is_simulated_anneal(self, monkeypatch):
+        # one anneal path: with zero control errors and every read in one
+        # block, the synthetic run draws simulated_anneal's uniforms in its order
         q = generate_random_qubo(6, 1.0, seed=6)
-        kw = dict(k=2.0, nm=NoiseModel(0.08, 0.02), reads=40, seed=3)
-        a, _ = synthetic_hardware_run(q, [2] * 6, redraw_per_read=True, **kw)
-        b, _ = synthetic_hardware_run(q, [2] * 6, redraw_per_read=False, **kw)
-        assert not np.array_equal(a.spins, b.spins)
-
-    def test_shared_programming_is_perturb_hamiltonian(self):
-        # redraw_per_read=False anneals every read on one perturbation, drawn
-        # as perturb_hamiltonian draws it from the (seed, "perturb") stream
-        q = generate_random_qubo(6, 1.0, seed=6)
-        nm, schedule = NoiseModel(0.3, 0.2), AnnealSchedule(beta_min=0.1, beta_max=3.0, sweeps=32)
-        phys, _ = synthetic_hardware_run(q, [2, 1, 3, 2, 1, 2], 1.0, nm, schedule, reads=12,
-                                         seed=5, redraw_per_read=False)
-        emb = build_embedded_ising(qubo_to_ising(q), [2, 1, 3, 2, 1, 2], 1.0)
-        perturbed = perturb_hamiltonian(emb, nm, substream(5, "perturb")).model
-        assert np.array_equal(phys.spins, simulated_anneal(perturbed, 12, schedule, seed=5).spins)
+        lengths, schedule = [2, 1, 3, 2, 1, 2], AnnealSchedule(sweeps=40)
+        sa = simulated_anneal(build_embedded_ising(qubo_to_ising(q), lengths, 1.0).model,
+                              60, schedule, seed=5)
+        # perfbench traces sampler.simulated_anneal as SA; a synthetic run must not enter it
+        monkeypatch.setattr(sampler, "simulated_anneal", None)
+        phys, _ = synthetic_hardware_run(q, lengths, 1.0, NoiseModel(0.0, 0.0), schedule,
+                                         reads=60, seed=5)
+        assert np.array_equal(phys.spins, sa.spins)
+        assert np.array_equal(phys.energies, sa.energies)
+        assert phys.metadata["betas"] == sa.metadata["betas"]
 
     def test_cbf_is_detect_breaks_of_the_batch(self):
         q = generate_random_qubo(8, 1.0, seed=7)
