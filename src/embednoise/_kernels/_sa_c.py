@@ -24,7 +24,7 @@ def bind(cache_dir: str):
             raise OSError(f"cc exited {proc.returncode}: {proc.stderr.strip()[-400:]}")
         os.replace(tmp, lib)  # atomic: a concurrent loader sees no file or a whole one
     _fn = ctypes.CDLL(lib).run_metropolis
-    _fn.argtypes = [ctypes.c_long if k == "l" else ctypes.c_void_p for k in "llllpplpplppp"]
+    _fn.argtypes = [ctypes.c_long if k == "l" else ctypes.c_void_p for k in "lllpplppplppp"]
     _fn.restype = None
 
 
@@ -36,13 +36,16 @@ def _ptr(a, dtype, shape, per_read=False):
     return a.ctypes.data
 
 
-def run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u):
+def run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr):
     """Run len(betas) Metropolis sweeps in place; h and nbr_val may be broadcast views."""
-    (reads, n), deg, sweeps = spins.shape, nbr_idx.shape[1], len(betas)
+    (reads, n), nnz, sweeps = spins.shape, len(nbr_idx), len(betas)
     if not spins.flags.writeable or not all(np.all((0 <= a) & (a < n)) for a in (nbr_idx, perms)):
         raise ValueError("spins must be writeable, and nbr_idx and perms must index 0..n-1")
-    _fn(reads, n, deg, sweeps, _ptr(spins, np.int8, (reads, n)),
-        _ptr(h, np.float64, (reads, n), True), h.strides[0] // 8, _ptr(nbr_idx, np.int32, (n, deg)),
-        _ptr(nbr_val, np.float64, (reads, n, deg), True), nbr_val.strides[0] // 8,
-        _ptr(perms, np.int32, (reads, n)), _ptr(betas, np.float64, (sweeps,)),
-        _ptr(log_u, np.float64, (reads, sweeps, n)))
+    rows = _ptr(row_ptr, np.int32, (n + 1,))
+    if row_ptr[0] != 0 or row_ptr[-1] != nnz or np.any(row_ptr[1:] < row_ptr[:-1]):
+        raise ValueError("row_ptr must rise from 0 to len(nbr_idx), never falling")
+    _fn(reads, n, sweeps, _ptr(spins, np.int8, (reads, n)),
+        _ptr(h, np.float64, (reads, n), True), h.strides[0] // 8, rows,
+        _ptr(nbr_idx, np.int32, (nnz,)), _ptr(nbr_val, np.float64, (reads, nnz), True),
+        nbr_val.strides[0] // 8, _ptr(perms, np.int32, (reads, n)),
+        _ptr(betas, np.float64, (sweeps,)), _ptr(log_u, np.float64, (reads, sweeps, n)))

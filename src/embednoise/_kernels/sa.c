@@ -1,7 +1,7 @@
-/* Metropolis sweeps, one read after another; same arithmetic as _sa_py.run_metropolis.
-   h and nbr_val advance h_stride and val_stride doubles per read (0 when shared). */
-void run_metropolis(long reads, long n, long deg, long sweeps, signed char *spins,
-                    const double *h, long h_stride, const int *nbr_idx, const double *nbr_val,
+/* Metropolis sweeps, one read after another, as in _sa_py.run_metropolis. Spin i's neighbours are
+   CSR entries row_ptr[i]..row_ptr[i+1]-1; h and nbr_val advance h_stride, val_stride per read. */
+void run_metropolis(long reads, long n, long sweeps, signed char *spins, const double *h,
+                    long h_stride, const int *row_ptr, const int *nbr_idx, const double *nbr_val,
                     long val_stride, const int *perms, const double *betas, const double *log_u)
 {
     for (long r = 0; r < reads; r++) {
@@ -11,8 +11,8 @@ void run_metropolis(long reads, long n, long deg, long sweeps, signed char *spin
             for (long t = 0; t < n; t++) {
                 long i = perms[r * n + t];
                 double field = hr[i];
-                for (long d = 0; d < deg; d++)
-                    field += vr[i * deg + d] * s[nbr_idx[i * deg + d]];
+                for (long d = row_ptr[i]; d < row_ptr[i + 1]; d++)
+                    field += vr[d] * s[nbr_idx[d]];
                 if (log_u[(r * sweeps + c) * n + t] < -betas[c] * (-2.0 * s[i] * field))
                     s[i] = -s[i];
             }

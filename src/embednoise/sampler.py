@@ -114,23 +114,19 @@ def schedule_betas(schedule: AnnealSchedule, h: np.ndarray, abs_coupling: np.nda
     return bmin + (bmax - bmin) * frac
 
 
-def _padded_adjacency(model: IsingModel):
-    """Padded neighbor tables plus the (row, slot) of each edge endpoint.
+def _csr_adjacency(model: IsingModel):
+    """CSR neighbour lists plus ends[e], the entries of edge e's two endpoints.
 
-    Row r lists r's neighbors in coupler order: a stable sort of the
-    endpoints (edge e's at 2e and 2e + 1) by row gives each one its slot.
+    Row r's entries, row_ptr[r] .. row_ptr[r+1]-1 of nbr_idx and nbr_val,
+    list r's neighbours in coupler order: a stable sort of the endpoints
+    (edge e's at 2e and 2e + 1) by row gives each one its entry.
     """
     rows = np.stack([model.ei, model.ej], axis=1).ravel()
-    deg = np.bincount(rows, minlength=model.n)
-    slots = np.empty_like(rows)
-    first = np.repeat(np.cumsum(deg) - deg, deg)  # sorted position of each row's slot 0
-    slots[np.argsort(rows, kind="stable")] = np.arange(len(rows)) - first
-    width = max(1, int(deg.max()) if model.n else 1)
-    nbr_idx = np.zeros((model.n, width), dtype=np.int32)
-    nbr_val = np.zeros((model.n, width), dtype=np.float64)
-    nbr_idx[rows, slots] = np.stack([model.ej, model.ei], axis=1).ravel()
-    nbr_val[rows, slots] = np.repeat(model.jv, 2)
-    return nbr_idx, nbr_val, slots[0::2], slots[1::2]
+    order = np.argsort(rows, kind="stable")
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=model.n))]).astype(np.int32)
+    nbr_idx = np.stack([model.ej, model.ei], axis=1).ravel()[order].astype(np.int32)
+    ends = np.argsort(order, kind="stable").reshape(-1, 2)  # inverse: where each endpoint went
+    return row_ptr, nbr_idx, np.repeat(model.jv, 2)[order], ends
 
 
 def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed: int,
@@ -140,11 +136,12 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     With errors = (dh, dj), read r runs on h + dh[r] and jv + dj[r]; betas
     and energies come from the unperturbed model. The stream gives the
     initial spins, the visit orders, then the log acceptance uniforms block
-    by block: one block of all reads when they share a table, else blocks
-    of clip(2^24 // (n * width), 16, reads) reads with their own tables;
-    inside a block, sweep chunks of clip(2^25 // (block reads * n), 1, 32).
-    These sizes decide which uniform goes to which (read, sweep, spin), so
-    changing them changes every seeded SA stream.
+    by block: one block of all reads when they share couplers, else blocks
+    of clip(2^24 // (n * width), 16, reads) reads with their own couplers,
+    where width = max(1, largest degree); inside a block, sweep chunks of
+    clip(2^25 // (block reads * n), 1, 32). These sizes decide which uniform
+    goes to which (read, sweep, spin), so changing them changes every seeded
+    SA stream.
     """
     if model.n < 1:
         raise ValueError("model must have at least one spin")
@@ -152,9 +149,14 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
         raise ValueError("reads must be >= 1")
     schedule = schedule or AnnealSchedule()
     kernel = get_kernel(backend)
-    nbr_idx, nbr_val, slots_a, slots_b = _padded_adjacency(model)
-    n, width = nbr_val.shape
-    betas = schedule_betas(schedule, model.h, np.abs(nbr_val).sum(axis=1))
+    row_ptr, nbr_idx, nbr_val, ends = _csr_adjacency(model)
+    n, nnz, deg = model.n, len(nbr_idx), np.diff(row_ptr)
+    width = max(1, int(deg.max()))
+    abs_coupling = np.zeros(n)
+    for d in np.flatnonzero(np.bincount(deg)):  # each row's sum|J|, as NumPy sums that row alone
+        at = np.flatnonzero(deg == d)
+        abs_coupling[at] = np.abs(nbr_val[row_ptr[at, None] + np.arange(d)]).sum(axis=1)
+    betas = schedule_betas(schedule, model.h, abs_coupling)
 
     rng = substream(seed, "sa")
     spins = (rng.integers(0, 2, size=(reads, n)) * 2 - 1).astype(np.int8)
@@ -163,16 +165,15 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     for start in range(0, reads, block):
         rows = slice(start, min(start + block, reads))
         size = rows.stop - start
-        h2, val3 = np.broadcast_to(model.h, (size, n)), np.broadcast_to(nbr_val, (size, n, width))
+        h2, val2 = np.broadcast_to(model.h, (size, n)), np.broadcast_to(nbr_val, (size, nnz))
         if errors is not None:
-            h2, val3 = h2 + errors[0][rows], val3.copy()
-            val3[:, model.ei, slots_a] += errors[1][rows]
-            val3[:, model.ej, slots_b] += errors[1][rows]
+            h2, val2 = h2 + errors[0][rows], val2.copy()
+            val2[:, ends] += errors[1][rows, :, None]
         chunk = int(np.clip((1 << 25) // (size * n), 1, 32))
-        for s in range(0, len(betas), chunk):
-            b = np.ascontiguousarray(betas[s:s + chunk])
+        for b in np.split(betas, range(chunk, len(betas), chunk)):
             u = rng.random((size, len(b), n))
-            kernel.run_metropolis(spins[rows], h2, nbr_idx, val3, perms[rows], b, np.log(u, out=u))
+            kernel.run_metropolis(spins[rows], h2, nbr_idx, val2, perms[rows], b, np.log(u, out=u),
+                                  row_ptr)
 
     energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
     meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,

@@ -14,7 +14,7 @@ from embednoise.noise import NoiseModel, chain_error_sample, variance_law
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
 from embednoise.rng import substream
 from embednoise import sampler
-from embednoise.sampler import (AnnealSchedule, SampleSet, _batch_energies, _padded_adjacency,
+from embednoise.sampler import (AnnealSchedule, SampleSet, _batch_energies, _csr_adjacency,
                                 brute_force, detect_breaks, energy_stats, margin_errors,
                                 margin_model_run, resolve_chains, schedule_betas,
                                 simulated_anneal, synthetic_hardware_run)
@@ -239,29 +239,36 @@ class TestSimulatedAnneal:
             assert phys.metadata["kernel"] == res.metadata["kernel"] == get_kernel(backend).NAME
 
 
-class TestPaddedAdjacency:
+class TestCsrAdjacency:
     @staticmethod
     def per_edge_loop(m):
-        """Reference tables: each edge in (i, j) order appends to row i, then row j."""
-        deg = np.bincount(np.concatenate([m.ei, m.ej]), minlength=m.n)
-        width = max(1, int(deg.max()))
-        idx, val = np.zeros((m.n, width), np.int32), np.zeros((m.n, width))
-        cursor, slots = np.zeros(m.n, np.int64), []
+        """Reference lists: each edge in (i, j) order appends to row i, then row j."""
+        rows, ends = [[] for _ in range(m.n)], []
         for a, b, v in zip(m.ei, m.ej, m.jv):
             for r, other in ((a, b), (b, a)):
-                idx[r, cursor[r]], val[r, cursor[r]] = other, v
-                slots.append(cursor[r])
-                cursor[r] += 1
-        return idx, val, np.array(slots[0::2]), np.array(slots[1::2])
+                ends.append((r, len(rows[r])))
+                rows[r].append((other, v))
+        row_ptr = np.cumsum([0] + [len(r) for r in rows])
+        flat = [entry for r in rows for entry in r]
+        idx, val = np.array([e[0] for e in flat], int), np.array([e[1] for e in flat], float)
+        return row_ptr, idx, val, np.array([row_ptr[r] + k for r, k in ends], int).reshape(-1, 2)
+
+    @staticmethod
+    def check(m):
+        got, want = _csr_adjacency(m), TestCsrAdjacency.per_edge_loop(m)
+        assert all(np.array_equal(g, w) and g.shape == w.shape for g, w in zip(got, want))
+        assert got[0].dtype == got[1].dtype == np.int32 and got[2].dtype == np.float64
 
     @pytest.mark.parametrize("L,rho,seed", [(1, 0.0, 0), (6, 0.0, 1), (12, 0.3, 2), (20, 1.0, 3)])
     def test_matches_a_per_edge_loop(self, L, rho, seed):
         logical = qubo_to_ising(generate_random_qubo(L, rho, seed))
         lengths = np.random.default_rng(seed).integers(1, 4, size=L)
         for m in (logical, build_embedded_ising(logical, lengths, 1.5).model):
-            got, want = _padded_adjacency(m), self.per_edge_loop(m)
-            assert all(np.array_equal(g, w) and g.shape == w.shape for g, w in zip(got, want))
-            assert got[0].dtype == np.int32
+            self.check(m)
+
+    def test_degree_zero_spin_and_no_couplers(self):
+        self.check(IsingModel(5, np.zeros(5), {(0, 3): 1.5, (3, 4): -0.5, (0, 4): 2.0}))  # 1, 2 free
+        self.check(IsingModel(3, np.ones(3)))
 
 
 class TestDetectBreaks:
