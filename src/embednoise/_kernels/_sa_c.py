@@ -1,4 +1,4 @@
-"""The C kernel, sa.c, through ctypes; same contract as _sa_py.run_metropolis."""
+"""The C kernel, sa.c, through ctypes; same contract as _sa_py.run_metropolis, which is checked."""
 import ctypes
 import os
 import zlib
@@ -12,7 +12,7 @@ FLAGS = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
 
 def bind(cache_dir: str):
     """Load sa.c's library from cache_dir, compiling it there once per source and flags."""
-    global _fn
+    global _fn, _asymmetric_read
     with open(SOURCE, "rb") as f:
         lib = os.path.join(cache_dir, f"sa-{zlib.crc32(f.read() + ' '.join(FLAGS).encode()):08x}.so")
     if not os.path.exists(lib):
@@ -23,9 +23,12 @@ def bind(cache_dir: str):
         if proc.returncode:  # (no cc at all raised FileNotFoundError, also an OSError)
             raise OSError(f"cc exited {proc.returncode}: {proc.stderr.strip()[-400:]}")
         os.replace(tmp, lib)  # atomic: a concurrent loader sees no file or a whole one
-    _fn = ctypes.CDLL(lib).run_metropolis
-    _fn.argtypes = [ctypes.c_long if k == "l" else ctypes.c_void_p for k in "lllpplppplppp"]
+    lib = ctypes.CDLL(lib)
+    _fn, _asymmetric_read = lib.run_metropolis, lib.asymmetric_read
+    _fn.argtypes = [ctypes.c_long if k == "l" else ctypes.c_void_p for k in "lllpplppplpppp"]
     _fn.restype = None
+    _asymmetric_read.argtypes = [ctypes.c_long if k == "l" else ctypes.c_void_p for k in "llplp"]
+    _asymmetric_read.restype = ctypes.c_long
 
 
 def _ptr(a, dtype, shape, per_read=False):
@@ -36,16 +39,51 @@ def _ptr(a, dtype, shape, per_read=False):
     return a.ctypes.data
 
 
+_pairs = (None, None, None)  # (row_ptr, nbr_idx, pairs) of the last CSR found symmetric in structure
+
+
+def _twin_pairs(row_ptr, nbr_idx):
+    """(d, e) with d < e for each pair of twin entries, (i, j) and (j, i); ValueError if some
+    entry has no twin.
+
+    Sorting the entries by (row, neighbour) and by (neighbour, row) lines each one up with its
+    twin, repeated pairs in row order. The last structure is kept, since an anneal passes one
+    CSR to every call.
+    """
+    global _pairs
+    last_ptr, last_idx, pairs = _pairs
+    if last_ptr is not None and np.array_equal(last_ptr, row_ptr) and np.array_equal(last_idx, nbr_idx):
+        return pairs
+    rows = np.repeat(np.arange(len(row_ptr) - 1, dtype=np.int32), np.diff(row_ptr))
+    fwd, bwd = np.lexsort((nbr_idx, rows)), np.lexsort((rows, nbr_idx))
+    if not (np.array_equal(rows[fwd], nbr_idx[bwd]) and np.array_equal(nbr_idx[fwd], rows[bwd])):
+        raise ValueError("CSR must be symmetric: an entry (i, j) has no (j, i) twin")
+    pairs = np.stack([fwd, bwd], axis=1)[fwd < bwd].astype(np.int32)
+    _pairs = (row_ptr.copy(), nbr_idx.copy(), pairs)
+    return pairs
+
+
 def run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr):
-    """Run len(betas) Metropolis sweeps in place; h and nbr_val may be broadcast views."""
+    """Run len(betas) Metropolis sweeps in place; h and nbr_val may be broadcast views.
+
+    ValueError, before any spin moves, on inputs sa.c cannot read safely and on a CSR that is
+    not symmetric in structure or, on any read, in value (a stride-0 nbr_val: row 0 only).
+    """
     (reads, n), nnz, sweeps = spins.shape, len(nbr_idx), len(betas)
     if not spins.flags.writeable or not all(np.all((0 <= a) & (a < n)) for a in (nbr_idx, perms)):
         raise ValueError("spins must be writeable, and nbr_idx and perms must index 0..n-1")
     rows = _ptr(row_ptr, np.int32, (n + 1,))
     if row_ptr[0] != 0 or row_ptr[-1] != nnz or np.any(row_ptr[1:] < row_ptr[:-1]):
         raise ValueError("row_ptr must rise from 0 to len(nbr_idx), never falling")
-    _fn(reads, n, sweeps, _ptr(spins, np.int8, (reads, n)),
-        _ptr(h, np.float64, (reads, n), True), h.strides[0] // 8, rows,
-        _ptr(nbr_idx, np.int32, (nnz,)), _ptr(nbr_val, np.float64, (reads, nnz), True),
-        nbr_val.strides[0] // 8, _ptr(perms, np.int32, (reads, n)),
-        _ptr(betas, np.float64, (sweeps,)), _ptr(log_u, np.float64, (reads, sweeps, n)))
+    vals, val_stride = _ptr(nbr_val, np.float64, (reads, nnz), True), nbr_val.strides[0] // 8
+    args = (reads, n, sweeps, _ptr(spins, np.int8, (reads, n)),
+            _ptr(h, np.float64, (reads, n), True), h.strides[0] // 8, rows,
+            _ptr(nbr_idx, np.int32, (nnz,)), vals, val_stride, _ptr(perms, np.int32, (reads, n)),
+            _ptr(betas, np.float64, (sweeps,)), _ptr(log_u, np.float64, (reads, sweeps, n)))
+    pairs = _twin_pairs(row_ptr, nbr_idx)
+    bad = _asymmetric_read(1 if val_stride == 0 else reads, len(pairs), vals, val_stride,
+                           pairs.ctypes.data)
+    if bad >= 0:
+        raise ValueError(f"CSR must be symmetric: entries (i, j) and (j, i) differ on read {bad}")
+    field = np.empty(n)  # sa.c's local fields, summed again for each read
+    _fn(*args, field.ctypes.data)

@@ -1,20 +1,45 @@
-/* Metropolis sweeps, one read after another, as in _sa_py.run_metropolis. Spin i's neighbours are
-   CSR entries row_ptr[i]..row_ptr[i+1]-1; h and nbr_val advance h_stride, val_stride per read. */
+/* Metropolis sweeps with incremental local fields, one read after another, as in
+   _sa_py.run_metropolis. Spin i's neighbours are CSR entries row_ptr[i]..row_ptr[i+1]-1; h and
+   nbr_val advance h_stride, val_stride per read. The CSR must be symmetric (entry (i, j) has a
+   twin (j, i) of the same value), so the flip of i changes field[j] by the change in the term
+   that row j sums. field is (n,) scratch, summed for each read before its first sweep. */
 void run_metropolis(long reads, long n, long sweeps, signed char *spins, const double *h,
                     long h_stride, const int *row_ptr, const int *nbr_idx, const double *nbr_val,
-                    long val_stride, const int *perms, const double *betas, const double *log_u)
+                    long val_stride, const int *perms, const double *betas, const double *log_u,
+                    double *field)
 {
     for (long r = 0; r < reads; r++) {
         signed char *s = spins + r * n;
         const double *hr = h + r * h_stride, *vr = nbr_val + r * val_stride;
+        for (long i = 0; i < n; i++) {
+            double f = hr[i];
+            for (long d = row_ptr[i]; d < row_ptr[i + 1]; d++)
+                f += vr[d] * s[nbr_idx[d]];
+            field[i] = f;
+        }
         for (long c = 0; c < sweeps; c++)
             for (long t = 0; t < n; t++) {
                 long i = perms[r * n + t];
-                double field = hr[i];
-                for (long d = row_ptr[i]; d < row_ptr[i + 1]; d++)
-                    field += vr[d] * s[nbr_idx[d]];
-                if (log_u[(r * sweeps + c) * n + t] < -betas[c] * (-2.0 * s[i] * field))
+                if (log_u[(r * sweeps + c) * n + t] < -betas[c] * (-2.0 * s[i] * field[i])) {
                     s[i] = -s[i];
+                    double two_s = 2.0 * s[i];
+                    for (long d = row_ptr[i]; d < row_ptr[i + 1]; d++)
+                        field[nbr_idx[d]] += two_s * vr[d];
+                }
             }
     }
+}
+
+/* The first of `reads` coupler rows (nbr_val advancing val_stride per read) in which twin entries
+   pairs[2k] and pairs[2k + 1] differ in value (NaN differs from itself), or -1 if none does. */
+long asymmetric_read(long reads, long npairs, const double *nbr_val, long val_stride,
+                     const int *pairs)
+{
+    for (long r = 0; r < reads; r++) {
+        const double *vr = nbr_val + r * val_stride;
+        for (long k = 0; k < npairs; k++)
+            if (vr[pairs[2 * k]] != vr[pairs[2 * k + 1]])
+                return r;
+    }
+    return -1;
 }

@@ -119,7 +119,9 @@ def _csr_adjacency(model: IsingModel):
 
     Row r's entries, row_ptr[r] .. row_ptr[r+1]-1 of nbr_idx and nbr_val,
     list r's neighbours in coupler order: a stable sort of the endpoints
-    (edge e's at 2e and 2e + 1) by row gives each one its entry.
+    (edge e's at 2e and 2e + 1) by row gives each one its entry. Each
+    coupler sits in both rows with one value, the symmetry the kernels'
+    incremental fields need; per-read errors added through `ends` keep it.
     """
     rows = np.stack([model.ei, model.ej], axis=1).ravel()
     order = np.argsort(rows, kind="stable")

@@ -1,8 +1,15 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import embednoise
 from embednoise import _kernels
 from embednoise._kernels import _load, _sa_c, _sa_py, get_kernel
 from embednoise.noise import NoiseModel
@@ -13,19 +20,54 @@ from embednoise.sampler import simulated_anneal, synthetic_hardware_run
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
-def make_inputs(reads=8, n=12, sweeps=16, max_deg=6, seed=0, degrees=None):
-    """Kernel arguments for CSR rows of ragged degrees, 0..max_deg unless `degrees` is given."""
+def symmetric_csr(n, ei, ej, jv):
+    """row_ptr, nbr_idx, nbr_val listing edge e = (ei[e], ej[e]) of value jv[:, e] in both rows.
+
+    Within a row, the entries where the spin is ei come first, then those where it is ej, each
+    in edge order, so rows are not sorted by neighbour. A pair given twice gets two entries.
+    """
+    rows = np.concatenate([ei, ej]).astype(np.int64)
+    order = np.argsort(rows, kind="stable")
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(np.int32)
+    nbr_idx = np.concatenate([ej, ei])[order].astype(np.int32)
+    return row_ptr, nbr_idx, np.concatenate([jv, jv], axis=1).take(order, axis=1)
+
+
+def make_inputs(reads=8, n=12, sweeps=16, density=0.3, seed=0, edges=None, dyadic=False):
+    """Kernel arguments for the symmetric CSR of `edges`, per-read values.
+
+    By default each pair i < j is an edge with probability `density`, so degrees are ragged
+    and can be 0. `dyadic` draws h and couplers from the multiples of 1/8 in [-2, 2], on
+    which every partial sum of a field is exact.
+    """
     rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return rng.integers(-16, 17, shape) / 8 if dyadic else rng.normal(size=shape)
+
     spins = (rng.integers(0, 2, (reads, n)) * 2 - 1).astype(np.int8)
-    h = rng.normal(size=(reads, n))
-    degrees = rng.integers(0, max_deg + 1, n) if degrees is None else degrees
-    row_ptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int32)
-    nbr_idx = rng.integers(0, n, row_ptr[-1]).astype(np.int32)
-    nbr_val = rng.normal(size=(reads, row_ptr[-1]))
+    h = draw((reads, n))
+    if edges is None:
+        edges = np.argwhere(np.triu(rng.random((n, n)) < density, 1))
+    ei, ej = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    row_ptr, nbr_idx, nbr_val = symmetric_csr(n, ei, ej, draw((reads, len(ei))))
     perms = np.stack([rng.permutation(n) for _ in range(reads)]).astype(np.int32)
     betas = np.linspace(0.1, 3.0, sweeps)
     log_u = np.log(rng.random((reads, sweeps, n)))
     return spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr
+
+
+def fresh_sum_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr):
+    """The kernels' dynamics with every field summed from scratch at its visit; returns the flips."""
+    flips = 0
+    for r, s in enumerate(spins):
+        for c, beta in enumerate(betas):
+            for t, i in enumerate(perms[r]):
+                row = slice(row_ptr[i], row_ptr[i + 1])
+                field = h[r, i] + sum(nbr_val[r, row] * s[nbr_idx[row]])
+                if log_u[r, c, t] < -beta * (-2.0 * s[i] * field):
+                    s[i], flips = -s[i], flips + 1
+    return flips
 
 
 class TestPythonKernel:
@@ -78,10 +120,15 @@ class TestBackendParity:
         # one spin adjacent to all others, rows with no entries, and nnz = 0,
         # each with per-read and with shared (stride-0) coupler values
         n = 40
-        degrees = {"hub": [n - 1] + [1] * (n - 1), "degree-0": [0, 5] * (n // 2),
-                   "no-couplers": [0] * n}[shape]
+        odd = np.arange(1, n, 2)  # the degree-0 case: a 5-regular circulant on the odd spins
+        ring = [(odd[k], odd[(k + step) % 20]) for k in range(20) for step in (1, 2)]
+        edges = {"hub": [(0, j) for j in range(1, n)],
+                 "degree-0": ring + [(odd[k], odd[k + 10]) for k in range(10)],
+                 "no-couplers": []}[shape]
         spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs(
-            reads=5, n=n, sweeps=12, seed=4, degrees=degrees)
+            reads=5, n=n, sweeps=12, seed=4, edges=edges)
+        assert list(np.diff(row_ptr)) == {"hub": [n - 1] + [1] * (n - 1), "degree-0": [0, 5] * (n // 2),
+                                          "no-couplers": [0] * n}[shape]
         for val in (nbr_val, np.broadcast_to(nbr_val[0], nbr_val.shape)):
             out = []
             for mod in (_sa_py, get_kernel("c")):
@@ -93,16 +140,18 @@ class TestBackendParity:
 
     def test_cancelling_terms_summed_in_table_order(self):
         # spin 0 = -1 sees h = 0 and terms (1e16, 1, -1e16) in read 0 and
-        # (1, 1e16, -1e16) in read 1. Summed from h in row order, 1e16 + 1
-        # rounds to 1e16, so both fields are 0 and log u = -1 < 0 flips spin
-        # 0. Any order that cancels the 1e16s first gives 1, which would
-        # need log u < -2, and keeps it: pairwise sums in read 0, the
-        # reverse order in read 1.
+        # (1, 1e16, -1e16) in read 1, each term's twin in the one-entry row of
+        # spin 1, 2 or 3. Summed from h in row order, 1e16 + 1 rounds to 1e16,
+        # so both of spin 0's first fields are 0 and log u = -1 < 0 flips it.
+        # Any order that cancels the 1e16s first gives 1, which would need
+        # log u < -2, and keeps it: pairwise sums in read 0, the reverse order
+        # in read 1. Spins 1..3 stay up: h = -1e17 outweighs their one term.
         spins = np.array([[-1, 1, 1, 1]] * 2, dtype=np.int8)
-        row_ptr = np.array([0, 3, 3, 3, 3], dtype=np.int32)  # spins 1..3 have no entries
-        nbr_idx = np.array([1, 2, 3], dtype=np.int32)
-        vals = np.array([[1e16, 1.0, -1e16], [1.0, 1e16, -1e16]])
-        h = np.array([0.0, -10.0, -10.0, -10.0])
+        row_ptr = np.array([0, 3, 4, 5, 6], dtype=np.int32)
+        nbr_idx = np.array([1, 2, 3, 0, 0, 0], dtype=np.int32)
+        terms = np.array([[1e16, 1.0, -1e16], [1.0, 1e16, -1e16]])
+        vals = np.concatenate([terms, terms], axis=1)
+        h = np.array([0.0, -1e17, -1e17, -1e17])
         perms = np.tile(np.arange(4, dtype=np.int32), (2, 1))
         args = (np.broadcast_to(h, (2, 4)), nbr_idx, vals, perms, np.array([1.0]),
                 np.full((2, 1, 4), -1.0), row_ptr)
@@ -135,12 +184,34 @@ class TestBackendParity:
                           "end": ([0, 2, 3, 5, 5], "row_ptr must rise"),
                           "falls": ([0, 3, 2, 5, 6], "row_ptr must rise"),
                           "neighbour": ([0, 2, 3, 5, 6], "must index 0..n-1")}[case]
-        spins, h, nbr_idx, nbr_val, perms, betas, log_u, _ = make_inputs(n=4, degrees=[2, 1, 2, 1])
+        spins, h, nbr_idx, nbr_val, perms, betas, log_u, _ = make_inputs(
+            n=4, edges=[(0, 1), (0, 2), (2, 3)])
         if case == "neighbour":
             nbr_idx[3] = 4
         with pytest.raises(ValueError, match=match):
             get_kernel("c").run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u,
                                            np.array(row_ptr, dtype=np.int32))
+
+    @pytest.mark.parametrize("case", ["structure", "value", "late-read", "shared", "nan"])
+    def test_c_kernel_rejects_asymmetric_csr(self, case):
+        # incremental fields are only the fresh sums on a symmetric CSR; rows here are
+        # 0: [1, 2], 1: [0], 2: [3, 0], 3: [2] (entries 0..5), values per read
+        spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs(
+            n=4, edges=[(0, 1), (0, 2), (2, 3)])
+        match = {"structure": r"\(i, j\) has no \(j, i\) twin", "late-read": "differ on read 5"}.get(
+            case, "differ on read 0")
+        if case == "structure":
+            nbr_idx[5] = 1  # spin 3 lists 1, which does not list 3 (and 2 lists 3 alone)
+        elif case == "nan":
+            nbr_val[:, [0, 2]] = np.nan  # both entries of edge (0, 1): NaN != NaN
+        else:
+            nbr_val[5 if case == "late-read" else 0, 4] += 0.5  # entry (2, 0), not its twin (0, 2)
+        if case == "shared":
+            nbr_val = np.broadcast_to(nbr_val[0], nbr_val.shape)
+        before = spins.copy()
+        with pytest.raises(ValueError, match=match):
+            get_kernel("c").run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
+        assert np.array_equal(spins, before)  # rejected before any spin moved
 
     def test_full_sampler_parity(self):
         m = qubo_to_ising(generate_random_qubo(14, 0.7, seed=11))
@@ -157,6 +228,44 @@ class TestBackendParity:
                                        backend=k)[0]
                 for k in ("python", "c"))
         assert np.array_equal(a.spins, b.spins)
+
+
+class TestIncrementalFields:
+    @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_match_fresh_sums_on_dyadic_inputs(self, backend, shared):
+        # on dyadic inputs every partial sum is exact, so fields updated at each
+        # accepted flip must equal fields summed at each visit, bit for bit
+        spins, h, nbr_idx, nbr_val, perms, _, log_u, row_ptr = make_inputs(
+            reads=4, n=16, sweeps=24, density=0.4, seed=5, dyadic=True)
+        if shared:
+            nbr_val = np.broadcast_to(nbr_val[0], nbr_val.shape)
+        betas = np.full(24, 0.3)  # hot: hundreds of flips accepted
+        want = spins.copy()
+        flips = fresh_sum_metropolis(want, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
+        assert flips >= 300
+        get_kernel(backend).run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
+        assert np.array_equal(spins, want)
+
+    @needs_cc
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 10), reads=st.integers(1, 4), shared=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_c_matches_numpy_on_random_symmetric_graphs(self, n, reads, shared, seed, data):
+        # pairs i != j, possibly repeated: a repeated pair's entries then come in the same
+        # order in both rows, so the n-th (i, j) is the twin of the n-th (j, i)
+        steps = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        edges = [sorted((i, (i + k) % n)) for i, k in data.draw(st.lists(steps, max_size=3 * n))]
+        spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs(
+            reads=reads, n=n, sweeps=8, seed=seed, edges=edges)
+        if shared:
+            nbr_val = np.broadcast_to(nbr_val[0], nbr_val.shape)
+        out = []
+        for mod in (_sa_py, get_kernel("c")):
+            s = spins.copy()
+            mod.run_metropolis(s, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
+            out.append(s)
+        assert np.array_equal(*out)
 
 
 class TestLoader:
@@ -200,3 +309,15 @@ class TestBackendSelection:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             get_kernel("fortran")
+
+
+@needs_cc
+def test_bench_kernels_script_runs():
+    # the script asserts C/NumPy parity on the dense and path models and exits 1 on a mismatch
+    root = Path(embednoise.__file__).resolve().parents[2]
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "benchmarks" / "bench_kernels.py"), "--reads", "20",
+                           "--sweeps", "4", "--sizes", "8"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "path L=60" in proc.stdout
