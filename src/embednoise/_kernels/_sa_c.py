@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 
 NAME = "c"
+DRAWS_PER_CALL = 1 << 17  # log-uniforms per call, 1 MB: sa.c runs one read after another
 SOURCE = os.path.join(os.path.dirname(__file__), "sa.c")
 FLAGS = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
 
@@ -39,27 +40,33 @@ def _ptr(a, dtype, shape, per_read=False):
     return a.ctypes.data
 
 
-_pairs = (None, None, None)  # (row_ptr, nbr_idx, pairs) of the last CSR found symmetric in structure
+_pairs = (None, None)  # (row_ptr and nbr_idx bytes, twin pairs) of the last CSR found valid
 
 
 def _twin_pairs(row_ptr, nbr_idx):
-    """(d, e) with d < e for each pair of twin entries, (i, j) and (j, i); ValueError if some
-    entry has no twin.
+    """(d, e) with d < e for each pair of twin entries, (i, j) and (j, i), of an int32 CSR;
+    ValueError if row_ptr does not rise from 0 to len(nbr_idx), if a neighbour id is outside
+    0..n-1 or if some entry has no twin.
 
     Sorting the entries by (row, neighbour) and by (neighbour, row) lines each one up with its
-    twin, repeated pairs in row order. The last structure is kept, since an anneal passes one
-    CSR to every call.
+    twin, repeated pairs in row order. The last structure is kept, compared by value, since an
+    anneal passes one CSR to every call: these checks run once per structure, not per call.
     """
     global _pairs
-    last_ptr, last_idx, pairs = _pairs
-    if last_ptr is not None and np.array_equal(last_ptr, row_ptr) and np.array_equal(last_idx, nbr_idx):
+    key, (last_key, pairs) = (row_ptr.tobytes(), nbr_idx.tobytes()), _pairs
+    if key == last_key:
         return pairs
-    rows = np.repeat(np.arange(len(row_ptr) - 1, dtype=np.int32), np.diff(row_ptr))
+    n = len(row_ptr) - 1
+    if row_ptr[0] != 0 or row_ptr[-1] != len(nbr_idx) or np.any(row_ptr[1:] < row_ptr[:-1]):
+        raise ValueError("row_ptr must rise from 0 to len(nbr_idx), never falling")
+    if not np.all((0 <= nbr_idx) & (nbr_idx < n)):
+        raise ValueError("nbr_idx must index 0..n-1")
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(row_ptr))
     fwd, bwd = np.lexsort((nbr_idx, rows)), np.lexsort((rows, nbr_idx))
     if not (np.array_equal(rows[fwd], nbr_idx[bwd]) and np.array_equal(nbr_idx[fwd], rows[bwd])):
         raise ValueError("CSR must be symmetric: an entry (i, j) has no (j, i) twin")
     pairs = np.stack([fwd, bwd], axis=1)[fwd < bwd].astype(np.int32)
-    _pairs = (row_ptr.copy(), nbr_idx.copy(), pairs)
+    _pairs = (key, pairs)
     return pairs
 
 
@@ -68,18 +75,19 @@ def run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr):
 
     ValueError, before any spin moves, on inputs sa.c cannot read safely and on a CSR that is
     not symmetric in structure or, on any read, in value (a stride-0 nbr_val: row 0 only).
+    Each call checks what an anneal changes from call to call (dtypes, shapes, contiguity,
+    writeable spins, the perms range, twin values per read); the CSR's structure is checked
+    once per structure, by _twin_pairs.
     """
     (reads, n), nnz, sweeps = spins.shape, len(nbr_idx), len(betas)
-    if not spins.flags.writeable or not all(np.all((0 <= a) & (a < n)) for a in (nbr_idx, perms)):
-        raise ValueError("spins must be writeable, and nbr_idx and perms must index 0..n-1")
-    rows = _ptr(row_ptr, np.int32, (n + 1,))
-    if row_ptr[0] != 0 or row_ptr[-1] != nnz or np.any(row_ptr[1:] < row_ptr[:-1]):
-        raise ValueError("row_ptr must rise from 0 to len(nbr_idx), never falling")
     vals, val_stride = _ptr(nbr_val, np.float64, (reads, nnz), True), nbr_val.strides[0] // 8
     args = (reads, n, sweeps, _ptr(spins, np.int8, (reads, n)),
-            _ptr(h, np.float64, (reads, n), True), h.strides[0] // 8, rows,
-            _ptr(nbr_idx, np.int32, (nnz,)), vals, val_stride, _ptr(perms, np.int32, (reads, n)),
-            _ptr(betas, np.float64, (sweeps,)), _ptr(log_u, np.float64, (reads, sweeps, n)))
+            _ptr(h, np.float64, (reads, n), True), h.strides[0] // 8,
+            _ptr(row_ptr, np.int32, (n + 1,)), _ptr(nbr_idx, np.int32, (nnz,)), vals, val_stride,
+            _ptr(perms, np.int32, (reads, n)), _ptr(betas, np.float64, (sweeps,)),
+            _ptr(log_u, np.float64, (reads, sweeps, n)))
+    if not spins.flags.writeable or not (perms.view(np.uint32) < n).all():  # negatives wrap high
+        raise ValueError("spins must be writeable, and perms must index 0..n-1")
     pairs = _twin_pairs(row_ptr, nbr_idx)
     bad = _asymmetric_read(1 if val_stride == 0 else reads, len(pairs), vals, val_stride,
                            pairs.ctypes.data)

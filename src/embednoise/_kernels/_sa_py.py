@@ -1,7 +1,10 @@
 """NumPy reference Metropolis kernel: sa.c's operations in sa.c's order, across reads."""
+import sys
+
 import numpy as np
 
 NAME = "python"
+DRAWS_PER_CALL = sys.maxsize  # whole blocks: the steps loop over spins in Python, across all reads
 
 
 def run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr):

@@ -18,6 +18,8 @@ import numpy as np
 
 from .rng import substream
 
+ENERGY_BLOCK_TERMS = 1 << 17  # coupler terms per row block of _batch_energies: 1 MB of float64
+
 
 @dataclass
 class QuboInstance:
@@ -69,7 +71,8 @@ class IsingModel:
 
     Couplers are stored only as COO arrays: ei[e] < ej[e] < n, pairs unique
     and sorted by (i, j), with values jv[e]. `J` may be given as a
-    {(i, j): v} mapping or as an (ei, ej, jv) triple in any order.
+    {(i, j): v} mapping or as an (ei, ej, jv) triple in any order. h, J and
+    offset must be finite.
     """
 
     def __init__(self, n: int, h, J=None, offset: float = 0.0):
@@ -85,6 +88,9 @@ class IsingModel:
         jv = np.asarray(J[2], dtype=np.float64)
         if not (ei.ndim == 1 and ei.shape == ej.shape == jv.shape):
             raise ValueError("coupler arrays ei, ej, jv must be 1-d and of equal length")
+        for name, v in (("h", self.h), ("J", jv), ("offset", offset)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} is not finite")
         bad = (ei < 0) | (ei >= ej) | (ej >= n)
         if bad.any():
             e = int(np.argmax(bad))
@@ -143,10 +149,17 @@ def qubo_energy(q: QuboInstance, x) -> float:
 
 
 def _batch_energies(spins: np.ndarray, h, ei, ej, jv, offset) -> np.ndarray:
-    """Energies of C-order spin rows; a row's value does not depend on the other rows."""
+    """Energies of C-order spin rows; a row's value does not depend on the other rows.
+
+    The coupler terms are formed and summed for row blocks of about ENERGY_BLOCK_TERMS
+    terms, so memory does not grow with the number of rows.
+    """
     e = (spins * h).sum(axis=1) + offset
     if len(jv):
-        e += (spins.take(ei, axis=1) * spins.take(ej, axis=1) * jv).sum(axis=1)
+        rows = max(1, ENERGY_BLOCK_TERMS // len(jv))
+        for r in range(0, len(spins), rows):
+            s = spins[r:r + rows]
+            e[r:r + rows] += (s.take(ei, axis=1) * s.take(ej, axis=1) * jv).sum(axis=1)
     return e
 
 

@@ -23,7 +23,7 @@ from .problem import IsingModel, QuboInstance, _batch_energies, qubo_to_ising
 from .rng import substream
 
 ENUMERATION_LIMIT = 24
-ORACLE_BLOCK_BYTES = 1 << 23  # split energies per row block of brute_force
+ORACLE_BLOCK_BYTES = 1 << 20  # split energies per row block of brute_force
 ORACLE_TIE_RTOL = 1e-12  # two sum orders of <= 301 terms differ by < 7e-14 of sum|terms|
 
 
@@ -141,9 +141,15 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     by block: one block of all reads when they share couplers, else blocks
     of clip(2^24 // (n * width), 16, reads) reads with their own couplers,
     where width = max(1, largest degree); inside a block, sweep chunks of
-    clip(2^25 // (block reads * n), 1, 32). These sizes decide which uniform
-    goes to which (read, sweep, spin), so changing them changes every seeded
-    SA stream.
+    clip(2^25 // (block reads * n), 1, 32). These two sizes decide which
+    uniform goes to which (read, sweep, spin), so changing them changes
+    every seeded SA stream.
+
+    A chunk's uniforms are drawn and passed to the kernel in tiles of
+    max(1, kernel.DRAWS_PER_CALL // (chunk sweeps * n)) consecutive reads,
+    so at most one tile of draws is held at a time. Generator.random fills
+    in C order, so the tiles laid end to end are the chunk's (reads,
+    sweeps, n) array: the tile size does not change the stream.
     """
     if model.n < 1:
         raise ValueError("model must have at least one spin")
@@ -166,16 +172,19 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     block = reads if errors is None else int(np.clip((1 << 24) // (n * width), 16, reads))
     for start in range(0, reads, block):
         rows = slice(start, min(start + block, reads))
-        size = rows.stop - start
+        size, s_blk, p_blk = rows.stop - start, spins[rows], perms[rows]
         h2, val2 = np.broadcast_to(model.h, (size, n)), np.broadcast_to(nbr_val, (size, nnz))
         if errors is not None:
             h2, val2 = h2 + errors[0][rows], val2.copy()
             val2[:, ends] += errors[1][rows, :, None]
         chunk = int(np.clip((1 << 25) // (size * n), 1, 32))
         for b in np.split(betas, range(chunk, len(betas), chunk)):
-            u = rng.random((size, len(b), n))
-            kernel.run_metropolis(spins[rows], h2, nbr_idx, val2, perms[rows], b, np.log(u, out=u),
-                                  row_ptr)
+            tile = max(1, kernel.DRAWS_PER_CALL // (len(b) * n))
+            for t in range(0, size, tile):
+                tr = slice(t, min(t + tile, size))
+                u = rng.random((tr.stop - t, len(b), n))
+                kernel.run_metropolis(s_blk[tr], h2[tr], nbr_idx, val2[tr], p_blk[tr], b,
+                                      np.log(u, out=u), row_ptr)
 
     energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
     meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
@@ -226,12 +235,12 @@ def brute_force(model: IsingModel) -> dict:
     e_hi = ((hi @ dense[:m, :m]) * hi).sum(axis=1) + hi @ model.h[:m] + model.offset
     e_lo = ((lo @ dense[m:, m:]) * lo).sum(axis=1) + lo @ model.h[m:]
     tol = ORACLE_TIE_RTOL * (abs(model.offset) + np.abs(model.h).sum() + np.abs(jv).sum())
-    if not math.isfinite(tol):
-        raise ValueError("brute_force needs finite h, J and offset")
     rows, chunk = max(1, ORACLE_BLOCK_BYTES // (8 * len(lo))), ORACLE_BLOCK_BYTES // (8 * n + 8)
     floor = best_e = math.inf
     for start in range(0, len(hi), rows):
-        e = hi[start:start + rows] @ dense[:m, m:] @ lo.T + e_hi[start:start + rows, None] + e_lo
+        e = hi[start:start + rows] @ dense[:m, m:] @ lo.T
+        e += e_hi[start:start + rows, None]  # in place, in the order of (e + e_hi) + e_lo
+        e += e_lo
         floor = min(floor, float(e.min()))
         a, b = np.nonzero(e <= floor + tol)
         for c in range(0, len(a), chunk):

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,13 +168,28 @@ class TestBackendParity:
                (spins, h, nbr_idx, nbr_val[:, ::-1], perms, betas, log_u, row_ptr),
                (spins, h, nbr_idx, nbr_val, perms, betas, log_u[:, :1], row_ptr),
                (spins, h, nbr_idx, nbr_val, perms + 1, betas, log_u, row_ptr),
+               (spins, h, nbr_idx, nbr_val, perms - 1, betas, log_u, row_ptr),
                (spins, h, np.full_like(nbr_idx, -1), nbr_val, perms, betas, log_u, row_ptr),
                (np.broadcast_to(spins[0], spins.shape), h, nbr_idx, nbr_val, perms, betas, log_u,
                 row_ptr),
                (spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr.astype(np.int64))]
+        before = spins.copy()
         for args in bad:
             with pytest.raises(ValueError):
                 c.run_metropolis(*args)
+            assert np.array_equal(spins, before)  # rejected before any spin moved
+
+    def test_c_kernel_rechecks_a_csr_changed_in_place(self):
+        # the structure checks run once per CSR, kept by value: a CSR that passed and is then
+        # edited in place is checked again, and an out-of-range neighbour is caught
+        spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs(seed=6)
+        c = get_kernel("c")
+        c.run_metropolis(spins.copy(), h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
+        nbr_idx[0] = len(row_ptr) - 1
+        before = spins.copy()
+        with pytest.raises(ValueError, match="nbr_idx must index 0..n-1"):
+            c.run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
+        assert np.array_equal(spins, before)
 
     @pytest.mark.parametrize("case", ["length", "start", "end", "falls", "neighbour"])
     def test_c_kernel_rejects_bad_csr(self, case):
@@ -266,6 +282,59 @@ class TestIncrementalFields:
             mod.run_metropolis(s, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
             out.append(s)
         assert np.array_equal(*out)
+
+
+@needs_cc
+class TestDrawTiles:
+    """The C kernel gets a chunk's draws in tiles of reads; the tile size changes no stream."""
+
+    @staticmethod
+    def runs(monkeypatch, draws):
+        """Spins of a simulated_anneal and a synthetic_hardware_run, 37 reads each, and the C
+        kernel's calls, with DRAWS_PER_CALL = draws."""
+        monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", draws)
+        calls, run = [], _sa_c.run_metropolis
+        monkeypatch.setattr(_sa_c, "run_metropolis", lambda *a: calls.append(len(a[0])) or run(*a))
+        sa = simulated_anneal(qubo_to_ising(generate_random_qubo(12, 0.7, seed=3)), 37, seed=4,
+                              backend="c")
+        synth, _ = synthetic_hardware_run(generate_random_qubo(6, 0.8, seed=4), [3, 2, 3, 1, 2, 3],
+                                          1.0, NoiseModel(0.05, 0.02), reads=37, seed=5, backend="c")
+        return sa.spins, synth.spins, calls
+
+    def test_tile_size_does_not_change_the_streams(self, monkeypatch):
+        # 128 sweeps are 4 chunks of 32, so a tile is max(1, DRAWS_PER_CALL // (32 * n)) reads;
+        # n is 12 for simulated_anneal and 14 (the chain lengths' sum) for the synthetic run
+        whole = self.runs(monkeypatch, sys.maxsize)
+        assert whole[2] == [37] * 8  # one call per chunk of each anneal
+        for draws, sa_tiles, synth_tiles in [(1, [1] * 37, [1] * 37),
+                                             (5 * 32 * 12, [5] * 7 + [2], [4] * 9 + [1]),
+                                             (_sa_c.DRAWS_PER_CALL, [37], [37])]:
+            sa, synth, calls = self.runs(monkeypatch, draws)
+            assert sa.tobytes() == whole[0].tobytes() and synth.tobytes() == whole[1].tobytes()
+            assert calls == sa_tiles * 4 + synth_tiles * 4
+
+    def test_numpy_kernel_gets_whole_chunks(self, monkeypatch):
+        calls, run = [], _sa_py.run_metropolis
+        monkeypatch.setattr(_sa_py, "run_metropolis",
+                            lambda *a: calls.append(a[6].shape) or run(*a))  # a[6]: log_u
+        simulated_anneal(qubo_to_ising(generate_random_qubo(12, 0.7, seed=3)), 37, seed=4,
+                         backend="python")
+        assert calls == [(37, 32, 12)] * 4
+
+    def test_draws_held_at_once_are_bounded(self):
+        # a whole chunk's draws, 2000 reads x 32 sweeps x 20 spins, would be 10 MB, held twice
+        # while the next chunk's are drawn; a tile of draws and a row block of the energy
+        # pass's coupler terms are 1 MB each
+        bound = 4 * 2**20
+        model = qubo_to_ising(generate_random_qubo(20, 1.0, seed=1))
+        simulated_anneal(model, 10, seed=1, backend="c")  # load the kernel, cache the CSR
+        tracemalloc.start()
+        try:
+            simulated_anneal(model, 2000, seed=1, backend="c")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestLoader:

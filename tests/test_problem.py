@@ -134,6 +134,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             IsingModel(n=3, h=np.zeros(3), J={(0, 3): 0.5})
 
+    @pytest.mark.parametrize("name, h, J, offset", [("h", [np.nan, 0.0], {}, 0.0),
+                                                    ("J", [0.0, 0.0], {(0, 1): np.inf}, 0.0),
+                                                    ("offset", [0.0, 0.0], {}, -np.inf)])
+    def test_ising_rejects_non_finite(self, name, h, J, offset):
+        with pytest.raises(ValueError, match=f"^{name} is not finite"):
+            IsingModel(n=2, h=h, J=J, offset=offset)
+
     def test_diag_length(self):
         with pytest.raises(ValueError):
             QuboInstance(L=3, diag=np.zeros(2), offdiag={}, density=0.0, seed=0)

@@ -79,6 +79,22 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="finite"):
             brute_force(IsingModel(n=2, h=np.array(h), J=J))
 
+    @pytest.mark.parametrize("case", ["random", "ties"])
+    def test_block_size_does_not_change_the_answer(self, case, monkeypatch):
+        # 4 KB blocks are 8 high-half rows of the n=12 table (the default: all 64 in one), and
+        # re-scoring chunks of 39 candidates; "ties" has two frustrated triangles and six free
+        # spins, so 6 * 6 * 2^6 minima fall in every block
+        if case == "random":
+            m = qubo_to_ising(generate_random_qubo(12, 0.6, seed=21))
+        else:
+            triangles = [(0, 1), (0, 2), (1, 2), (6, 7), (6, 8), (7, 8)]
+            m = IsingModel(12, np.zeros(12), dict.fromkeys(triangles, 1.0))
+        want = brute_force(m)
+        monkeypatch.setattr(sampler, "ORACLE_BLOCK_BYTES", 4096)
+        got = brute_force(m)
+        assert got["best_spins"].tobytes() == want["best_spins"].tobytes()
+        assert got["best_energy"] == want["best_energy"]
+
     @staticmethod
     def naive(m):
         """First minimum of ising_energy over all assignments in lexicographic order."""
