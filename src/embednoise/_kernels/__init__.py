@@ -4,6 +4,7 @@ the build fails (the reason is kept). Both give bitwise-identical spins.
 import os
 
 from . import _sa_py
+from ._sa_py import csr  # noqa: F401  the one CSR layout: both kernels and the sampler's betas
 
 CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "embednoise")
 _loaded = None  # (kernel module, why C is unavailable or None) after the first load

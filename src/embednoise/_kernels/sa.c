@@ -29,17 +29,3 @@ void run_metropolis(long reads, long n, long sweeps, signed char *spins, const d
             }
     }
 }
-
-/* The first of `reads` coupler rows (nbr_val advancing val_stride per read) in which twin entries
-   pairs[2k] and pairs[2k + 1] differ in value (NaN differs from itself), or -1 if none does. */
-long asymmetric_read(long reads, long npairs, const double *nbr_val, long val_stride,
-                     const int *pairs)
-{
-    for (long r = 0; r < reads; r++) {
-        const double *vr = nbr_val + r * val_stride;
-        for (long k = 0; k < npairs; k++)
-            if (vr[pairs[2 * k]] != vr[pairs[2 * k + 1]])
-                return r;
-    }
-    return -1;
-}

@@ -56,14 +56,22 @@ class Embedding:
 class EmbeddedIsing:
     """Physical Ising model produced by an embedding, with provenance per coupler.
 
-    provenance maps each physical coupler (p, q) to ("intra", i) for the
-    penalty inside chain i, or ("inter", (i, j)) for a share of J_ij.
+    The model's spins are the qubits the chains use, relabelled 0..n-1 in
+    ascending id order: spin s is qubit qubits[s]. provenance and the
+    embedding name qubits by hardware id; provenance maps each physical
+    coupler (p, q) to ("intra", i) for the penalty inside chain i, or
+    ("inter", (i, j)) for a share of J_ij.
     """
 
     model: IsingModel
     chain_strength: float
     provenance: dict[tuple[int, int], tuple]
     embedding: Embedding
+    qubits: np.ndarray
+
+    def spin_chains(self) -> list[list[int]]:
+        """The chains as model spin indices, to read them off the model's spins."""
+        return [np.searchsorted(self.qubits, c).tolist() for c in self.embedding.chains]
 
     def intra_edge_count(self) -> int:
         return sum(1 for tag in self.provenance.values() if tag[0] == "intra")
@@ -76,6 +84,7 @@ class EmbeddedIsing:
             "chain_strength": self.chain_strength,
             "provenance": prov,
             "embedding": self.embedding.to_dict(),
+            "qubits": self.qubits.tolist(),
         }
 
     def dumps(self) -> str:
@@ -105,7 +114,9 @@ def build_embedded_ising(
     `chains_or_lengths` is an Embedding with a hardware graph (its own or
     `topology`), or a sequence of chain lengths, which become path chains
     over fresh physical ids, with every logical edge realized by a single
-    physical edge between the lowest-index qubits of the two chains.
+    physical edge between the lowest-index qubits of the two chains. The
+    model has one spin per qubit the chains use, so a qubit outside every
+    chain is not swept or perturbed.
     """
     if k <= 0:
         raise ValueError("chain strength k must be > 0")
@@ -116,12 +127,12 @@ def build_embedded_ising(
             if topology is None:
                 raise ValueError("an Embedding needs a hardware graph; lengths mean path chains")
             emb = Embedding(emb.chains, topology)
-        qubits = len(emb.hardware.vertices)
+        count = len(emb.hardware.vertices)
         for i, chain in enumerate(emb.chains):
             if not chain:
                 raise ValueError(f"chain {i} is empty")
-            if not all(0 <= p < qubits for p in chain):
-                raise ValueError(f"chain {i} holds a qubit id outside 0..{qubits - 1}")
+            if not all(0 <= p < count for p in chain):
+                raise ValueError(f"chain {i} holds a qubit id outside 0..{count - 1}")
     else:
         lengths = [int(v) for v in chains_or_lengths]
         if any(v < 1 for v in lengths):
@@ -134,8 +145,9 @@ def build_embedded_ising(
 
     sizes = np.array([len(c) for c in emb.chains])
     share = np.repeat(logical.h, sizes) / np.repeat(sizes, sizes)
-    h = np.zeros(1 + max(p for c in emb.chains for p in c))
-    np.add.at(h, np.concatenate(emb.chains), share)
+    qubits, spin = np.unique(np.concatenate(emb.chains), return_inverse=True)
+    h = np.zeros(len(qubits))
+    np.add.at(h, spin, share)
 
     hw_edges = None
     if emb.hardware is not None:
@@ -164,9 +176,10 @@ def build_embedded_ising(
         values += [v / len(connecting)] * len(connecting)
         provenance.update((e, ("inter", (i, j))) for e in connecting)
 
-    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.searchsorted(qubits, np.array(edges, dtype=np.int64).reshape(-1, 2))
     model = IsingModel(len(h), h, (pairs[:, 0], pairs[:, 1], values), logical.offset)
-    return EmbeddedIsing(model=model, chain_strength=k, provenance=provenance, embedding=emb)
+    return EmbeddedIsing(model=model, chain_strength=k, provenance=provenance, embedding=emb,
+                         qubits=qubits)
 
 
 @dataclass

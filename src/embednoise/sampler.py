@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import get_kernel
+from ._kernels import csr, get_kernel
 from .embedding import ChainLengthModel, build_embedded_ising, synth_chain_lengths
 from .noise import NoiseModel, control_errors, variance_law
 from .noise import chain_error_sample  # noqa: F401  unused here; perfbench's tracer wraps it
@@ -114,23 +114,6 @@ def schedule_betas(schedule: AnnealSchedule, h: np.ndarray, abs_coupling: np.nda
     return bmin + (bmax - bmin) * frac
 
 
-def _csr_adjacency(model: IsingModel):
-    """CSR neighbour lists plus ends[e], the entries of edge e's two endpoints.
-
-    Row r's entries, row_ptr[r] .. row_ptr[r+1]-1 of nbr_idx and nbr_val,
-    list r's neighbours in coupler order: a stable sort of the endpoints
-    (edge e's at 2e and 2e + 1) by row gives each one its entry. Each
-    coupler sits in both rows with one value, the symmetry the kernels'
-    incremental fields need; per-read errors added through `ends` keep it.
-    """
-    rows = np.stack([model.ei, model.ej], axis=1).ravel()
-    order = np.argsort(rows, kind="stable")
-    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=model.n))]).astype(np.int32)
-    nbr_idx = np.stack([model.ej, model.ei], axis=1).ravel()[order].astype(np.int32)
-    ends = np.argsort(order, kind="stable").reshape(-1, 2)  # inverse: where each endpoint went
-    return row_ptr, nbr_idx, np.repeat(model.jv, 2)[order], ends
-
-
 def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed: int,
             backend: str | None, errors=None) -> SampleSet:
     """Anneal `reads` Metropolis reads of `model` with the (seed, "sa") stream.
@@ -157,13 +140,15 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
         raise ValueError("reads must be >= 1")
     schedule = schedule or AnnealSchedule()
     kernel = get_kernel(backend)
-    row_ptr, nbr_idx, nbr_val, ends = _csr_adjacency(model)
-    n, nnz, deg = model.n, len(nbr_idx), np.diff(row_ptr)
+    n, m = model.n, len(model.jv)
+    edges = np.stack([model.ei, model.ej], axis=1).astype(np.int32)
+    row_ptr, _, edge_id = csr(n, edges)
+    deg = np.diff(row_ptr)
     width = max(1, int(deg.max()))
-    abs_coupling = np.zeros(n)
+    abs_coupling, abs_jv = np.zeros(n), np.abs(model.jv)
     for d in np.flatnonzero(np.bincount(deg)):  # each row's sum|J|, as NumPy sums that row alone
         at = np.flatnonzero(deg == d)
-        abs_coupling[at] = np.abs(nbr_val[row_ptr[at, None] + np.arange(d)]).sum(axis=1)
+        abs_coupling[at] = abs_jv[edge_id[row_ptr[at, None] + np.arange(d)]].sum(axis=1)
     betas = schedule_betas(schedule, model.h, abs_coupling)
 
     rng = substream(seed, "sa")
@@ -173,18 +158,17 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     for start in range(0, reads, block):
         rows = slice(start, min(start + block, reads))
         size, s_blk, p_blk = rows.stop - start, spins[rows], perms[rows]
-        h2, val2 = np.broadcast_to(model.h, (size, n)), np.broadcast_to(nbr_val, (size, nnz))
+        h2, jv2 = np.broadcast_to(model.h, (size, n)), np.broadcast_to(model.jv, (size, m))
         if errors is not None:
-            h2, val2 = h2 + errors[0][rows], val2.copy()
-            val2[:, ends] += errors[1][rows, :, None]
+            h2, jv2 = h2 + errors[0][rows], jv2 + errors[1][rows]
         chunk = int(np.clip((1 << 25) // (size * n), 1, 32))
         for b in np.split(betas, range(chunk, len(betas), chunk)):
             tile = max(1, kernel.DRAWS_PER_CALL // (len(b) * n))
             for t in range(0, size, tile):
                 tr = slice(t, min(t + tile, size))
                 u = rng.random((tr.stop - t, len(b), n))
-                kernel.run_metropolis(s_blk[tr], h2[tr], nbr_idx, val2[tr], p_blk[tr], b,
-                                      np.log(u, out=u), row_ptr)
+                kernel.run_metropolis(s_blk[tr], h2[tr], edges, jv2[tr], p_blk[tr], b,
+                                      np.log(u, out=u))
 
     energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
     meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
@@ -349,7 +333,7 @@ def synthetic_hardware_run(
     if isinstance(spec, ChainLengthModel):
         spec = synth_chain_lengths(q.L, spec, seed)
     emb = build_embedded_ising(logical, spec, k)
-    chains, model = emb.embedding.chains, emb.model
+    chains, model = emb.spin_chains(), emb.model
     errors = control_errors(model, nm, substream(seed, "perturb"), (reads,))
     physical = _anneal(model, reads, schedule, seed, backend, errors)
     physical.cbf = detect_breaks(physical.spins, chains)["cbf"]

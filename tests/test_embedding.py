@@ -13,6 +13,12 @@ def couplers(m):
     return dict(zip(zip(m.ei.tolist(), m.ej.tolist()), m.jv.tolist()))
 
 
+def hardware_couplers(emb):
+    """The embedded model's couplers as {(p, q): J_pq}, named by hardware qubit id."""
+    q = emb.qubits.tolist()
+    return {(q[i], q[j]): v for (i, j), v in couplers(emb.model).items()}
+
+
 def enumerate_spins(n):
     for idx in range(1 << n):
         yield np.array([2 * ((idx >> (n - 1 - b)) & 1) - 1 for b in range(n)])
@@ -143,9 +149,20 @@ class TestBuildEmbeddedIsing:
         logical = IsingModel(n=2, h=np.array([0.5, -0.5]), J={(0, 1): 1.0})
         emb = build_embedded_ising(logical, Embedding([chain_a, chain_b], hw), k=1.0)
         hw_pairs = {(min(x, y), max(x, y)) for x, y, _ in hw.edges}
-        assert set(couplers(emb.model)) <= hw_pairs
+        assert set(hardware_couplers(emb)) <= hw_pairs
         inter = [e for e, tag in emb.provenance.items() if tag[0] == "inter"]
-        assert sum(couplers(emb.model)[e] for e in inter) == pytest.approx(1.0)
+        assert sum(hardware_couplers(emb)[e] for e in inter) == pytest.approx(1.0)
+
+    def test_model_spins_are_the_used_qubits(self):
+        # qubits 0..157 of Z(2,4) belong to no chain: they are not spins of the model
+        hw = build_zephyr(2, 4)
+        logical = IsingModel(n=2, h=np.array([0.5, -0.5]), J={(0, 1): 1.0})
+        emb = build_embedded_ising(logical, Embedding([[159], [158]], hw), k=1.0)
+        assert emb.model.n == 2 and emb.qubits.tolist() == [158, 159]
+        assert emb.model.h.tolist() == [-0.5, 0.5] and couplers(emb.model) == {(0, 1): 1.0}
+        assert emb.provenance == {(158, 159): ("inter", (0, 1))}
+        assert emb.spin_chains() == [[1], [0]] and emb.to_dict()["qubits"] == [158, 159]
+        assert validate_embedding(emb.embedding, hw, [(0, 1)]).ok
 
     def test_embedding_without_hardware_rejected(self):
         # consecutive ids would be taken as chain edges that may not exist
@@ -163,7 +180,7 @@ class TestBuildEmbeddedIsing:
         emb = build_embedded_ising(logical, Embedding([chain_a, [b]]), k=1.0,
                                    topology=hw)
         hw_pairs = {(min(x, y), max(x, y)) for x, y, _ in hw.edges}
-        assert emb.embedding.hardware is hw and set(couplers(emb.model)) <= hw_pairs
+        assert emb.embedding.hardware is hw and set(hardware_couplers(emb)) <= hw_pairs
 
     @pytest.mark.parametrize("chains, match", [
         ([[0], []], "chain 1 is empty"),

@@ -1,3 +1,4 @@
+import inspect
 import os
 import shutil
 import subprocess
@@ -7,12 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import embednoise
 from embednoise import _kernels
-from embednoise._kernels import _load, _sa_c, _sa_py, get_kernel
+from embednoise._kernels import _load, _sa_c, _sa_py, csr, get_kernel
 from embednoise.noise import NoiseModel
 from embednoise.problem import generate_random_qubo, qubo_to_ising
 from embednoise.sampler import simulated_anneal, synthetic_hardware_run
@@ -21,21 +22,8 @@ from embednoise.sampler import simulated_anneal, synthetic_hardware_run
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
-def symmetric_csr(n, ei, ej, jv):
-    """row_ptr, nbr_idx, nbr_val listing edge e = (ei[e], ej[e]) of value jv[:, e] in both rows.
-
-    Within a row, the entries where the spin is ei come first, then those where it is ej, each
-    in edge order, so rows are not sorted by neighbour. A pair given twice gets two entries.
-    """
-    rows = np.concatenate([ei, ej]).astype(np.int64)
-    order = np.argsort(rows, kind="stable")
-    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(np.int32)
-    nbr_idx = np.concatenate([ej, ei])[order].astype(np.int32)
-    return row_ptr, nbr_idx, np.concatenate([jv, jv], axis=1).take(order, axis=1)
-
-
 def make_inputs(reads=8, n=12, sweeps=16, density=0.3, seed=0, edges=None, dyadic=False):
-    """Kernel arguments for the symmetric CSR of `edges`, per-read values.
+    """Kernel arguments for the couplers `edges`, per-read values.
 
     By default each pair i < j is an edge with probability `density`, so degrees are ragged
     and can be 0. `dyadic` draws h and couplers from the multiples of 1/8 in [-2, 2], on
@@ -50,25 +38,36 @@ def make_inputs(reads=8, n=12, sweeps=16, density=0.3, seed=0, edges=None, dyadi
     h = draw((reads, n))
     if edges is None:
         edges = np.argwhere(np.triu(rng.random((n, n)) < density, 1))
-    ei, ej = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-    row_ptr, nbr_idx, nbr_val = symmetric_csr(n, ei, ej, draw((reads, len(ei))))
+    edges = np.ascontiguousarray(np.reshape(edges, (-1, 2)), dtype=np.int32)
+    jv = draw((reads, len(edges)))
     perms = np.stack([rng.permutation(n) for _ in range(reads)]).astype(np.int32)
     betas = np.linspace(0.1, 3.0, sweeps)
     log_u = np.log(rng.random((reads, sweeps, n)))
-    return spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr
+    return spins, h, edges, jv, perms, betas, log_u
 
 
-def fresh_sum_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr):
+def fresh_sum_metropolis(spins, h, edges, jv, perms, betas, log_u):
     """The kernels' dynamics with every field summed from scratch at its visit; returns the flips."""
+    row_ptr, nbr_idx, edge_id = csr(spins.shape[1], edges)
     flips = 0
     for r, s in enumerate(spins):
         for c, beta in enumerate(betas):
             for t, i in enumerate(perms[r]):
                 row = slice(row_ptr[i], row_ptr[i + 1])
-                field = h[r, i] + sum(nbr_val[r, row] * s[nbr_idx[row]])
+                field = h[r, i] + sum(jv[r, edge_id[row]] * s[nbr_idx[row]])
                 if log_u[r, c, t] < -beta * (-2.0 * s[i] * field):
                     s[i], flips = -s[i], flips + 1
     return flips
+
+
+def both_kernels(spins, *args):
+    """Spins after the NumPy kernel and after the C kernel, each run on a copy of `spins`."""
+    out = []
+    for mod in (_sa_py, get_kernel("c")):
+        s = spins.copy()
+        mod.run_metropolis(s, *args)
+        out.append(s)
+    return out
 
 
 class TestPythonKernel:
@@ -87,11 +86,11 @@ class TestPythonKernel:
     def test_unit_uniforms_admit_only_downhill_moves(self):
         # at u = 1 (log u = 0) a flip needs -beta*de > 0, i.e. de < 0: with
         # h = +1 every +1 spin flips down and every -1 spin stays put
-        spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs(sweeps=1)
+        spins, h, edges, jv, perms, betas, log_u = make_inputs(sweeps=1)
         log_u[:] = 0.0
-        nbr_val[:] = 0.0
+        jv[:] = 0.0
         h[:] = 1.0
-        _sa_py.run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
+        _sa_py.run_metropolis(spins, h, edges, jv, perms, betas, log_u)
         assert np.all(spins == -1)
 
 
@@ -107,14 +106,9 @@ class TestBackendParity:
 
     def test_parity_with_broadcast_arrays(self):
         # shared h and couplers enter as stride-0 broadcast views
-        spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs(reads=6, seed=9)
-        h1, val1 = np.broadcast_to(h[0], h.shape), np.broadcast_to(nbr_val[0], nbr_val.shape)
-        out = []
-        for mod in (_sa_py, get_kernel("c")):
-            s = spins.copy()
-            mod.run_metropolis(s, h1, nbr_idx, val1, perms, betas, log_u, row_ptr)
-            out.append(s)
-        assert np.array_equal(*out)
+        spins, h, edges, jv, perms, betas, log_u = make_inputs(reads=6, seed=9)
+        h1, jv1 = np.broadcast_to(h[0], h.shape), np.broadcast_to(jv[0], jv.shape)
+        assert np.array_equal(*both_kernels(spins, h1, edges, jv1, perms, betas, log_u))
 
     @pytest.mark.parametrize("shape", ["hub", "degree-0", "no-couplers"])
     def test_parity_on_skewed_rows(self, shape):
@@ -126,36 +120,32 @@ class TestBackendParity:
         edges = {"hub": [(0, j) for j in range(1, n)],
                  "degree-0": ring + [(odd[k], odd[k + 10]) for k in range(10)],
                  "no-couplers": []}[shape]
-        spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs(
+        spins, h, edges, jv, perms, betas, log_u = make_inputs(
             reads=5, n=n, sweeps=12, seed=4, edges=edges)
-        assert list(np.diff(row_ptr)) == {"hub": [n - 1] + [1] * (n - 1), "degree-0": [0, 5] * (n // 2),
-                                          "no-couplers": [0] * n}[shape]
-        for val in (nbr_val, np.broadcast_to(nbr_val[0], nbr_val.shape)):
-            out = []
-            for mod in (_sa_py, get_kernel("c")):
-                s = spins.copy()
-                mod.run_metropolis(s, h, nbr_idx, val, perms, betas, log_u, row_ptr)
-                out.append(s)
+        assert list(np.diff(csr(n, edges)[0])) == {"hub": [n - 1] + [1] * (n - 1),
+                                                   "degree-0": [0, 5] * (n // 2),
+                                                   "no-couplers": [0] * n}[shape]
+        for val in (jv, np.broadcast_to(jv[0], jv.shape)):
+            out = both_kernels(spins, h, edges, val, perms, betas, log_u)
             assert np.array_equal(*out)
             assert not np.array_equal(out[0], spins)
 
     def test_cancelling_terms_summed_in_table_order(self):
         # spin 0 = -1 sees h = 0 and terms (1e16, 1, -1e16) in read 0 and
-        # (1, 1e16, -1e16) in read 1, each term's twin in the one-entry row of
-        # spin 1, 2 or 3. Summed from h in row order, 1e16 + 1 rounds to 1e16,
+        # (1, 1e16, -1e16) in read 1, from edges (0, 1), (0, 2) and (0, 3), each
+        # also the one entry in the row of spin 1, 2 or 3. Summed from h in row
+        # order (the edge order), 1e16 + 1 rounds to 1e16,
         # so both of spin 0's first fields are 0 and log u = -1 < 0 flips it.
         # Any order that cancels the 1e16s first gives 1, which would need
         # log u < -2, and keeps it: pairwise sums in read 0, the reverse order
         # in read 1. Spins 1..3 stay up: h = -1e17 outweighs their one term.
         spins = np.array([[-1, 1, 1, 1]] * 2, dtype=np.int8)
-        row_ptr = np.array([0, 3, 4, 5, 6], dtype=np.int32)
-        nbr_idx = np.array([1, 2, 3, 0, 0, 0], dtype=np.int32)
+        edges = np.array([[0, 1], [0, 2], [0, 3]], dtype=np.int32)
         terms = np.array([[1e16, 1.0, -1e16], [1.0, 1e16, -1e16]])
-        vals = np.concatenate([terms, terms], axis=1)
         h = np.array([0.0, -1e17, -1e17, -1e17])
         perms = np.tile(np.arange(4, dtype=np.int32), (2, 1))
-        args = (np.broadcast_to(h, (2, 4)), nbr_idx, vals, perms, np.array([1.0]),
-                np.full((2, 1, 4), -1.0), row_ptr)
+        args = (np.broadcast_to(h, (2, 4)), edges, terms, perms, np.array([1.0]),
+                np.full((2, 1, 4), -1.0))
         for mod in (_sa_py, get_kernel("c")):
             s = spins.copy()
             mod.run_metropolis(s, *args)
@@ -163,16 +153,16 @@ class TestBackendParity:
 
     def test_c_kernel_rejects_unsafe_inputs(self):
         c = get_kernel("c")
-        spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs()
-        bad = [(spins, h.astype(np.float32), nbr_idx, nbr_val, perms, betas, log_u, row_ptr),
-               (spins, h, nbr_idx, nbr_val[:, ::-1], perms, betas, log_u, row_ptr),
-               (spins, h, nbr_idx, nbr_val, perms, betas, log_u[:, :1], row_ptr),
-               (spins, h, nbr_idx, nbr_val, perms + 1, betas, log_u, row_ptr),
-               (spins, h, nbr_idx, nbr_val, perms - 1, betas, log_u, row_ptr),
-               (spins, h, np.full_like(nbr_idx, -1), nbr_val, perms, betas, log_u, row_ptr),
-               (np.broadcast_to(spins[0], spins.shape), h, nbr_idx, nbr_val, perms, betas, log_u,
-                row_ptr),
-               (spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr.astype(np.int64))]
+        spins, h, edges, jv, perms, betas, log_u = make_inputs()
+        bad = [(spins, h.astype(np.float32), edges, jv, perms, betas, log_u),
+               (spins, h, edges, jv[:, ::-1], perms, betas, log_u),
+               (spins, h, edges, jv[:, :-1], perms, betas, log_u),
+               (spins, h, edges, jv, perms, betas, log_u[:, :1]),
+               (spins, h, edges, jv, perms + 1, betas, log_u),
+               (spins, h, edges, jv, perms - 1, betas, log_u),
+               (np.broadcast_to(spins[0], spins.shape), h, edges, jv, perms, betas, log_u),
+               (spins, h, edges.astype(np.int64), jv, perms, betas, log_u),
+               (spins, h, edges.T.copy(), jv, perms, betas, log_u)]
         before = spins.copy()
         for args in bad:
             with pytest.raises(ValueError):
@@ -180,54 +170,38 @@ class TestBackendParity:
             assert np.array_equal(spins, before)  # rejected before any spin moved
 
     def test_c_kernel_rechecks_a_csr_changed_in_place(self):
-        # the structure checks run once per CSR, kept by value: a CSR that passed and is then
-        # edited in place is checked again, and an out-of-range neighbour is caught
-        spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs(seed=6)
+        # the endpoint checks and the CSR are kept for the last edge list, by value: an edge
+        # list that passed and is then edited in place is checked again
+        spins, h, edges, jv, perms, betas, log_u = make_inputs(seed=6)
         c = get_kernel("c")
-        c.run_metropolis(spins.copy(), h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
-        nbr_idx[0] = len(row_ptr) - 1
+        c.run_metropolis(spins.copy(), h, edges, jv, perms, betas, log_u)
+        edges[0, 1] = spins.shape[1]
         before = spins.copy()
-        with pytest.raises(ValueError, match="nbr_idx must index 0..n-1"):
-            c.run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
+        with pytest.raises(ValueError, match="edges must join two distinct spins in 0..n-1"):
+            c.run_metropolis(spins, h, edges, jv, perms, betas, log_u)
         assert np.array_equal(spins, before)
 
-    @pytest.mark.parametrize("case", ["length", "start", "end", "falls", "neighbour"])
-    def test_c_kernel_rejects_bad_csr(self, case):
-        # a malformed row_ptr would make sa.c read outside nbr_idx and nbr_val;
-        # the good one for these 4 spins is [0, 2, 3, 5, 6]
-        row_ptr, match = {"length": ([0, 2, 3, 5, 6, 6], r"int32 \(5,\)"),
-                          "start": ([1, 2, 3, 5, 6], "row_ptr must rise"),
-                          "end": ([0, 2, 3, 5, 5], "row_ptr must rise"),
-                          "falls": ([0, 3, 2, 5, 6], "row_ptr must rise"),
-                          "neighbour": ([0, 2, 3, 5, 6], "must index 0..n-1")}[case]
-        spins, h, nbr_idx, nbr_val, perms, betas, log_u, _ = make_inputs(
-            n=4, edges=[(0, 1), (0, 2), (2, 3)])
-        if case == "neighbour":
-            nbr_idx[3] = 4
-        with pytest.raises(ValueError, match=match):
-            get_kernel("c").run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u,
-                                           np.array(row_ptr, dtype=np.int32))
-
-    @pytest.mark.parametrize("case", ["structure", "value", "late-read", "shared", "nan"])
-    def test_c_kernel_rejects_asymmetric_csr(self, case):
-        # incremental fields are only the fresh sums on a symmetric CSR; rows here are
-        # 0: [1, 2], 1: [0], 2: [3, 0], 3: [2] (entries 0..5), values per read
-        spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs(
-            n=4, edges=[(0, 1), (0, 2), (2, 3)])
-        match = {"structure": r"\(i, j\) has no \(j, i\) twin", "late-read": "differ on read 5"}.get(
-            case, "differ on read 0")
-        if case == "structure":
-            nbr_idx[5] = 1  # spin 3 lists 1, which does not list 3 (and 2 lists 3 alone)
-        elif case == "nan":
-            nbr_val[:, [0, 2]] = np.nan  # both entries of edge (0, 1): NaN != NaN
-        else:
-            nbr_val[5 if case == "late-read" else 0, 4] += 0.5  # entry (2, 0), not its twin (0, 2)
-        if case == "shared":
-            nbr_val = np.broadcast_to(nbr_val[0], nbr_val.shape)
+    @pytest.mark.parametrize("case", ["neighbour", "negative", "self-loop"])
+    def test_c_kernel_rejects_bad_edges(self, case):
+        # an end outside 0..n-1 would make sa.c write outside the fields; a self-loop's two
+        # entries sit in one row, so a flip would update the spin's own field
+        spins, h, edges, jv, perms, betas, log_u = make_inputs(n=4, edges=[(0, 1), (0, 2), (2, 3)])
+        edges[1] = {"neighbour": (0, 4), "negative": (-1, 2), "self-loop": (2, 2)}[case]
         before = spins.copy()
-        with pytest.raises(ValueError, match=match):
-            get_kernel("c").run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
-        assert np.array_equal(spins, before)  # rejected before any spin moved
+        with pytest.raises(ValueError, match="edges must join two distinct spins in 0..n-1"):
+            get_kernel("c").run_metropolis(spins, h, edges, jv, perms, betas, log_u)
+        assert np.array_equal(spins, before)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_c_kernel_rejects_nonfinite_values(self, shared):
+        spins, h, edges, jv, perms, betas, log_u = make_inputs(n=4, edges=[(0, 1), (0, 2), (2, 3)])
+        jv[0 if shared else 5, 1] = np.nan
+        if shared:
+            jv = np.broadcast_to(jv[0], jv.shape)
+        before = spins.copy()
+        with pytest.raises(ValueError, match="coupler values must be finite"):
+            get_kernel("c").run_metropolis(spins, h, edges, jv, perms, betas, log_u)
+        assert np.array_equal(spins, before)
 
     def test_full_sampler_parity(self):
         m = qubo_to_ising(generate_random_qubo(14, 0.7, seed=11))
@@ -252,36 +226,47 @@ class TestIncrementalFields:
     def test_match_fresh_sums_on_dyadic_inputs(self, backend, shared):
         # on dyadic inputs every partial sum is exact, so fields updated at each
         # accepted flip must equal fields summed at each visit, bit for bit
-        spins, h, nbr_idx, nbr_val, perms, _, log_u, row_ptr = make_inputs(
+        spins, h, edges, jv, perms, _, log_u = make_inputs(
             reads=4, n=16, sweeps=24, density=0.4, seed=5, dyadic=True)
         if shared:
-            nbr_val = np.broadcast_to(nbr_val[0], nbr_val.shape)
+            jv = np.broadcast_to(jv[0], jv.shape)
         betas = np.full(24, 0.3)  # hot: hundreds of flips accepted
         want = spins.copy()
-        flips = fresh_sum_metropolis(want, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
+        flips = fresh_sum_metropolis(want, h, edges, jv, perms, betas, log_u)
         assert flips >= 300
-        get_kernel(backend).run_metropolis(spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
+        get_kernel(backend).run_metropolis(spins, h, edges, jv, perms, betas, log_u)
         assert np.array_equal(spins, want)
 
     @needs_cc
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 10), reads=st.integers(1, 4), shared=st.booleans(),
-           seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_c_matches_numpy_on_random_symmetric_graphs(self, n, reads, shared, seed, data):
-        # pairs i != j, possibly repeated: a repeated pair's entries then come in the same
-        # order in both rows, so the n-th (i, j) is the twin of the n-th (j, i)
-        steps = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
-        edges = [sorted((i, (i + k) % n)) for i, k in data.draw(st.lists(steps, max_size=3 * n))]
-        spins, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr = make_inputs(
+           seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 8)), max_size=30))
+    @example(n=5, reads=3, shared=False, seed=1, steps=[])  # m = 0
+    @example(n=4, reads=3, shared=False, seed=2, steps=[(0, 0), (1, 1), (0, 0), (1, 2)])
+    def test_c_matches_numpy_on_random_symmetric_graphs(self, n, reads, shared, seed, steps):
+        # edges (i, i + k + 1 mod n), so either orientation, possibly repeated: the second
+        # example lists (0, 1) twice and as (1, 0); the kernels must agree on every edge list
+        edges = [(i % n, (i + k % (n - 1) + 1) % n) for i, k in steps]
+        spins, h, edges, jv, perms, betas, log_u = make_inputs(
             reads=reads, n=n, sweeps=8, seed=seed, edges=edges)
         if shared:
-            nbr_val = np.broadcast_to(nbr_val[0], nbr_val.shape)
-        out = []
-        for mod in (_sa_py, get_kernel("c")):
-            s = spins.copy()
-            mod.run_metropolis(s, h, nbr_idx, nbr_val, perms, betas, log_u, row_ptr)
-            out.append(s)
-        assert np.array_equal(*out)
+            jv = np.broadcast_to(jv[0], jv.shape)
+        assert np.array_equal(*both_kernels(spins, h, edges, jv, perms, betas, log_u))
+
+
+class TestKernelContract:
+    def test_kernels_share_one_signature(self):
+        # perfbench's tracer reads spins, coupler values and betas at positions 0, 3 and 5
+        sig = inspect.signature(_sa_py.run_metropolis)
+        assert inspect.signature(_sa_c.run_metropolis) == sig
+        assert list(sig.parameters) == ["spins", "h", "edges", "jv", "perms", "betas", "log_u"]
+
+    @needs_cc
+    def test_sa_c_compiles_without_warnings(self):
+        proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", _sa_c.SOURCE],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 @needs_cc

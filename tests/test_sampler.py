@@ -1,23 +1,26 @@
+import hashlib
 import itertools
 import json
 import math
+import shutil
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from embednoise._kernels import get_kernel
+from embednoise._kernels import csr, get_kernel
 from embednoise.analytics import CbpModel, cbf_predict, cbp
-from embednoise.embedding import ChainLengthModel, build_embedded_ising
+from embednoise.embedding import ChainLengthModel, Embedding, build_embedded_ising
 from embednoise.noise import NoiseModel, chain_error_sample, variance_law
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
 from embednoise.rng import substream
+from embednoise.topology import build_zephyr
 from embednoise import sampler
-from embednoise.sampler import (AnnealSchedule, SampleSet, _batch_energies, _csr_adjacency,
-                                brute_force, detect_breaks, energy_stats, margin_errors,
-                                margin_model_run, resolve_chains, schedule_betas,
-                                simulated_anneal, synthetic_hardware_run)
+from embednoise.sampler import (AnnealSchedule, SampleSet, _batch_energies, brute_force,
+                                detect_breaks, energy_stats, margin_errors, margin_model_run,
+                                resolve_chains, schedule_betas, simulated_anneal,
+                                synthetic_hardware_run)
 
 
 class TestAnnealSchedule:
@@ -258,22 +261,21 @@ class TestSimulatedAnneal:
 class TestCsrAdjacency:
     @staticmethod
     def per_edge_loop(m):
-        """Reference lists: each edge in (i, j) order appends to row i, then row j."""
-        rows, ends = [[] for _ in range(m.n)], []
-        for a, b, v in zip(m.ei, m.ej, m.jv):
-            for r, other in ((a, b), (b, a)):
-                ends.append((r, len(rows[r])))
-                rows[r].append((other, v))
-        row_ptr = np.cumsum([0] + [len(r) for r in rows])
+        """Reference lists: each edge e = (i, j), in order, appends (j, e) to row i, then (i, e) to row j."""
+        rows = [[] for _ in range(m.n)]
+        for e, (a, b) in enumerate(zip(m.ei, m.ej)):
+            rows[a].append((b, e))
+            rows[b].append((a, e))
         flat = [entry for r in rows for entry in r]
-        idx, val = np.array([e[0] for e in flat], int), np.array([e[1] for e in flat], float)
-        return row_ptr, idx, val, np.array([row_ptr[r] + k for r, k in ends], int).reshape(-1, 2)
+        return (np.cumsum([0] + [len(r) for r in rows]), np.array([e[0] for e in flat], int),
+                np.array([e[1] for e in flat], int))
 
     @staticmethod
     def check(m):
-        got, want = _csr_adjacency(m), TestCsrAdjacency.per_edge_loop(m)
+        got = csr(m.n, np.stack([m.ei, m.ej], axis=1).astype(np.int32))
+        want = TestCsrAdjacency.per_edge_loop(m)
         assert all(np.array_equal(g, w) and g.shape == w.shape for g, w in zip(got, want))
-        assert got[0].dtype == got[1].dtype == np.int32 and got[2].dtype == np.float64
+        assert got[0].dtype == got[1].dtype == np.int32
 
     @pytest.mark.parametrize("L,rho,seed", [(1, 0.0, 0), (6, 0.0, 1), (12, 0.3, 2), (20, 1.0, 3)])
     def test_matches_a_per_edge_loop(self, L, rho, seed):
@@ -285,6 +287,40 @@ class TestCsrAdjacency:
     def test_degree_zero_spin_and_no_couplers(self):
         self.check(IsingModel(5, np.zeros(5), {(0, 3): 1.5, (3, 4): -0.5, (0, 4): 2.0}))  # 1, 2 free
         self.check(IsingModel(3, np.ones(3)))
+
+
+class TestGoldenStreams:
+    """sha256 of seeded outputs on both backends: a change that moves any spin, energy or beta
+    of these runs fails here. A deliberate stream change updates them and says so in CHANGES.md."""
+
+    BACKENDS = ["python", pytest.param("c", marks=pytest.mark.skipif(
+        shutil.which("cc") is None, reason="no C compiler on PATH"))]
+
+    @staticmethod
+    def digest(*arrays):
+        return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_simulated_anneal(self, backend):
+        ss = simulated_anneal(qubo_to_ising(generate_random_qubo(12, 0.4, seed=13)), 50, seed=21,
+                              backend=backend)
+        assert ss.metadata["kernel"] == backend
+        assert self.digest(ss.spins, ss.energies) == (
+            "6d99901ef2dc3a02fd37b2e1fb7f9cb1bf7bb339ffdc0a3100eeecb49e7abf15")
+        assert self.digest(ss.metadata["betas"]) == (
+            "d7f4be9faa3ab220592503219dc6196919013cc202d0abaf713156135e600693")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_synthetic_hardware_run(self, backend):
+        # L = 10 on path chains; 16 sweeps leave reads unsettled, so halving the coupler
+        # errors moves some spins (at 128 sweeps the reads settle and the digest misses that)
+        phys, res = synthetic_hardware_run(generate_random_qubo(10, 1.0, seed=17),
+                                           [2, 1, 3, 2, 1, 2, 3, 1, 2, 2], 1.0,
+                                           NoiseModel(0.06, 0.005), AnnealSchedule(sweeps=16),
+                                           reads=20, seed=23, backend=backend)
+        assert phys.metadata["kernel"] == backend
+        assert self.digest(phys.spins, res.spins) == (
+            "94dc184197344c02bbc1f7f6e24786ac01746766a9b3a2251b33fcbd32dc4d2f")
 
 
 class TestDetectBreaks:
@@ -510,6 +546,19 @@ class TestSyntheticHardwareRun:
         chains = build_embedded_ising(qubo_to_ising(q), [3] * 8, 0.5).embedding
         assert np.array_equal(phys.cbf, detect_breaks(phys.spins, chains)["cbf"])
         assert np.array_equal(res.cbf, phys.cbf) and phys.cbf.max() > 0
+
+    def test_hardware_embedding_anneals_only_chain_qubits(self):
+        # chains on qubits 19, 158 and 159 of Z(2,4): a 3-spin model, chains read by spin index
+        q = generate_random_qubo(2, 1.0, seed=3)
+        emb = Embedding([[158, 19], [159]], build_zephyr(2, 4))
+        phys, res = synthetic_hardware_run(q, emb, k=0.3, nm=NoiseModel(0.3, 0.1), reads=60, seed=2)
+        model = build_embedded_ising(qubo_to_ising(q), emb, 0.3)
+        assert phys.spins.shape == (60, 3) and model.spin_chains() == [[1, 0], [2]]
+        assert np.array_equal(phys.cbf, detect_breaks(phys.spins, [[1, 0], [2]])["cbf"])
+        assert 0 < phys.cbf.max() and res.spins.shape == (60, 2)
+        for r in range(phys.num_reads):
+            assert phys.energies[r] == pytest.approx(ising_energy(model.model, phys.spins[r]),
+                                                     abs=1e-9)
 
     def test_cbf_increases_with_noise(self):
         q = generate_random_qubo(8, 1.0, seed=7)
