@@ -235,7 +235,7 @@ def cmd_heatmap(cfg) -> int:
         lengths = synth_chain_lengths(L, model, cfg["seed"])
         mags = margin_errors(lengths, nm, cfg["reads"], _point_seed(cfg["seed"], "heatmap", L))
         np.abs(mags, out=mags)
-        row = [float(np.mean(mags > eta * k)) for k in ks]  # every k shares the draws
+        row = [np.count_nonzero(mags > eta * k) / mags.size for k in ks]  # every k shares the draws
         lines += [f"{L},{k:.12g},{cbf:.12g}" for k, cbf in zip(ks, row)]
         # smallest k reaching cbf <= tau, linearly interpolated on the k grid
         for j in range(1, len(ks)):

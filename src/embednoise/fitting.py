@@ -40,6 +40,12 @@ class FitGrid:
     sigma_c_range: GridRange = field(default_factory=lambda: GridRange(0.005, 0.08, 0.005))
     kappa_range: GridRange = field(default_factory=lambda: GridRange(0.10, 1.00, 0.05))
 
+    def __post_init__(self):
+        if self.sigma_h_range.lo < 0 or self.sigma_c_range.lo < 0:
+            raise ValueError("sigma grid ranges need lo >= 0")
+        if self.kappa_range.lo <= 0:
+            raise ValueError("kappa grid range needs lo > 0")
+
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sh = self.sigma_h_range.values()
         sc = self.sigma_c_range.values()
@@ -102,6 +108,8 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
     observations = list(observations)
     if len(observations) < 3:
         raise ValueError("need at least 3 observation points")
+    if corr_strength < 0:
+        raise ValueError("corr_strength must be >= 0")
     grid = grid or FitGrid()
     sh, sc, kp = grid.axes()
 
@@ -110,14 +118,7 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
     all_lengths = np.concatenate(per_point)
     uniq, inverse = np.unique(all_lengths, return_inverse=True)
 
-    # Var table over (sigma_h, sigma_c, unique length); kappa enters only
-    # through the erfc argument, so cbp factorizes into a 4-d broadcast.
-    var = (uniq[None, None, :] * (sh**2)[:, None, None]
-           + (uniq[None, None, :] - 1.0) * (sc**2)[None, :, None])
-    if corr_strength:
-        var = var + corr_strength * uniq[None, None, :] ** corr_exponent
-    arg = kp[None, None, None, :] / np.sqrt(2.0 * var)[:, :, :, None]
-    cbp_table = _erfc_array(arg)  # (Sh, Sc, U, K)
+    cbp_table = _cbp_table(sh, sc, uniq, kp, corr_strength, corr_exponent)
 
     # mean over each point's length multiset -> predictions (Sh, Sc, P, K)
     offsets = np.cumsum([0] + [len(v) for v in per_point])
@@ -150,9 +151,22 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
     )
 
 
-def _erfc_array(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erfc  # here, not at the top: it imports slower than the package
-    return erfc(x)
+def _cbp_table(sh, sc, lengths, kp, corr_strength=0.0, corr_exponent=0.0) -> np.ndarray:
+    """Break probability over the (sigma_h, sigma_c, length, kappa) grid.
+
+    Var depends on (sigma_h, sigma_c, length) only; kappa enters through
+    the erfc argument, so the table is a 4-d broadcast. A zero-variance
+    cell gets cbp 0, as in analytics.cbp.
+    """
+    var = (lengths[None, None, :] * (sh**2)[:, None, None]
+           + (lengths[None, None, :] - 1.0) * (sc**2)[None, :, None])
+    if corr_strength:
+        var = var + corr_strength * lengths[None, None, :] ** corr_exponent
+    with np.errstate(divide="ignore"):
+        arg = kp[None, None, None, :] / np.sqrt(2.0 * var)[:, :, :, None]
+    # math.erfc is the erfc of analytics.cbp; mapping it over a flat list
+    # beats np.frompyfunc, which boxes every result in an object array
+    return np.fromiter(map(math.erfc, arg.ravel().tolist()), np.float64, arg.size).reshape(arg.shape)
 
 
 def fit_report(fr: FitResult) -> str:

@@ -351,13 +351,23 @@ class TestConfigPrecedence:
         assert not (tmp_path / "chainlen.csv").exists()
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.special takes longer to import than the whole package, so only a fit loads it
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # the package runs on numpy alone: neither the import nor a cbf-curve + fit loads scipy
     src = str(Path(embednoise.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    cfg = write_config(tmp_path, {"L_sweep": {"start": 5, "stop": 20, "step": 5}, "reads": 100})
+    common = ["--config", cfg, "--out", str(tmp_path)]
+    fit = ["fit", str(tmp_path / "cbf_curve.csv"),
+           "--lengths", str(tmp_path / "cbf_curve_lengths.json")] + common
     code = ("import sys, embednoise, embednoise.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "print(loaded()); "
+            f"assert embednoise.cli.main({['cbf-curve'] + common!r}) == 0; "
+            f"assert embednoise.cli.main({fit!r}) == 0; "
+            "print(loaded())")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[]"
+    assert (tmp_path / "fit_result.json").is_file()

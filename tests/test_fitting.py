@@ -1,11 +1,16 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc as scipy_erfc
 
+from embednoise import cli
 from embednoise.analytics import CbpModel, cbf_predict
 from embednoise.embedding import ChainLengthModel, synth_chain_lengths
-from embednoise.fitting import (FitGrid, GridRange, fit_noise_params, fit_report,
+from embednoise.fitting import (FitGrid, GridRange, _cbp_table, fit_noise_params, fit_report,
                                 read_lengths_json, read_observations_csv, sse)
 from embednoise.noise import NoiseModel
 
@@ -55,6 +60,59 @@ class TestGridRange:
         with pytest.raises(ValueError):
             GridRange(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("axis, lo", [("sigma_h", -0.02), ("sigma_c", -0.005),
+                                          ("kappa", 0.0), ("kappa", -0.1)],
+                             ids=["sigma_h-negative", "sigma_c-negative", "kappa-zero",
+                                  "kappa-negative"])
+    def test_grid_rejects_out_of_domain_lo(self, axis, lo):
+        # sigma < 0 or kappa <= 0 would be searched and could win the fit
+        with pytest.raises(ValueError):
+            FitGrid(**{f"{axis}_range": GridRange(lo, 0.5, 0.05)})
+
+
+class TestCbpTable:
+    def test_matches_scipy_erfc_on_default_grid(self):
+        sh, sc, kp = FitGrid().axes()
+        lengths = np.arange(1.0, 41.0)
+        var = lengths * (sh**2)[:, None, None] + (lengths - 1.0) * (sc**2)[None, :, None]
+        want = scipy_erfc(kp / np.sqrt(2.0 * var)[..., None])
+        got = _cbp_table(sh, sc, lengths, kp)
+        assert got.shape == want.shape and got.dtype == np.float64
+        live = want > 1e-300
+        assert live.sum() > 0.9 * want.size
+        np.testing.assert_allclose(got[live], want[live], rtol=1e-13, atol=0)
+        assert np.all(got[~live] <= 1e-300)
+
+    def test_zero_variance_cell_gives_zero(self):
+        # sigma_h = 0 leaves a length-1 chain with no variance, and sigma_c = 0 every chain
+        grid = FitGrid(sigma_h_range=GridRange(0.0, 0.04, 0.02),
+                       sigma_c_range=GridRange(0.0, 0.02, 0.02),
+                       kappa_range=GridRange(0.1, 0.3, 0.1))
+        sh, sc, kp = grid.axes()
+        lengths = np.array([1.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = _cbp_table(sh, sc, lengths, kp)
+            m = CbpModel(noise=NoiseModel(0.02, 0.02), kappa=0.2)
+            obs = [{"L": L, "lengths": [1, 3], "cbf_obs": cbf_predict([1, 3], m)}
+                   for L in (5, 10, 15)]
+            fr = fit_noise_params(obs, grid)
+        assert np.all(table[0, :, 0, :] == 0.0) and np.all(table[0, 0] == 0.0)
+        assert np.all(table[1:, :, 0, :] > 0.0)
+        assert (fr.sigma_h, fr.sigma_c, fr.kappa) == pytest.approx((0.02, 0.02, 0.2))
+        assert np.isfinite(fr.sse) and fr.sse <= 1e-20
+
+    def test_seeded_cbf_curve_fit_is_pinned(self, tmp_path):
+        # the triple fitted at the CLI defaults, seed 7, by the scipy.special.erfc grid
+        common = ["--seed", "7", "--out", str(tmp_path)]
+        assert cli.main(["cbf-curve"] + common) == 0
+        assert cli.main(["fit", str(tmp_path / "cbf_curve.csv"),
+                         "--lengths", str(tmp_path / "cbf_curve_lengths.json")] + common) == 0
+        fit = json.loads((tmp_path / "fit_result.json").read_text())
+        assert (fit["sigma_h"], fit["sigma_c"], fit["kappa"]) == pytest.approx((0.075, 0.02, 0.45),
+                                                                           abs=1e-12)
+        assert fit["sse"] == pytest.approx(4.800969226070874e-06, rel=1e-12)
+
 
 class TestFitNoiseParams:
     def test_exact_recovery_from_noiseless_curve(self):
@@ -93,6 +151,12 @@ class TestFitNoiseParams:
         a = fit_noise_params(obs)
         b = fit_noise_params(list(reversed(obs)))
         assert (a.sigma_h, a.sigma_c, a.kappa) == (b.sigma_h, b.sigma_c, b.kappa)
+
+    def test_negative_corr_strength_rejected(self):
+        # a negative variance term would make sqrt NaN and argmin pick a NaN cell
+        obs = synthetic_observations(0.06, 0.005, 0.35)[:3]
+        with pytest.raises(ValueError):
+            fit_noise_params(obs, corr_strength=-1.0)
 
     def test_ell_bar_path(self):
         m = CbpModel(noise=NoiseModel(0.06, 0.005), kappa=0.35)
