@@ -54,18 +54,15 @@ class Embedding:
 
 @dataclass
 class EmbeddedIsing:
-    """Physical Ising model produced by an embedding, with provenance per coupler.
+    """Physical Ising model produced by an embedding.
 
     The model's spins are the qubits the chains use, relabelled 0..n-1 in
-    ascending id order: spin s is qubit qubits[s]. provenance and the
-    embedding name qubits by hardware id; provenance maps each physical
-    coupler (p, q) to ("intra", i) for the penalty inside chain i, or
-    ("inter", (i, j)) for a share of J_ij.
+    ascending id order: spin s is qubit qubits[s]. The embedding names
+    qubits by hardware id.
     """
 
     model: IsingModel
     chain_strength: float
-    provenance: dict[tuple[int, int], tuple]
     embedding: Embedding
     qubits: np.ndarray
 
@@ -73,8 +70,24 @@ class EmbeddedIsing:
         """The chains as model spin indices, to read them off the model's spins."""
         return [np.searchsorted(self.qubits, c).tolist() for c in self.embedding.chains]
 
+    def _chain_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The chains of each coupler's two spins; spin s is the s-th smallest chain qubit."""
+        chains = self.embedding.chains
+        label = np.repeat(np.arange(len(chains)), [len(c) for c in chains])
+        label = label[np.argsort(np.concatenate(chains))]
+        return label[self.model.ei], label[self.model.ej]
+
+    @property
+    def provenance(self) -> dict[tuple[int, int], tuple]:
+        """Each coupler (p, q), by hardware id, mapped to ("intra", i) for the
+        penalty inside chain i or to ("inter", (i, j)) for a share of J_ij."""
+        ci, cj = self._chain_ends()
+        p, q = self.qubits[self.model.ei], self.qubits[self.model.ej]
+        return {(a, b): ("intra", i) if i == j else ("inter", (min(i, j), max(i, j)))
+                for a, b, i, j in zip(p.tolist(), q.tolist(), ci.tolist(), cj.tolist())}
+
     def intra_edge_count(self) -> int:
-        return sum(1 for tag in self.provenance.values() if tag[0] == "intra")
+        return int(np.count_nonzero(np.equal(*self._chain_ends())))
 
     def to_dict(self) -> dict:
         prov = [[p, q, list(tag[1]) if tag[0] == "inter" else tag[1], tag[0]]
@@ -144,42 +157,36 @@ def build_embedded_ising(
         raise ValueError(f"embedding has {len(emb.chains)} chains for {logical.n} logical spins")
 
     sizes = np.array([len(c) for c in emb.chains])
-    share = np.repeat(logical.h, sizes) / np.repeat(sizes, sizes)
-    qubits, spin = np.unique(np.concatenate(emb.chains), return_inverse=True)
+    members = np.concatenate(emb.chains)
+    qubits, spin, uses = np.unique(members, return_inverse=True, return_counts=True)
+    if uses.max() > 1:
+        raise ValueError(f"chains share qubit {qubits[np.argmax(uses > 1)]}")
     h = np.zeros(len(qubits))
-    np.add.at(h, spin, share)
+    np.add.at(h, spin, np.repeat(logical.h, sizes) / np.repeat(sizes, sizes))
 
-    hw_edges = None
-    if emb.hardware is not None:
-        hw_edges = {(min(a, b), max(a, b)) for a, b, _ in emb.hardware.edges}
+    chain_of = np.full(members.size if emb.hardware is None else len(emb.hardware.vertices), -1)
+    chain_of[members] = np.repeat(np.arange(logical.n), sizes)
+    if emb.hardware is None:  # path steps inside each chain, then chain heads per logical edge
+        steps = np.stack([members[:-1], members[1:]], axis=1)[chain_of[:-1] == chain_of[1:]]
+        heads = members[np.cumsum(sizes) - sizes]
+        edges = np.concatenate([steps, np.stack([heads[logical.ei], heads[logical.ej]], axis=1)])
+    else:
+        edges = np.array([edge[:2] for edge in emb.hardware.edges], dtype=np.int64).reshape(-1, 2)
+        edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+    ca, cb = chain_of[edges].T  # -1 marks a qubit outside every chain
+    keys = logical.ei * logical.n + logical.ej  # ascending, as the model's couplers are sorted
+    pair = np.minimum(ca, cb) * logical.n + np.maximum(ca, cb)  # negative off the chains
+    intra, inter = (ca >= 0) & (ca == cb), np.isin(pair, keys)
+    e = np.searchsorted(keys, pair[inter])  # the logical edge each inter-chain coupler carries
+    count = np.bincount(e, minlength=len(keys))
+    if not count.all():
+        i, j = logical.ei[np.argmin(count)], logical.ej[np.argmin(count)]
+        raise ValueError(f"logical edge ({i},{j}) has no physical edge between chains")
 
-    def links(a, b):
-        """Sorted hardware couplers (p, q), p < q, between qubit lists a and b."""
-        return sorted({(min(p, q), max(p, q)) for p in a for q in b
-                       if p != q and (min(p, q), max(p, q)) in hw_edges})
-
-    edges, values, provenance = [], [], {}
-    for i, chain in enumerate(emb.chains):
-        intra = list(zip(chain[:-1], chain[1:])) if hw_edges is None else links(chain, chain)
-        edges += intra
-        values += [-k] * len(intra)
-        provenance.update((e, ("intra", i)) for e in intra)
-
-    for i, j, v in zip(logical.ei.tolist(), logical.ej.tolist(), logical.jv.tolist()):
-        if hw_edges is None:
-            connecting = [(emb.chains[i][0], emb.chains[j][0])]
-        else:
-            connecting = links(emb.chains[i], emb.chains[j])
-            if not connecting:
-                raise ValueError(f"logical edge ({i},{j}) has no physical edge between chains")
-        edges += connecting
-        values += [v / len(connecting)] * len(connecting)
-        provenance.update((e, ("inter", (i, j))) for e in connecting)
-
-    pairs = np.searchsorted(qubits, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    pairs = np.searchsorted(qubits, np.concatenate([edges[intra], edges[inter]]))
+    values = np.concatenate([np.full(np.count_nonzero(intra), -k), logical.jv[e] / count[e]])
     model = IsingModel(len(h), h, (pairs[:, 0], pairs[:, 1], values), logical.offset)
-    return EmbeddedIsing(model=model, chain_strength=k, provenance=provenance, embedding=emb,
-                         qubits=qubits)
+    return EmbeddedIsing(model=model, chain_strength=k, embedding=emb, qubits=qubits)
 
 
 @dataclass

@@ -120,12 +120,12 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
 
     cbp_table = _cbp_table(sh, sc, uniq, kp, corr_strength, corr_exponent)
 
-    # mean over each point's length multiset -> predictions (Sh, Sc, P, K)
+    # mean over each point's lengths, summed in order as .mean(axis=2) sums -> (Sh, Sc, P, K),
+    # from a length-first copy of the table, whose (Sh, Sc, K) slices are contiguous
+    by_length = np.moveaxis(cbp_table, 2, 0).copy()
     offsets = np.cumsum([0] + [len(v) for v in per_point])
-    preds = np.empty(cbp_table.shape[:2] + (len(observations),) + cbp_table.shape[3:])
-    for p in range(len(observations)):
-        seg = inverse[offsets[p]:offsets[p + 1]]
-        preds[:, :, p, :] = cbp_table[:, :, seg, :].mean(axis=2)
+    preds = np.stack([sum(by_length[s] for s in inverse[a:b]) / (b - a)
+                      for a, b in zip(offsets[:-1], offsets[1:])], axis=2)
 
     resid = preds - cbf_obs[None, None, :, None]
     total = np.einsum("abpk,abpk->abk", resid, resid)

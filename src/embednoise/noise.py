@@ -91,9 +91,8 @@ def control_errors(model, nm: NoiseModel, stream: np.random.Generator, batch: tu
     widths sigma_h and sigma_c, drawn as standard normals: all field draws
     first, then all coupler draws, in the model's (i, j) coupler order.
     """
-    dh = stream.normal(0.0, 1.0, size=batch + (model.n,)) * nm.sigma_h
-    dj = stream.normal(0.0, 1.0, size=batch + (len(model.jv),)) * nm.sigma_c
-    return dh, dj
+    dh, dj = (stream.normal(0.0, 1.0, size=batch + (m,)) for m in (model.n, len(model.jv)))
+    return np.multiply(dh, nm.sigma_h, out=dh), np.multiply(dj, nm.sigma_c, out=dj)
 
 
 def perturb_hamiltonian(emb, nm: NoiseModel, stream: np.random.Generator):

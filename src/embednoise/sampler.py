@@ -118,15 +118,15 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
             backend: str | None, errors=None) -> SampleSet:
     """Anneal `reads` Metropolis reads of `model` with the (seed, "sa") stream.
 
-    With errors = (dh, dj), read r runs on h + dh[r] and jv + dj[r]; betas
-    and energies come from the unperturbed model. The stream gives the
-    initial spins, the visit orders, then the log acceptance uniforms block
-    by block: one block of all reads when they share couplers, else blocks
-    of clip(2^24 // (n * width), 16, reads) reads with their own couplers,
-    where width = max(1, largest degree); inside a block, sweep chunks of
-    clip(2^25 // (block reads * n), 1, 32). These two sizes decide which
-    uniform goes to which (read, sweep, spin), so changing them changes
-    every seeded SA stream.
+    With errors = (dh, dj), read r runs on h + dh[r] and jv + dj[r], summed
+    into dh and dj in place; betas and energies come from the unperturbed
+    model. The stream gives the initial spins, the visit orders, then the
+    log acceptance uniforms block by block: one block of all reads when
+    they share couplers, else blocks of clip(2^24 // (n * width), 16, reads)
+    reads with their own couplers, where width = max(1, largest degree);
+    inside a block, sweep chunks of clip(2^25 // (block reads * n), 1, 32).
+    These two sizes decide which uniform goes to which (read, sweep, spin),
+    so changing them changes every seeded SA stream.
 
     A chunk's uniforms are drawn and passed to the kernel in tiles of
     max(1, kernel.DRAWS_PER_CALL // (chunk sweeps * n)) consecutive reads,
@@ -159,8 +159,8 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
         rows = slice(start, min(start + block, reads))
         size, s_blk, p_blk = rows.stop - start, spins[rows], perms[rows]
         h2, jv2 = np.broadcast_to(model.h, (size, n)), np.broadcast_to(model.jv, (size, m))
-        if errors is not None:
-            h2, jv2 = h2 + errors[0][rows], jv2 + errors[1][rows]
+        if errors is not None:  # summed into the error rows: e + jv has the bits of jv + e
+            h2, jv2 = (np.add(d[rows], v, out=d[rows]) for d, v in zip(errors, (h2, jv2)))
         chunk = int(np.clip((1 << 25) // (size * n), 1, 32))
         for b in np.split(betas, range(chunk, len(betas), chunk)):
             tile = max(1, kernel.DRAWS_PER_CALL // (len(b) * n))
@@ -169,6 +169,8 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
                 u = rng.random((tr.stop - t, len(b), n))
                 kernel.run_metropolis(s_blk[tr], h2[tr], edges, jv2[tr], p_blk[tr], b,
                                       np.log(u, out=u))
+                del u  # before the next tile is drawn
+    del h2, jv2, errors  # the perturbed models are not needed for scoring
 
     energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
     meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
@@ -237,17 +239,25 @@ def brute_force(model: IsingModel) -> dict:
     return {"best_spins": best_s, "best_energy": best_e}
 
 
+def _chain_spins(spins, embedding_or_chains) -> tuple[np.ndarray, np.ndarray]:
+    """The spins gathered in chain order along the last axis, and where each chain starts;
+    ValueError unless every chain is nonempty and holds spin ids in 0..n-1."""
+    chains = getattr(embedding_or_chains, "chains", embedding_or_chains)
+    spins, sizes = np.asarray(spins), np.array([len(c) for c in chains])
+    ids = np.concatenate(chains)
+    if not sizes.all() or not 0 <= ids.min() <= ids.max() < spins.shape[-1]:
+        raise ValueError(f"chains must be nonempty and hold spin ids in 0..{spins.shape[-1] - 1}")
+    return spins[..., ids], np.cumsum(sizes) - sizes
+
+
 def detect_breaks(spins, embedding_or_chains) -> dict:
     """Flag broken chains (spins not all equal) and compute the chain-break fraction.
 
     `spins` is one read (n,), giving a list of flags and a float CBF, or a
     batch (reads, n), giving a (reads, chains) flag array and a CBF per read.
     """
-    chains = getattr(embedding_or_chains, "chains", embedding_or_chains)
-    spins = np.asarray(spins)
-    if spins.shape[-1] < 1 + max(p for c in chains for p in c):
-        raise ValueError("spin vector does not cover all physical ids in the chains")
-    flags = np.stack([np.any(spins[..., c] != spins[..., c[:1]], axis=-1) for c in chains], axis=-1)
+    spins, starts = _chain_spins(spins, embedding_or_chains)
+    flags = np.maximum.reduceat(spins, starts, -1) != np.minimum.reduceat(spins, starts, -1)
     if spins.ndim == 1:
         return {"broken": flags.tolist(), "cbf": float(flags.mean())}
     return {"broken": flags, "cbf": flags.mean(axis=-1)}
@@ -261,9 +271,8 @@ def resolve_chains(spins, embedding_or_chains, policy: str = "coin",
     Even splits resolve by a draw from `stream` (policy "coin") or to +1
     (policy "plus_one").
     """
-    chains = getattr(embedding_or_chains, "chains", embedding_or_chains)
-    spins = np.asarray(spins)
-    shape = spins.shape[:-1] + (len(chains),)
+    spins, starts = _chain_spins(spins, embedding_or_chains)
+    shape = spins.shape[:-1] + starts.shape
     if policy == "coin":
         if stream is None:
             raise ValueError("coin policy needs a random stream")
@@ -272,7 +281,7 @@ def resolve_chains(spins, embedding_or_chains, policy: str = "coin",
         coins = np.ones(shape, dtype=np.int8)
     else:
         raise ValueError(f"unknown tie policy {policy!r}")
-    maj = np.stack([np.sign(spins[..., c].sum(axis=-1, dtype=np.int64)) for c in chains], axis=-1)
+    maj = np.sign(np.add.reduceat(spins, starts, axis=-1, dtype=np.int64))
     return np.where(maj == 0, coins, maj.astype(np.int8))
 
 
@@ -334,8 +343,8 @@ def synthetic_hardware_run(
         spec = synth_chain_lengths(q.L, spec, seed)
     emb = build_embedded_ising(logical, spec, k)
     chains, model = emb.spin_chains(), emb.model
-    errors = control_errors(model, nm, substream(seed, "perturb"), (reads,))
-    physical = _anneal(model, reads, schedule, seed, backend, errors)
+    physical = _anneal(model, reads, schedule, seed, backend,
+                       control_errors(model, nm, substream(seed, "perturb"), (reads,)))
     physical.cbf = detect_breaks(physical.spins, chains)["cbf"]
     physical.metadata.update(chain_strength=k, noise=nm.to_dict(), lengths=[len(c) for c in chains])
 

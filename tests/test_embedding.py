@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from embednoise.embedding import (ChainLengthModel, Embedding, build_embedded_is
                                   chain_stats, fit_linear, synth_chain_lengths,
                                   validate_embedding)
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
-from embednoise.topology import build_zephyr
+from embednoise.topology import ZephyrCoordinate, build_zephyr
 
 
 def couplers(m):
@@ -186,13 +189,51 @@ class TestBuildEmbeddedIsing:
         ([[0], []], "chain 1 is empty"),
         ([[-1], [0]], "chain 0 holds a qubit id outside 0..11"),
         ([[0], [5000]], "chain 1 holds a qubit id outside 0..11"),
-    ], ids=["empty", "negative", "too-large"])
+        ([[0, 4], [4]], "chains share qubit 4"),
+        ([[0], [2]], r"logical edge \(0,1\) has no physical edge between chains"),
+    ], ids=["empty", "negative", "too-large", "overlap", "uncovered"])
     def test_bad_chain_rejected(self, chains, match):
-        # ids index the hardware's qubits: -1 used to wrap onto qubit 0 and
-        # 5000 to build a 5001-spin model on 12 qubits
-        logical = IsingModel(n=2, h=np.array([0.5, -0.5]))
+        # ids index the hardware's qubits: -1 used to wrap onto qubit 0, 5000
+        # to build a 5001-spin model on 12 qubits, and a shared qubit failed
+        # later as a duplicate coupler. Qubits 0 and 2 of Z(1,1) share no coupler
+        logical = IsingModel(n=2, h=np.array([0.5, -0.5]), J={(0, 1): 1.0})
         with pytest.raises(ValueError, match=match):
             build_embedded_ising(logical, Embedding(chains, build_zephyr(1, 1)), k=1.0)
+
+    @pytest.mark.parametrize("case, digests", [
+        ("path", ("91bcb4cd1a57cc4ddafa9951e946ccba70cf8c393e0be428c11b112816334c2a",
+                  "b182e725cda2875c22030d67fc205c1354b5db2874600f4ced50fc7864ea66b3",
+                  "96ff1892d99664ac934176924e06ac09fd4a6d32dd9f1e636e22ab5f4f73b278",
+                  "e59486d28e4d86876b0ca130901dde28f9b5e2e3ee5b13f9601d20b2a1443966",
+                  "4e65ac8d458dd80666c440a844d06990af66f9c941391d8c96b00475176e7592")),
+        ("hardware", ("24f7d3ccdbcbc22ef7faa1f5ab1144d67cd6d87d4b99c3edd8c5c56f91cab42a",
+                      "86aca6beeec458fcbec0ef437d2267da33c7bae98f6d446d5cd516c8e3e73c70",
+                      "f9d11f7c7325f9c5775ff1292235f4f85ec68990be55520feb5e3332b26449cb",
+                      "4a82fa59e14922075a48c9ac707cde3a7e16fff3c268706bc1d7c49244abec5d",
+                      "41259c90ba5110078bb80a1227f5c64e2051fc23a0bd4b582976187d6eb16242")),
+    ])
+    def test_build_is_pinned(self, case, digests):
+        # sha256 of h, ei, ej, jv and the sorted provenance items, recorded from the per-chain
+        # loop build. The hardware chains are Zephyr lines (u, w, k, j) of Z(2,4), one or two
+        # per chain; they join chain pairs by 1, 2 and 3 couplers, and J / 3 differs from
+        # J * (1 / 3) on this instance, so the division is pinned too
+        if case == "path":
+            logical = qubo_to_ising(generate_random_qubo(4, 1.0, seed=5))
+            emb = build_embedded_ising(logical, [1, 2, 3, 2], k=2.0)
+        else:
+            hw = build_zephyr(2, 4)
+            lines = [[(0, 2, 1, 1)], [(0, 2, 1, 0)], [(0, 1, 1, 0), (1, 1, 1, 0)],
+                     [(0, 1, 0, 0), (1, 1, 0, 0)]]
+            chains = [[hw.vertex_id(ZephyrCoordinate(*line, z)) for line in spec for z in (0, 1)]
+                      for spec in lines]
+            logical = qubo_to_ising(generate_random_qubo(4, 1.0, seed=0))
+            emb = build_embedded_ising(logical, Embedding(chains, hw), k=2.0)
+            shares = Counter(tag[1] for tag in emb.provenance.values() if tag[0] == "inter")
+            assert sorted(shares.values()) == [1, 1, 1, 1, 2, 3]
+        arrays = [emb.model.h, emb.model.ei, emb.model.ej, emb.model.jv]
+        got = [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+        got.append(hashlib.sha256(repr(sorted(emb.provenance.items())).encode()).hexdigest())
+        assert tuple(got) == digests
 
     def test_chain_count_mismatch(self):
         logical = IsingModel(n=3, h=np.zeros(3))

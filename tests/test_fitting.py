@@ -158,6 +158,28 @@ class TestFitNoiseParams:
         with pytest.raises(ValueError):
             fit_noise_params(obs, corr_strength=-1.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_multiset_mean_is_the_gathered_mean(self, seed):
+        # each point's prediction is summed one length at a time; it must be bit-identical to
+        # .mean(axis=2) of the gathered (sigma_h, sigma_c, lengths, kappa) table block
+        rng = np.random.default_rng(seed)
+        obs = [{"L": L, "lengths": rng.integers(1, 30, size=int(rng.integers(1, 120))).tolist(),
+                "cbf_obs": float(rng.uniform(0.0, 0.3))} for L in range(5, 35, 5)]
+        fr = fit_noise_params(obs)
+        sh, sc, kp = FitGrid().axes()
+        uniq, inverse = np.unique(np.concatenate([p["lengths"] for p in obs]).astype(np.float64),
+                                  return_inverse=True)
+        table = _cbp_table(sh, sc, uniq, kp)
+        ends = np.cumsum([len(p["lengths"]) for p in obs])
+        preds = np.stack([table[:, :, inverse[e - len(p["lengths"]):e], :].mean(axis=2)
+                          for p, e in zip(obs, ends)], axis=2)
+        resid = preds - np.array([p["cbf_obs"] for p in obs])[None, None, :, None]
+        total = np.einsum("abpk,abpk->abk", resid, resid)
+        ih, ic, ik = np.unravel_index(int(np.argmin(total)), total.shape)
+        assert (fr.sigma_h, fr.sigma_c, fr.kappa) == (sh[ih], sc[ic], kp[ik])
+        assert fr.sse == total[ih, ic, ik]
+        assert [row["cbf_pred"] for row in fr.per_L] == preds[ih, ic, :, ik].tolist()
+
     def test_ell_bar_path(self):
         m = CbpModel(noise=NoiseModel(0.06, 0.005), kappa=0.35)
         obs = [{"L": L, "ell_bar": 0.122 * L + 1.0,

@@ -357,6 +357,22 @@ class TestDetectBreaks:
             assert isinstance(one["cbf"], float) and one["cbf"] == out["cbf"][r]
 
 
+class TestChainInputs:
+    REDUCTIONS = [detect_breaks, lambda spins, chains: resolve_chains(spins, chains, "plus_one")]
+
+    @pytest.mark.parametrize("reduce", REDUCTIONS, ids=["detect_breaks", "resolve_chains"])
+    def test_negative_id_rejected(self, reduce):
+        # id -1 used to read the last spin
+        with pytest.raises(ValueError, match="nonempty and hold spin ids in 0..3"):
+            reduce(np.array([1, -1, 1, 1]), [[0, -1], [1, 2]])
+
+    @pytest.mark.parametrize("reduce", REDUCTIONS, ids=["detect_breaks", "resolve_chains"])
+    def test_empty_chain_rejected(self, reduce):
+        # an empty chain used to count as unbroken (CBF 0.5 here) and to resolve to the tie value
+        with pytest.raises(ValueError, match="nonempty"):
+            reduce(np.array([1, -1]), [[0, 1], []])
+
+
 class TestResolveChains:
     def test_unbroken_chain(self):
         assert resolve_chains(np.array([-1, -1, -1]), [[0, 1, 2]], policy="plus_one")[0] == -1
@@ -559,6 +575,23 @@ class TestSyntheticHardwareRun:
         for r in range(phys.num_reads):
             assert phys.energies[r] == pytest.approx(ising_energy(model.model, phys.spins[r]),
                                                      abs=1e-9)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_traced_peak_memory(self):
+        # the synthetic benchmark's batch: 480 spins, 2,190 couplers, 40 reads. It holds one
+        # 1 MB tile of log-uniforms and one 0.85 MB set of perturbed coefficients at a time (2.5
+        # MB in all), so a tile kept while the next is drawn, or a perturbed copy of the control
+        # errors beside them, passes 3 MB
+        args = (generate_random_qubo(60, 1.0, seed=0), ChainLengthModel(slope=0.122), 2.0,
+                NoiseModel(0.06, 0.005))
+        synthetic_hardware_run(*args, reads=40, seed=0, backend="c")  # load the kernel
+        tracemalloc.start()
+        try:
+            synthetic_hardware_run(*args, reads=40, seed=0, backend="c")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_cbf_increases_with_noise(self):
         q = generate_random_qubo(8, 1.0, seed=7)
