@@ -55,6 +55,8 @@ DEFAULTS = {
 
 def _sweep_values(spec) -> list:
     if isinstance(spec, dict):
+        if spec["step"] <= 0:
+            raise ValueError(f"sweep step must be > 0, got {spec['step']}")
         vals = []
         x = spec["start"]
         while x <= spec["stop"] + 1e-9:

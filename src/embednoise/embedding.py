@@ -10,7 +10,9 @@ chains lower the energy by k per intra-chain edge).
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +74,8 @@ class EmbeddedIsing:
 
     def _chain_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """The chains of each coupler's two spins; spin s is the s-th smallest chain qubit."""
-        chains = self.embedding.chains
-        label = np.repeat(np.arange(len(chains)), [len(c) for c in chains])
-        label = label[np.argsort(np.concatenate(chains))]
+        members, label = _labels(self.embedding.chains)
+        label = label[np.argsort(members)]
         return label[self.model.ei], label[self.model.ej]
 
     @property
@@ -92,13 +93,9 @@ class EmbeddedIsing:
     def to_dict(self) -> dict:
         prov = [[p, q, list(tag[1]) if tag[0] == "inter" else tag[1], tag[0]]
                 for (p, q), tag in sorted(self.provenance.items())]
-        return {
-            "model": self.model.to_dict(),
-            "chain_strength": self.chain_strength,
-            "provenance": prov,
-            "embedding": self.embedding.to_dict(),
-            "qubits": self.qubits.tolist(),
-        }
+        return {"model": self.model.to_dict(), "chain_strength": self.chain_strength,
+                "provenance": prov, "embedding": self.embedding.to_dict(),
+                "qubits": self.qubits.tolist()}
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict())
@@ -116,75 +113,51 @@ def synth_chain_lengths(L: int, model: ChainLengthModel, seed: int) -> np.ndarra
     return np.maximum(lengths, 1)
 
 
-def build_embedded_ising(
-    logical: IsingModel,
-    chains_or_lengths,
-    k: float,
-    topology: ZephyrGraph | None = None,
-) -> EmbeddedIsing:
+def build_embedded_ising(logical: IsingModel, chains_or_lengths, k: float) -> EmbeddedIsing:
     """Build the physical Hamiltonian for an embedding of `logical`.
 
-    `chains_or_lengths` is an Embedding with a hardware graph (its own or
-    `topology`), or a sequence of chain lengths, which become path chains
-    over fresh physical ids, with every logical edge realized by a single
-    physical edge between the lowest-index qubits of the two chains. The
-    model has one spin per qubit the chains use, so a qubit outside every
-    chain is not swept or perturbed.
+    `chains_or_lengths` is an Embedding with a hardware graph, or a
+    sequence of chain lengths, which become path chains over fresh
+    physical ids, with every logical edge realized by a single physical
+    edge between the lowest-index qubits of the two chains. An Embedding
+    must pass `validate_embedding` for the model's edges; the first
+    violation is raised as a ValueError. The model has one spin per qubit
+    the chains use, so a qubit outside every chain is not swept or
+    perturbed.
     """
     if k <= 0:
         raise ValueError("chain strength k must be > 0")
-
     if isinstance(chains_or_lengths, Embedding):
         emb = chains_or_lengths
         if emb.hardware is None:
-            if topology is None:
-                raise ValueError("an Embedding needs a hardware graph; lengths mean path chains")
-            emb = Embedding(emb.chains, topology)
-        count = len(emb.hardware.vertices)
-        for i, chain in enumerate(emb.chains):
-            if not chain:
-                raise ValueError(f"chain {i} is empty")
-            if not all(0 <= p < count for p in chain):
-                raise ValueError(f"chain {i} holds a qubit id outside 0..{count - 1}")
+            raise ValueError("an Embedding needs a hardware graph; lengths mean path chains")
     else:
         lengths = [int(v) for v in chains_or_lengths]
         if any(v < 1 for v in lengths):
             raise ValueError("chain lengths must be >= 1")
         ends = np.cumsum(lengths).tolist()
         emb = Embedding([list(range(e - ell, e)) for ell, e in zip(lengths, ends)])
-
     if len(emb.chains) != logical.n:
         raise ValueError(f"embedding has {len(emb.chains)} chains for {logical.n} logical spins")
 
-    sizes = np.array([len(c) for c in emb.chains])
-    members = np.concatenate(emb.chains)
-    qubits, spin, uses = np.unique(members, return_inverse=True, return_counts=True)
-    if uses.max() > 1:
-        raise ValueError(f"chains share qubit {qubits[np.argmax(uses > 1)]}")
-    h = np.zeros(len(qubits))
-    np.add.at(h, spin, np.repeat(logical.h, sizes) / np.repeat(sizes, sizes))
-
-    chain_of = np.full(members.size if emb.hardware is None else len(emb.hardware.vertices), -1)
-    chain_of[members] = np.repeat(np.arange(logical.n), sizes)
-    if emb.hardware is None:  # path steps inside each chain, then chain heads per logical edge
-        steps = np.stack([members[:-1], members[1:]], axis=1)[chain_of[:-1] == chain_of[1:]]
+    members, label = _labels(emb.chains)
+    sizes = np.bincount(label, minlength=logical.n)
+    if emb.hardware is None:  # path steps inside each chain, one head pair per logical edge
+        steps = np.stack([members[:-1], members[1:]], axis=1)[label[:-1] == label[1:]]
         heads = members[np.cumsum(sizes) - sizes]
-        edges = np.concatenate([steps, np.stack([heads[logical.ei], heads[logical.ej]], axis=1)])
+        inter, shares = np.stack([heads[logical.ei], heads[logical.ej]], axis=1), logical.jv
     else:
-        edges = np.array([edge[:2] for edge in emb.hardware.edges], dtype=np.int64).reshape(-1, 2)
-        edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
-    ca, cb = chain_of[edges].T  # -1 marks a qubit outside every chain
-    keys = logical.ei * logical.n + logical.ej  # ascending, as the model's couplers are sorted
-    pair = np.minimum(ca, cb) * logical.n + np.maximum(ca, cb)  # negative off the chains
-    intra, inter = (ca >= 0) & (ca == cb), np.isin(pair, keys)
-    e = np.searchsorted(keys, pair[inter])  # the logical edge each inter-chain coupler carries
-    count = np.bincount(e, minlength=len(keys))
-    if not count.all():
-        i, j = logical.ei[np.argmin(count)], logical.ej[np.argmin(count)]
-        raise ValueError(f"logical edge ({i},{j}) has no physical edge between chains")
+        faults, steps, inter, edge, count = _check(emb.chains, emb.hardware, logical.ei, logical.ej)
+        if faults:
+            last = len(emb.hardware.vertices) - 1
+            raise ValueError(_MESSAGES[faults[0]["kind"]].format(last=last, **faults[0]))
+        shares = logical.jv[edge] / count[edge]  # the model's couplers are sorted and unique
 
-    pairs = np.searchsorted(qubits, np.concatenate([edges[intra], edges[inter]]))
-    values = np.concatenate([np.full(np.count_nonzero(intra), -k), logical.jv[e] / count[e]])
+    qubits, spin = np.unique(members, return_inverse=True)
+    h = np.zeros(len(qubits))
+    np.add.at(h, spin, logical.h[label] / sizes[label])
+    pairs = np.searchsorted(qubits, np.concatenate([steps, inter]))
+    values = np.concatenate([np.full(len(steps), -k), shares])
     model = IsingModel(len(h), h, (pairs[:, 0], pairs[:, 1], values), logical.offset)
     return EmbeddedIsing(model=model, chain_strength=k, embedding=emb, qubits=qubits)
 
@@ -198,48 +171,89 @@ class ValidationReport:
         return not self.violations
 
 
+_MESSAGES = {
+    "empty_chain": "chain {chain} is empty",
+    "unknown_qubit": "chain {chain} holds a qubit id outside 0..{last}",
+    "disjointness": "chains share qubit {qubit}",
+    "connectivity": "chain {chain} is not connected",
+    "edge_coverage": "logical edge ({edge[0]},{edge[1]}) has no physical edge between chains",
+}
+
+
+def _labels(chains) -> tuple[np.ndarray, np.ndarray]:
+    """Every chain member, chain after chain, and the chain each belongs to."""
+    sizes = [len(c) for c in chains]
+    members = np.fromiter(itertools.chain.from_iterable(chains), np.int64, sum(sizes))
+    return members, np.repeat(np.arange(len(chains)), sizes)
+
+
+def _check(chains, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tuple:
+    """Decide in one array pass whether `chains` embed the logical edges
+    (ei[t], ej[t]) in `hardware`.
+
+    Chains must be nonempty, name ids in 0..len(hardware.vertices)-1, be
+    disjoint and connected, and every logical edge needs a coupler
+    between its two chains. A chain holding an unknown id is not checked
+    for connectivity, and an unknown id is in no chain for the rest.
+    Returns the violations, the hardware couplers inside one chain and
+    those between the chains of a logical edge, as (min, max) rows, the
+    rank of each one's logical edge among the unique logical edges, and
+    the couplers per unique logical edge.
+    """
+    n, size = len(chains), len(hardware.vertices)
+    i, j = np.minimum(ei, ej), np.maximum(ei, ej)
+    if np.any((i == j) | (i < 0) | (j >= n)):
+        raise ValueError(f"logical edges must join two distinct chains in 0..{n - 1}")
+    members, label = _labels(chains)
+    sizes, inside = np.bincount(label, minlength=n), (members >= 0) & (members < size)
+    faults = [{"kind": "empty_chain", "chain": c} for c in np.flatnonzero(sizes == 0).tolist()]
+    faults += [{"kind": "unknown_qubit", "chain": c, "qubit": p}
+               for c, p in zip(label[~inside].tolist(), members[~inside].tolist())]
+    violations = sorted(faults, key=lambda v: v["chain"])
+    ids, owner = members[inside], label[inside]
+    order = np.argsort(ids, kind="stable")  # repeats of an id stay in chain order
+    rep = np.flatnonzero(np.diff(ids[order]) == 0) + 1
+    violations += [{"kind": "disjointness", "qubit": int(ids[a]),
+                    "chains": [int(owner[b]), int(owner[a])]}
+                   for a, b in sorted(zip(order[rep].tolist(), order[rep - 1].tolist()))]
+
+    chain_of = np.full(size, -1)
+    chain_of[ids] = owner
+    edges = np.array([e[:2] for e in hardware.edges], dtype=np.int64).reshape(-1, 2)
+    edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+    ca, cb = chain_of[edges].T  # -1 marks a qubit outside every chain
+    intra = (ca >= 0) & (ca == cb)
+    a, b = edges[intra].T  # label propagation: each qubit ends on its component's least id
+    comp = np.arange(size)
+    while np.any(comp[a] != comp[b]):
+        np.minimum.at(comp, a, comp[b])
+        np.minimum.at(comp, b, comp[a])
+    checked = (sizes > 0) & (np.bincount(label[~inside], minlength=n) == 0)
+    at = comp[np.where(inside, members, 0)]
+    far = checked[label] & (at != at[np.repeat(np.cumsum(sizes) - sizes, sizes)])
+    violations += [{"kind": "connectivity", "chain": c,
+                    "unreached": np.unique(members[far & (label == c)]).tolist()}
+                   for c in np.unique(label[far]).tolist()]
+
+    unique, which = np.unique(i * n + j, return_inverse=True)
+    pair = np.minimum(ca, cb) * n + np.maximum(ca, cb)  # negative off the chains
+    inter = np.isin(pair, unique)
+    edge = np.searchsorted(unique, pair[inter])
+    count = np.bincount(edge, minlength=len(unique))
+    violations += [{"kind": "edge_coverage", "edge": [int(ei[t]), int(ej[t])]}
+                   for t in np.flatnonzero(count[which] == 0).tolist()]
+    return violations, edges[intra], edges[inter], edge, count
+
+
 def validate_embedding(e: Embedding, hardware: ZephyrGraph, logical_edges) -> ValidationReport:
     """Check qubit ids, disjointness, connectivity and logical-edge coverage.
 
     Violations are reported as data; an empty report means the embedding
-    is valid.
+    is valid. A logical edge (i, j) needs 0 <= i, j < len(e.chains) and
+    i != j, else ValueError.
     """
-    violations: list[dict] = []
-    seen: dict[int, int] = {}
-    adj = hardware.adjacency()
-    for i, chain in enumerate(e.chains):
-        if not chain:
-            violations.append({"kind": "empty_chain", "chain": i})
-        for p in chain:
-            if not 0 <= p < len(adj):
-                violations.append({"kind": "unknown_qubit", "chain": i, "qubit": p})
-            if p in seen:
-                violations.append({"kind": "disjointness", "qubit": p,
-                                   "chains": [seen[p], i]})
-            seen[p] = i
-
-    for i, chain in enumerate(e.chains):
-        if not chain or not all(0 <= p < len(adj) for p in chain):
-            continue  # reported above
-        members = set(chain)
-        stack, reached = [chain[0]], {chain[0]}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in members and w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if reached != members:
-            violations.append({"kind": "connectivity", "chain": i,
-                               "unreached": sorted(members - reached)})
-
-    hw = {(min(a, b), max(a, b)) for a, b, _ in hardware.edges}
-    for (i, j) in logical_edges:
-        covered = any((min(p, q), max(p, q)) in hw
-                      for p in e.chains[i] for q in e.chains[j])
-        if not covered:
-            violations.append({"kind": "edge_coverage", "edge": [i, j]})
-    return ValidationReport(violations)
+    edges = np.array(list(logical_edges), dtype=np.int64).reshape(-1, 2)
+    return ValidationReport(_check(e.chains, hardware, *edges.T)[0])
 
 
 def chain_stats(e_or_lengths) -> dict:
@@ -247,15 +261,8 @@ def chain_stats(e_or_lengths) -> dict:
     lengths = e_or_lengths.lengths() if isinstance(e_or_lengths, Embedding) else list(e_or_lengths)
     if len(lengths) == 0:
         raise ValueError("no chains")
-    hist: dict[int, int] = {}
-    for v in lengths:
-        hist[int(v)] = hist.get(int(v), 0) + 1
-    return {
-        "mean": float(np.mean(lengths)),
-        "min": int(np.min(lengths)),
-        "max": int(np.max(lengths)),
-        "histogram": hist,
-    }
+    return {"mean": float(np.mean(lengths)), "min": int(np.min(lengths)),
+            "max": int(np.max(lengths)), "histogram": dict(Counter(int(v) for v in lengths))}
 
 
 def fit_linear(xs, ys) -> dict:

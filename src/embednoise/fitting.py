@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,13 +64,7 @@ class FitResult:
     per_L: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "sigma_h": self.sigma_h,
-            "sigma_c": self.sigma_c,
-            "kappa": self.kappa,
-            "sse": self.sse,
-            "per_L": self.per_L,
-        }
+        return asdict(self)
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict())

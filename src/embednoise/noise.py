@@ -14,7 +14,7 @@ single extra Gaussian per chain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,12 +33,7 @@ class NoiseModel:
             raise ValueError("noise widths must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "sigma_h": self.sigma_h,
-            "sigma_c": self.sigma_c,
-            "corr_strength": self.corr_strength,
-            "corr_exponent": self.corr_exponent,
-        }
+        return asdict(self)
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict())

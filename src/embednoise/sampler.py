@@ -80,9 +80,10 @@ class AnnealSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if self.beta_min is not None and self.beta_max is not None:
-            if not (0 < self.beta_min < self.beta_max):
-                raise ValueError("need 0 < beta_min < beta_max")
+        if any(b is not None and b <= 0 for b in (self.beta_min, self.beta_max)):
+            raise ValueError("beta_min and beta_max must be > 0")
+        if None not in (self.beta_min, self.beta_max) and self.beta_min >= self.beta_max:
+            raise ValueError("need 0 < beta_min < beta_max")
 
     def describe(self) -> str:
         return f"{self.kind}[{self.beta_min},{self.beta_max}]x{self.sweeps}"
@@ -101,6 +102,8 @@ def schedule_betas(schedule: AnnealSchedule, h: np.ndarray, abs_coupling: np.nda
         auto_min, auto_max = _auto_endpoints(h, abs_coupling)
         bmin = auto_min if bmin is None else bmin
         bmax = auto_max if bmax is None else bmax
+        if not 0 < bmin < bmax:
+            raise ValueError(f"need 0 < beta_min < beta_max, got {bmin:g}, {bmax:g} (one auto)")
     s = schedule.sweeps
     if s == 1:
         return np.array([bmax])

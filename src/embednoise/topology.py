@@ -31,6 +31,7 @@ The exact maximum degree is:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -160,11 +161,5 @@ def build_zephyr(m: int, t: int) -> ZephyrGraph:
 
 def degree_histogram(g: ZephyrGraph) -> dict[int, int]:
     """Map degree -> number of vertices with that degree."""
-    deg = [0] * len(g.vertices)
-    for a, b, _ in g.edges:
-        deg[a] += 1
-        deg[b] += 1
-    hist: dict[int, int] = {}
-    for d in deg:
-        hist[d] = hist.get(d, 0) + 1
-    return hist
+    deg = Counter(v for a, b, _ in g.edges for v in (a, b))
+    return dict(Counter(deg[v] for v in range(len(g.vertices))))

@@ -351,6 +351,20 @@ class TestConfigPrecedence:
         assert not (tmp_path / "chainlen.csv").exists()
 
 
+class TestSweepValues:
+    @pytest.mark.parametrize("step", [0, -0.5])
+    def test_nonpositive_step_rejected(self, step):
+        # both used to loop forever
+        with pytest.raises(ValueError, match="sweep step must be > 0"):
+            cli._sweep_values({"start": 0.1, "stop": 1.0, "step": step})
+
+    def test_zero_step_config_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"k_values": {"step": 0}})
+        assert main(["heatmap", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "sweep step must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "heatmap.csv").exists()
+
+
 def test_import_leaves_scipy_unloaded(tmp_path):
     # the package runs on numpy alone: neither the import nor a cbf-curve + fit loads scipy
     src = str(Path(embednoise.__file__).resolve().parents[1])

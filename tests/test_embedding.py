@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embednoise.embedding import (ChainLengthModel, Embedding, build_embedded_ising,
                                   chain_stats, fit_linear, synth_chain_lengths,
@@ -20,6 +23,30 @@ def hardware_couplers(emb):
     """The embedded model's couplers as {(p, q): J_pq}, named by hardware qubit id."""
     q = emb.qubits.tolist()
     return {(q[i], q[j]): v for (i, j), v in couplers(emb.model).items()}
+
+
+SMALL_ZEPHYRS = (build_zephyr(1, 2), build_zephyr(2, 2))
+
+
+@st.composite
+def chain_sets(draw):
+    """Up to four chains of up to five ids, each id a hardware neighbour of the
+    one before it three times in four, else any id in -1..size; plus a set of
+    logical edges between the chains."""
+    hw = draw(st.sampled_from(SMALL_ZEPHYRS))
+    adj, ids = hw.adjacency(), st.integers(-1, len(hw.vertices))
+    chains = []
+    for _ in range(draw(st.integers(1, 4))):
+        chain = []
+        for _ in range(draw(st.integers(0, 5))):
+            if chain and 0 <= chain[-1] < len(adj) and draw(st.integers(0, 3)):
+                chain.append(draw(st.sampled_from(adj[chain[-1]])))
+            else:
+                chain.append(draw(ids))
+        chains.append(chain)
+    pairs = list(itertools.combinations(range(len(chains)), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return hw, chains, edges
 
 
 def enumerate_spins(n):
@@ -174,28 +201,19 @@ class TestBuildEmbeddedIsing:
         with pytest.raises(ValueError, match="hardware"):
             build_embedded_ising(logical, bare, k=1.0)
 
-    def test_topology_supplies_missing_hardware(self):
-        hw = build_zephyr(2, 2)
-        adj = hw.adjacency()
-        a, b, _ = hw.edges[0]
-        chain_a = [a, next(v for v in adj[a] if v != b)]
-        logical = IsingModel(n=2, h=np.zeros(2), J={(0, 1): 1.0})
-        emb = build_embedded_ising(logical, Embedding([chain_a, [b]]), k=1.0,
-                                   topology=hw)
-        hw_pairs = {(min(x, y), max(x, y)) for x, y, _ in hw.edges}
-        assert emb.embedding.hardware is hw and set(hardware_couplers(emb)) <= hw_pairs
-
     @pytest.mark.parametrize("chains, match", [
         ([[0], []], "chain 1 is empty"),
         ([[-1], [0]], "chain 0 holds a qubit id outside 0..11"),
         ([[0], [5000]], "chain 1 holds a qubit id outside 0..11"),
         ([[0, 4], [4]], "chains share qubit 4"),
         ([[0], [2]], r"logical edge \(0,1\) has no physical edge between chains"),
-    ], ids=["empty", "negative", "too-large", "overlap", "uncovered"])
+        ([[0, 2], [1]], "chain 0 is not connected"),
+    ], ids=["empty", "negative", "too-large", "overlap", "uncovered", "disconnected"])
     def test_bad_chain_rejected(self, chains, match):
         # ids index the hardware's qubits: -1 used to wrap onto qubit 0, 5000
         # to build a 5001-spin model on 12 qubits, and a shared qubit failed
-        # later as a duplicate coupler. Qubits 0 and 2 of Z(1,1) share no coupler
+        # later as a duplicate coupler. Qubits 0 and 2 of Z(1,1) share no coupler,
+        # so chain [0, 2] used to build as two parts with no -k between them
         logical = IsingModel(n=2, h=np.array([0.5, -0.5]), J={(0, 1): 1.0})
         with pytest.raises(ValueError, match=match):
             build_embedded_ising(logical, Embedding(chains, build_zephyr(1, 1)), k=1.0)
@@ -234,6 +252,20 @@ class TestBuildEmbeddedIsing:
         got = [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
         got.append(hashlib.sha256(repr(sorted(emb.provenance.items())).encode()).hexdigest())
         assert tuple(got) == digests
+
+    @settings(deadline=None, max_examples=300)
+    @given(chain_sets())
+    def test_build_raises_iff_report_not_ok(self, case):
+        hw, chains, edges = case
+        logical = IsingModel(len(chains), np.zeros(len(chains)), {e: 1.0 for e in edges})
+        report = validate_embedding(Embedding(chains), hw,
+                                    zip(logical.ei.tolist(), logical.ej.tolist()))
+        try:
+            build_embedded_ising(logical, Embedding(chains, hw), k=1.0)
+        except ValueError:
+            assert not report.ok
+        else:
+            assert report.ok
 
     def test_chain_count_mismatch(self):
         logical = IsingModel(n=3, h=np.zeros(3))
@@ -278,6 +310,13 @@ class TestValidateEmbedding:
     def test_unknown_qubit(self, chains, chain, qubit):
         report = validate_embedding(Embedding(chains), build_zephyr(1, 1), [])
         assert report.violations == [{"kind": "unknown_qubit", "chain": chain, "qubit": qubit}]
+
+    @pytest.mark.parametrize("edge", [(-1, 0), (0, 2), (1, 1)])
+    def test_bad_logical_edge_rejected(self, edge):
+        # (-1, 0) used to wrap onto the last chain and (0, 2) to raise a bare IndexError
+        a, b, _ = self.hw.edges[0]
+        with pytest.raises(ValueError, match="logical edges must join two distinct chains"):
+            validate_embedding(Embedding([[a], [b]]), self.hw, [edge])
 
 
 class TestChainStats:

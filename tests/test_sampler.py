@@ -46,6 +46,23 @@ class TestAnnealSchedule:
         with pytest.raises(ValueError):
             AnnealSchedule(sweeps=0)
 
+    @pytest.mark.parametrize("endpoints", [
+        {"beta_min": -1.0}, {"beta_max": 0.0}, {"beta_min": 0.0, "beta_max": 1.0}])
+    def test_nonpositive_beta_rejected(self, endpoints):
+        # beta_min=-1.0 used to start the anneal at beta = -1
+        with pytest.raises(ValueError, match="must be > 0"):
+            AnnealSchedule(**endpoints)
+
+    def test_one_set_endpoint_must_order_with_the_derived_one(self):
+        # unit fields derive beta_min = log(2)/2 = 0.35 and beta_max = log(1e4)/2 = 4.6;
+        # beta_min=5.0 used to give a schedule that heats up
+        h, c = np.ones(4), np.zeros(4)
+        for s in (AnnealSchedule(beta_min=5.0), AnnealSchedule(beta_max=0.3)):
+            with pytest.raises(ValueError, match="need 0 < beta_min < beta_max"):
+                schedule_betas(s, h, c)
+        betas = schedule_betas(AnnealSchedule(beta_min=1.0), h, c)
+        assert betas[0] == pytest.approx(1.0) and betas[-1] == pytest.approx(math.log(1e4) / 2)
+
 
 class TestBruteForce:
     def test_two_field_spins(self):
