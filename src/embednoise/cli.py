@@ -54,16 +54,13 @@ DEFAULTS = {
 
 
 def _sweep_values(spec) -> list:
-    if isinstance(spec, dict):
-        if spec["step"] <= 0:
-            raise ValueError(f"sweep step must be > 0, got {spec['step']}")
-        vals = []
-        x = spec["start"]
-        while x <= spec["stop"] + 1e-9:
-            vals.append(round(x, 10))
-            x += spec["step"]
-        return vals
-    return list(spec)
+    """A list sweep as given, or start..stop by step through GridRange, rounded to 10 digits."""
+    if not isinstance(spec, dict):
+        return list(spec)
+    if spec["step"] <= 0:
+        raise ValueError(f"sweep step must be > 0, got {spec['step']}")
+    values = GridRange(spec["start"], spec["stop"], spec["step"]).values()
+    return [round(x, 10) for x in values.tolist()]
 
 
 def _merge(base: dict, override: dict, where: str = "") -> None:
@@ -96,20 +93,6 @@ def _out_dir(cfg) -> Path:
     return path
 
 
-def _noise(cfg) -> NoiseModel:
-    return NoiseModel(**cfg["noise"])
-
-
-def _chain_model(cfg) -> ChainLengthModel:
-    return ChainLengthModel(**cfg["chain_length"])
-
-
-def _grid(cfg) -> FitGrid:
-    if not cfg["grid"]:
-        return FitGrid()
-    return FitGrid(**{f"{axis}_range": GridRange(**r) for axis, r in cfg["grid"].items()})
-
-
 def _write(path: Path, text: str):
     path.write_text(text)
     print(f"wrote {path}")
@@ -120,7 +103,7 @@ def _point_seed(seed: int, tag: str, value) -> int:
 
 
 def cmd_chainlen(cfg) -> int:
-    model = _chain_model(cfg)
+    model = ChainLengthModel(**cfg["chain_length"])
     Ls = [int(v) for v in _sweep_values(cfg["L_sweep"])]
     means = [float(np.mean(synth_chain_lengths(L, model, cfg["seed"]))) for L in Ls]
     lines = ["L,mean_chain_len"]
@@ -133,23 +116,17 @@ def cmd_chainlen(cfg) -> int:
     return 0
 
 
-def _curve_points(cfg):
-    model = _chain_model(cfg)
-    nm = _noise(cfg)
+def cmd_cbf_curve(cfg) -> int:
+    model, nm = ChainLengthModel(**cfg["chain_length"]), NoiseModel(**cfg["noise"])
     k, eta = cfg["k"], cfg["eta"]
     cbp_model = CbpModel(noise=nm, kappa=eta * k, eta=eta)
+    lines = ["L,cbf_obs,cbf_pred"]
+    lengths_map = {}
     for L in (int(v) for v in _sweep_values(cfg["L_sweep"])):
         lengths = synth_chain_lengths(L, model, cfg["seed"])
         obs = float(np.mean(margin_model_run(
             lengths, k, eta, nm, cfg["reads"], _point_seed(cfg["seed"], "cbf-curve", L))))
-        yield L, lengths, obs, cbf_predict(lengths, cbp_model)
-
-
-def cmd_cbf_curve(cfg) -> int:
-    lines = ["L,cbf_obs,cbf_pred"]
-    lengths_map = {}
-    for L, lengths, obs, pred in _curve_points(cfg):
-        lines.append(f"{L},{obs:.12g},{pred:.12g}")
+        lines.append(f"{L},{obs:.12g},{cbf_predict(lengths, cbp_model):.12g}")
         lengths_map[L] = [int(v) for v in lengths]
     out = _out_dir(cfg)
     _write(out / "cbf_curve.csv", "\n".join(lines) + "\n")
@@ -162,7 +139,8 @@ def cmd_fit(cfg, observations_path: str, lengths_path: str | None) -> int:
     if lengths_path:
         lengths_by_L = read_lengths_json(Path(lengths_path).read_text())
     obs = read_observations_csv(Path(observations_path).read_text(), lengths_by_L)
-    fr = fit_noise_params(obs, _grid(cfg),
+    grid = FitGrid(**{f"{axis}_range": GridRange(**r) for axis, r in (cfg["grid"] or {}).items()})
+    fr = fit_noise_params(obs, grid,
                           corr_strength=cfg["noise"]["corr_strength"],
                           corr_exponent=cfg["noise"]["corr_exponent"])
     out = _out_dir(cfg)
@@ -198,7 +176,7 @@ def _kstar_of_draws(mags: np.ndarray, tau: float, eta: float) -> float:
 
 
 def cmd_kstar(cfg, empirical: bool = False) -> int:
-    nm = _noise(cfg)
+    nm = NoiseModel(**cfg["noise"])
     eta = cfg["eta"]
     ells = [int(v) for v in _sweep_values(cfg["ell_sweep"])]
     if empirical:  # one draw per length, seeded by the length alone, read at every tau
@@ -214,8 +192,7 @@ def cmd_kstar(cfg, empirical: bool = False) -> int:
             ks = [critical_chain_strength(ell, nm, tau, eta) for ell in ells]
         lines += [f"{ell},{k:.12g},{tau:.12g}" for ell, k in zip(ells, ks)]
         pf = power_law_fit(ells, ks)
-        fits[str(tau)] = {"exponent": pf.exponent, "prefactor": pf.prefactor,
-                          "r_squared": pf.r_squared}
+        fits[str(tau)] = asdict(pf)
         print(f"tau={tau}: exponent={pf.exponent:.4f} prefactor={pf.prefactor:.4f}")
     out = _out_dir(cfg)
     _write(out / "kstar.csv", "\n".join(lines) + "\n")
@@ -224,12 +201,11 @@ def cmd_kstar(cfg, empirical: bool = False) -> int:
 
 
 def cmd_heatmap(cfg) -> int:
-    nm = _noise(cfg)
-    model = _chain_model(cfg)
+    nm, model = NoiseModel(**cfg["noise"]), ChainLengthModel(**cfg["chain_length"])
     eta, tau = cfg["eta"], cfg["contour_tau"]
     Ls = [int(v) for v in _sweep_values(cfg["L_sweep"])]
     ks = [float(v) for v in _sweep_values(cfg["k_values"])]
-    if any(k <= 0 for k in ks) or not (0.0 < eta <= 1.0):
+    if any(not k > 0 for k in ks) or not (0.0 < eta <= 1.0):
         raise ValueError("heatmap needs every chain strength k > 0 and eta in (0, 1]")
     lines = ["L,k,cbf_mean"]
     contour = ["L,k_star_empirical"]
@@ -255,27 +231,20 @@ def cmd_heatmap(cfg) -> int:
 
 
 def cmd_bench(cfg) -> int:
-    nm = _noise(cfg)
-    model = _chain_model(cfg)
-    schedule = AnnealSchedule(sweeps=cfg["sweeps"])
+    nm, model = NoiseModel(**cfg["noise"]), ChainLengthModel(**cfg["chain_length"])
+    schedule, reads, seed = AnnealSchedule(sweeps=cfg["sweeps"]), cfg["reads"], cfg["seed"]
     lines = ["L,solver,E_min,seconds"]
     for L in cfg["bench_L"]:
-        q = generate_random_qubo(L, cfg["density"], cfg["seed"])
+        q = generate_random_qubo(L, cfg["density"], seed)
         ising = qubo_to_ising(q)
-
-        t0 = time.perf_counter()
-        oracle = brute_force(ising)
-        lines.append(f"{L},brute_force,{oracle['best_energy']:.12g},{time.perf_counter() - t0:.6g}")
-
-        t0 = time.perf_counter()
-        ss = simulated_anneal(ising, cfg["reads"], schedule, seed=cfg["seed"])
-        lines.append(f"{L},sa,{float(ss.energies.min()):.12g},{time.perf_counter() - t0:.6g}")
-
-        t0 = time.perf_counter()
-        _, resolved = synthetic_hardware_run(q, model, cfg["bench_k"], nm,
-                                             schedule, cfg["reads"], cfg["seed"])
-        lines.append(f"{L},synthetic,{float(resolved.energies.min()):.12g},"
-                     f"{time.perf_counter() - t0:.6g}")
+        for solver, e_min in (
+                ("brute_force", lambda: brute_force(ising)["best_energy"]),
+                ("sa", lambda: simulated_anneal(ising, reads, schedule, seed=seed).energies.min()),
+                ("synthetic", lambda: synthetic_hardware_run(
+                    q, model, cfg["bench_k"], nm, schedule, reads, seed)[1].energies.min())):
+            t0 = time.perf_counter()
+            e = float(e_min())
+            lines.append(f"{L},{solver},{e:.12g},{time.perf_counter() - t0:.6g}")
     out = _out_dir(cfg)
     _write(out / "bench.csv", "\n".join(lines) + "\n")
     return 0
@@ -304,57 +273,47 @@ def cmd_repro(cfg) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; each sets `run(cfg, args)`, which looks its
+    cmd_* up by module-global name when called."""
     parser = argparse.ArgumentParser(
         prog="embednoise",
         description="Chain-break simulation and calibration experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, run):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUT_ENV} or cwd)")
         p.add_argument("--reads", type=int, default=None)
+        p.set_defaults(run=run)
         return p
 
-    common(sub.add_parser("chainlen", help="chain-length vs L curve and linear fit"))
-    common(sub.add_parser("cbf-curve", help="observed vs predicted CBF per L"))
-    p = common(sub.add_parser("fit", help="grid-search noise calibration"))
+    command("chainlen", "chain-length vs L curve and linear fit",
+            lambda cfg, a: cmd_chainlen(cfg))
+    command("cbf-curve", "observed vs predicted CBF per L", lambda cfg, a: cmd_cbf_curve(cfg))
+    p = command("fit", "grid-search noise calibration",
+                lambda cfg, a: cmd_fit(cfg, a.observations, a.lengths))
     p.add_argument("observations", help="CSV with header L,cbf_obs")
     p.add_argument("--lengths", default=None, help="JSON {L: [chain lengths]}")
-    p = common(sub.add_parser("kstar", help="critical chain strength sweep"))
+    p = command("kstar", "critical chain strength sweep",
+                lambda cfg, a: cmd_kstar(cfg, empirical=a.empirical))
     p.add_argument("--empirical", action="store_true",
                    help="order statistic of margin-model draws instead of the closed form")
-    common(sub.add_parser("heatmap", help="mean CBF over the (L, k) plane"))
-    common(sub.add_parser("bench", help="solver comparison at desk scale"))
-    p = common(sub.add_parser("zephyr", help="emit a Zephyr graph fixture"))
+    command("heatmap", "mean CBF over the (L, k) plane", lambda cfg, a: cmd_heatmap(cfg))
+    command("bench", "solver comparison at desk scale", lambda cfg, a: cmd_bench(cfg))
+    p = command("zephyr", "emit a Zephyr graph fixture", lambda cfg, a: cmd_zephyr(cfg, a.m, a.t))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, default=4)
-    common(sub.add_parser("repro", help="chainlen -> cbf-curve -> fit -> kstar"))
+    command("repro", "chainlen -> cbf-curve -> fit -> kstar", lambda cfg, a: cmd_repro(cfg))
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        if args.command == "chainlen":
-            return cmd_chainlen(cfg)
-        if args.command == "cbf-curve":
-            return cmd_cbf_curve(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.observations, args.lengths)
-        if args.command == "kstar":
-            return cmd_kstar(cfg, empirical=args.empirical)
-        if args.command == "heatmap":
-            return cmd_heatmap(cfg)
-        if args.command == "bench":
-            return cmd_bench(cfg)
-        if args.command == "zephyr":
-            return cmd_zephyr(cfg, args.m, args.t)
-        if args.command == "repro":
-            return cmd_repro(cfg)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(_load_config(args), args)
     except Exception as exc:  # argparse handles its own errors
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -220,7 +220,9 @@ def _check(chains, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tup
     chain_of = np.full(size, -1)
     chain_of[ids] = owner
     edges = np.array([e[:2] for e in hardware.edges], dtype=np.int64).reshape(-1, 2)
-    edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+    edges = np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1)
+    _, first = np.unique(edges[:, 0] * size + edges[:, 1], return_index=True)  # sorts as the rows
+    edges = edges[first]
     ca, cb = chain_of[edges].T  # -1 marks a qubit outside every chain
     intra = (ca >= 0) & (ca == cb)
     a, b = edges[intra].T  # label propagation: each qubit ends on its component's least id

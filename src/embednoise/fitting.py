@@ -22,6 +22,8 @@ class GridRange:
     step: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lo, self.hi, self.step))):
+            raise ValueError("grid range needs finite lo, hi and step")
         if self.lo > self.hi:
             raise ValueError("grid range needs lo <= hi")
         if self.step <= 0:
@@ -109,6 +111,8 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
 
     per_point = [_point_lengths(p) for p in observations]
     cbf_obs = np.array([float(p["cbf_obs"]) for p in observations])
+    if not np.all((cbf_obs >= 0) & (cbf_obs <= 1)):  # NaN fails both
+        raise ValueError("every cbf_obs must be a finite value in [0, 1]")
     all_lengths = np.concatenate(per_point)
     uniq, inverse = np.unique(all_lengths, return_inverse=True)
 

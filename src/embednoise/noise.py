@@ -14,6 +14,7 @@ single extra Gaussian per chain.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -29,6 +30,9 @@ class NoiseModel:
     corr_exponent: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.sigma_h, self.sigma_c,
+                                       self.corr_strength, self.corr_exponent))):
+            raise ValueError("noise fields must be finite")
         if self.sigma_h < 0 or self.sigma_c < 0 or self.corr_strength < 0:
             raise ValueError("noise widths must be >= 0")
 

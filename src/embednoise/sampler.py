@@ -80,8 +80,8 @@ class AnnealSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if any(b is not None and b <= 0 for b in (self.beta_min, self.beta_max)):
-            raise ValueError("beta_min and beta_max must be > 0")
+        if any(b is not None and not 0 < b < math.inf for b in (self.beta_min, self.beta_max)):
+            raise ValueError("beta_min and beta_max must be > 0 and finite")
         if None not in (self.beta_min, self.beta_max) and self.beta_min >= self.beta_max:
             raise ValueError("need 0 < beta_min < beta_max")
 
@@ -311,7 +311,7 @@ def margin_model_run(lengths, k: float, eta: float, nm: NoiseModel,
     Each chain's error delta comes from margin_errors; the chain breaks
     when |delta| exceeds the margin eta * k.
     """
-    if k <= 0:
+    if not k > 0:
         raise ValueError("chain strength k must be > 0")
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must lie in (0, 1]")
@@ -336,10 +336,14 @@ def synthetic_hardware_run(
     score the spins against the unperturbed model, detect chain breaks
     and majority-resolve to logical spins, even splits by a coin from the
     (seed, "tie") stream. Returns (physical SampleSet, resolved logical
-    SampleSet).
+    SampleSet). The correlated noise term is not drawn, so corr_strength > 0
+    raises.
     """
     if reads < 1:
         raise ValueError("reads must be >= 1")
+    if nm.corr_strength > 0:
+        raise ValueError("synthetic_hardware_run does not draw the correlated term; "
+                         "needs corr_strength = 0")
     logical = qubo_to_ising(q)
     spec = chains_or_lengths_or_model
     if isinstance(spec, ChainLengthModel):

@@ -245,7 +245,8 @@ class TestHeatmap:
         {"k_values": {"start": 0.0, "stop": 0.2, "step": 0.1}},
         {"k_values": [0.3, -0.1]},
         {"eta": 0.0},
-        {"eta": 1.5}])
+        {"eta": 1.5},
+        {"k_values": [0.3, math.nan]}])
     def test_rejects_bad_k_and_eta(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, extra)
         assert main(["heatmap", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -351,7 +352,54 @@ class TestConfigPrecedence:
         assert not (tmp_path / "chainlen.csv").exists()
 
 
+class TestDispatch:
+    def test_main_looks_the_command_up_when_called(self, tmp_path, monkeypatch):
+        # a tracer wraps cli.cmd_* by attribute, so main must not hold the functions it had
+        # at import time
+        calls = []
+        monkeypatch.setattr(cli, "cmd_heatmap", lambda cfg: calls.append(cfg["reads"]) or 7)
+        assert main(["heatmap", "--reads", "12", "--out", str(tmp_path)]) == 7
+        assert calls == [12]
+        assert not (tmp_path / "heatmap.csv").exists()
+
+
 class TestSweepValues:
+    @staticmethod
+    def accumulated(spec):
+        """The rule _sweep_values replaced: add step to start while within stop + 1e-9."""
+        vals, x = [], spec["start"]
+        while x <= spec["stop"] + 1e-9:
+            vals.append(round(x, 10))
+            x += spec["step"]
+        return vals
+
+    @pytest.mark.parametrize("spec", [cli.DEFAULTS["L_sweep"], cli.DEFAULTS["ell_sweep"],
+                                      cli.DEFAULTS["k_values"],
+                                      {"start": 0.1, "stop": 0.1012, "step": 0.0004}])
+    def test_matches_the_accumulated_rule(self, spec):
+        got = cli._sweep_values(spec)
+        assert got == self.accumulated(spec)
+        assert [type(v) for v in got] == [type(v) for v in self.accumulated(spec)]
+
+    def test_infinite_step_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            cli._sweep_values({"start": 0.1, "stop": 1.0, "step": math.inf})
+
+    def test_list_passes_through(self):
+        assert cli._sweep_values((0.3, 0.1)) == [0.3, 0.1]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("heatmap", {"L_sweep": {"start": 50, "stop": 10, "step": 5}}),
+        ("heatmap", {"k_values": {"start": 0.5, "stop": 0.1, "step": 0.1}}),
+        ("chainlen", {"L_sweep": {"start": 50, "stop": 10, "step": 5}}),
+        ("kstar", {"ell_sweep": {"start": 9, "stop": 3, "step": 1}})])
+    def test_empty_sweep_exits_1_and_writes_nothing(self, tmp_path, capsys, command, extra):
+        # start > stop used to exit 0 with header-only CSVs
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, extra), "--out", str(out)]) == 1
+        assert "lo <= hi" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", [0, -0.5])
     def test_nonpositive_step_rejected(self, step):
         # both used to loop forever

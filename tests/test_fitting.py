@@ -60,6 +60,13 @@ class TestGridRange:
         with pytest.raises(ValueError):
             GridRange(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("bounds", [(np.nan, 1.0, 0.1), (0.0, np.inf, 0.1),
+                                        (0.0, 1.0, np.nan), (0.0, 1.0, np.inf)])
+    def test_non_finite_rejected(self, bounds):
+        # step inf used to give the values [nan]; a nan or inf bound raised a bare conversion error
+        with pytest.raises(ValueError, match="finite"):
+            GridRange(*bounds)
+
     @pytest.mark.parametrize("axis, lo", [("sigma_h", -0.02), ("sigma_c", -0.005),
                                           ("kappa", 0.0), ("kappa", -0.1)],
                              ids=["sigma_h-negative", "sigma_c-negative", "kappa-zero",
@@ -157,6 +164,14 @@ class TestFitNoiseParams:
         obs = synthetic_observations(0.06, 0.005, 0.35)[:3]
         with pytest.raises(ValueError):
             fit_noise_params(obs, corr_strength=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01, 1.01])
+    def test_bad_observation_rejected(self, bad):
+        # one NaN used to return the grid's first triple with sse nan
+        obs = synthetic_observations(0.06, 0.005, 0.35)[:4]
+        obs[2]["cbf_obs"] = bad
+        with pytest.raises(ValueError, match=r"cbf_obs must be a finite value in \[0, 1\]"):
+            fit_noise_params(obs)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_multiset_mean_is_the_gathered_mean(self, seed):

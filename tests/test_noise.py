@@ -152,6 +152,13 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(sigma_h=-0.1, sigma_c=0.0)
 
+    @pytest.mark.parametrize("fields", [(np.nan, 0.005), (0.06, np.inf),
+                                        (0.06, 0.005, np.nan), (0.06, 0.005, 0.01, -np.inf)])
+    def test_rejects_non_finite_fields(self, fields):
+        # NoiseModel(nan, 0.005) used to make margin_model_run report CBF 0.0
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(*fields)
+
     def test_json_roundtrip(self):
         nm = NoiseModel(sigma_h=0.06, sigma_c=0.005, corr_strength=0.01,
                         corr_exponent=1.64)

@@ -53,6 +53,13 @@ class TestAnnealSchedule:
         with pytest.raises(ValueError, match="must be > 0"):
             AnnealSchedule(**endpoints)
 
+    @pytest.mark.parametrize("endpoints", [
+        {"beta_min": math.nan, "beta_max": 3.0}, {"beta_max": math.nan}, {"beta_max": math.inf}])
+    def test_non_finite_beta_rejected(self, endpoints):
+        # beta_min=nan used to give betas [nan, nan], so no flip was ever accepted
+        with pytest.raises(ValueError, match="finite"):
+            AnnealSchedule(**endpoints)
+
     def test_one_set_endpoint_must_order_with_the_derived_one(self):
         # unit fields derive beta_min = log(2)/2 = 0.35 and beta_max = log(1e4)/2 = 4.6;
         # beta_min=5.0 used to give a schedule that heats up
@@ -463,6 +470,8 @@ class TestMarginModelRun:
             margin_model_run([5], 0.0, 1.0, nm, 10, seed=0)
         with pytest.raises(ValueError):
             margin_model_run([5], 0.5, 1.5, nm, 10, seed=0)
+        with pytest.raises(ValueError, match="k must be > 0"):  # nan used to give CBF 0.0
+            margin_model_run([5], math.nan, 1.0, nm, 10, seed=0)
 
     def test_rejects_empty_lengths_and_no_reads(self):
         nm = NoiseModel(0.06, 0.005)
@@ -609,6 +618,12 @@ class TestSyntheticHardwareRun:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+    def test_correlated_noise_rejected(self):
+        # the correlated term is not drawn: corr_strength > 0 used to give zero-noise spins
+        q = generate_random_qubo(3, 1.0, seed=0)
+        with pytest.raises(ValueError, match="corr_strength"):
+            synthetic_hardware_run(q, [1, 2, 1], 1.0, NoiseModel(0.0, 0.0, 0.01, 1.0), reads=2)
 
     def test_cbf_increases_with_noise(self):
         q = generate_random_qubo(8, 1.0, seed=7)
