@@ -43,13 +43,10 @@ class CbpModel:
 
     noise: NoiseModel
     kappa: float
-    eta: float = 1.0
 
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
-        if not (0.0 < self.eta <= 1.0):
-            raise ValueError("eta must lie in (0, 1]")
 
 
 def cbp(ell, model: CbpModel) -> float:

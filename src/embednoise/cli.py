@@ -53,13 +53,22 @@ DEFAULTS = {
 }
 
 
-def _sweep_values(spec) -> list:
-    """A list sweep as given, or start..stop by step through GridRange, rounded to 10 digits."""
+def _grid_range(key: str, lo, hi, step) -> GridRange:
+    """GridRange(lo, hi, step), whose errors name the config key."""
+    try:
+        return GridRange(lo, hi, step)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _sweep_values(cfg: dict, key: str) -> list:
+    """A list sweep cfg[key] as given, or start..stop by step, rounded to 10 digits."""
+    spec = cfg[key]
     if not isinstance(spec, dict):
         return list(spec)
     if spec["step"] <= 0:
-        raise ValueError(f"sweep step must be > 0, got {spec['step']}")
-    values = GridRange(spec["start"], spec["stop"], spec["step"]).values()
+        raise ValueError(f"{key}: sweep step must be > 0, got {spec['step']}")
+    values = _grid_range(key, spec["start"], spec["stop"], spec["step"]).values()
     return [round(x, 10) for x in values.tolist()]
 
 
@@ -104,7 +113,7 @@ def _point_seed(seed: int, tag: str, value) -> int:
 
 def cmd_chainlen(cfg) -> int:
     model = ChainLengthModel(**cfg["chain_length"])
-    Ls = [int(v) for v in _sweep_values(cfg["L_sweep"])]
+    Ls = [int(v) for v in _sweep_values(cfg, "L_sweep")]
     means = [float(np.mean(synth_chain_lengths(L, model, cfg["seed"]))) for L in Ls]
     lines = ["L,mean_chain_len"]
     lines += [f"{L},{m:.12g}" for L, m in zip(Ls, means)]
@@ -119,14 +128,13 @@ def cmd_chainlen(cfg) -> int:
 def cmd_cbf_curve(cfg) -> int:
     model, nm = ChainLengthModel(**cfg["chain_length"]), NoiseModel(**cfg["noise"])
     k, eta = cfg["k"], cfg["eta"]
-    cbp_model = CbpModel(noise=nm, kappa=eta * k, eta=eta)
     lines = ["L,cbf_obs,cbf_pred"]
     lengths_map = {}
-    for L in (int(v) for v in _sweep_values(cfg["L_sweep"])):
+    for L in (int(v) for v in _sweep_values(cfg, "L_sweep")):
         lengths = synth_chain_lengths(L, model, cfg["seed"])
-        obs = float(np.mean(margin_model_run(
+        obs = float(np.mean(margin_model_run(  # raises unless k > 0 and eta in (0, 1]
             lengths, k, eta, nm, cfg["reads"], _point_seed(cfg["seed"], "cbf-curve", L))))
-        lines.append(f"{L},{obs:.12g},{cbf_predict(lengths, cbp_model):.12g}")
+        lines.append(f"{L},{obs:.12g},{cbf_predict(lengths, CbpModel(nm, eta * k)):.12g}")
         lengths_map[L] = [int(v) for v in lengths]
     out = _out_dir(cfg)
     _write(out / "cbf_curve.csv", "\n".join(lines) + "\n")
@@ -139,7 +147,8 @@ def cmd_fit(cfg, observations_path: str, lengths_path: str | None) -> int:
     if lengths_path:
         lengths_by_L = read_lengths_json(Path(lengths_path).read_text())
     obs = read_observations_csv(Path(observations_path).read_text(), lengths_by_L)
-    grid = FitGrid(**{f"{axis}_range": GridRange(**r) for axis, r in (cfg["grid"] or {}).items()})
+    grid = FitGrid(**{f"{axis}_range": _grid_range(f"grid.{axis}", **r)
+                      for axis, r in (cfg["grid"] or {}).items()})
     fr = fit_noise_params(obs, grid,
                           corr_strength=cfg["noise"]["corr_strength"],
                           corr_exponent=cfg["noise"]["corr_exponent"])
@@ -178,7 +187,7 @@ def _kstar_of_draws(mags: np.ndarray, tau: float, eta: float) -> float:
 def cmd_kstar(cfg, empirical: bool = False) -> int:
     nm = NoiseModel(**cfg["noise"])
     eta = cfg["eta"]
-    ells = [int(v) for v in _sweep_values(cfg["ell_sweep"])]
+    ells = [int(v) for v in _sweep_values(cfg, "ell_sweep")]
     if empirical:  # one draw per length, seeded by the length alone, read at every tau
         seeds = [_point_seed(cfg["seed"], "kstar", ell) for ell in ells]
         draws = [np.abs(margin_errors([ell], nm, cfg["reads"], seed)[:, 0])
@@ -203,10 +212,10 @@ def cmd_kstar(cfg, empirical: bool = False) -> int:
 def cmd_heatmap(cfg) -> int:
     nm, model = NoiseModel(**cfg["noise"]), ChainLengthModel(**cfg["chain_length"])
     eta, tau = cfg["eta"], cfg["contour_tau"]
-    Ls = [int(v) for v in _sweep_values(cfg["L_sweep"])]
-    ks = [float(v) for v in _sweep_values(cfg["k_values"])]
-    if any(not k > 0 for k in ks) or not (0.0 < eta <= 1.0):
-        raise ValueError("heatmap needs every chain strength k > 0 and eta in (0, 1]")
+    Ls = [int(v) for v in _sweep_values(cfg, "L_sweep")]
+    ks = [float(v) for v in _sweep_values(cfg, "k_values")]
+    if not (all(a < b for a, b in zip([0.0] + ks, ks)) and 0.0 < eta <= 1.0):  # 0 < k_1 < k_2 < ...
+        raise ValueError("heatmap needs strictly increasing k values, k > 0 and eta in (0, 1]")
     lines = ["L,k,cbf_mean"]
     contour = ["L,k_star_empirical"]
     for L in Ls:

@@ -25,38 +25,29 @@ ENERGY_BLOCK_TERMS = 1 << 17  # coupler terms per row block of _batch_energies: 
 class QuboInstance:
     """Upper-triangular quadratic model over binary variables.
 
-    diag[i] holds Q(i,i); offdiag maps (i, j) with i < j to Q(i,j).
+    diag[i] holds Q(i,i); offdiag holds Q(i,j) as the sorted COO triple
+    (ei, ej, v) that IsingModel keeps, and is given and checked as its J is.
     """
 
     L: int
     diag: np.ndarray
-    offdiag: dict[tuple[int, int], float]
+    offdiag: tuple[np.ndarray, np.ndarray, np.ndarray]
     density: float
     seed: int
 
     def __post_init__(self):
-        self.diag = np.asarray(self.diag, dtype=np.float64)
-        if self.diag.shape != (self.L,):
-            raise ValueError(f"diag must have length L={self.L}")
-        for i, j in self.offdiag:
-            if not (0 <= i < j < self.L):
-                raise ValueError(f"offdiag key ({i},{j}) violates 0 <= i < j < L")
+        m = IsingModel(self.L, self.diag, self.offdiag)
+        self.diag, self.offdiag = m.h, (m.ei, m.ej, m.jv)
 
     def to_dict(self) -> dict:
-        triples = [[i, j, v] for (i, j), v in sorted(self.offdiag.items())]
-        return {
-            "L": self.L,
-            "diag": self.diag.tolist(),
-            "offdiag": triples,
-            "density": self.density,
-            "seed": self.seed,
-        }
+        triples = [list(t) for t in zip(*(a.tolist() for a in self.offdiag))]
+        return {"L": self.L, "diag": self.diag.tolist(), "offdiag": triples,
+                "density": self.density, "seed": self.seed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuboInstance":
-        offdiag = {(int(i), int(j)): float(v) for i, j, v in d["offdiag"]}
-        return cls(int(d["L"]), np.asarray(d["diag"], dtype=np.float64),
-                   offdiag, float(d["density"]), int(d["seed"]))
+        offdiag = np.array(d["offdiag"], dtype=np.float64).reshape(-1, 3).T
+        return cls(int(d["L"]), d["diag"], offdiag, float(d["density"]), int(d["seed"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict())
@@ -106,8 +97,8 @@ class IsingModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IsingModel":
-        J = {(int(i), int(j)): float(v) for i, j, v in d["J"]}
-        return cls(int(d["n"]), np.asarray(d["h"], dtype=np.float64), J, float(d["offset"]))
+        J = np.array(d["J"], dtype=np.float64).reshape(-1, 3).T
+        return cls(int(d["n"]), d["h"], J, float(d["offset"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict())
@@ -130,22 +121,21 @@ def generate_random_qubo(L: int, rho: float, seed: int) -> QuboInstance:
         raise ValueError(f"density rho must lie in [0, 1], got {rho}")
     rng = substream(seed, "qubo", L)
     diag = rng.uniform(-1.0, 1.0, size=L)
-    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
-    present = rng.random(len(pairs)) < rho
-    values = rng.uniform(-1.0, 1.0, size=len(pairs))
-    offdiag = {p: float(v) for p, keep, v in zip(pairs, present, values) if keep}
+    ei, ej = np.triu_indices(L, 1)
+    present = rng.random(len(ei)) < rho
+    values = rng.uniform(-1.0, 1.0, size=len(ei))
+    offdiag = ei[present], ej[present], values[present]
     return QuboInstance(L=L, diag=diag, offdiag=offdiag, density=rho, seed=seed)
 
 
 def qubo_energy(q: QuboInstance, x) -> float:
-    """Evaluate sum_i Q_ii x_i + sum_{i<j} Q_ij x_i x_j for binary x."""
+    """Evaluate sum_i Q_ii x_i + sum_{i<j} Q_ij x_i x_j for binary x by the Ising row formula."""
     x = np.asarray(x)
     if x.shape != (q.L,):
         raise ValueError(f"assignment length {x.shape} does not match L={q.L}")
-    e = float(np.dot(q.diag, x))
-    for (i, j), v in q.offdiag.items():
-        e += v * x[i] * x[j]
-    return e
+    if not np.all((x == 0) | (x == 1)):
+        raise ValueError("assignment entries must be 0 or 1")
+    return float(_batch_energies(x[None], q.diag, *q.offdiag, 0.0)[0])
 
 
 def _batch_energies(spins: np.ndarray, h, ei, ej, jv, offset) -> np.ndarray:
@@ -177,11 +167,10 @@ def qubo_to_ising(q: QuboInstance) -> IsingModel:
     """Convert via x_i = (1 + s_i) / 2; energies match for every assignment.
 
     Each coupler Q_ij / 4 is added to h_i, then h_j, then the offset, in
-    the order of q.offdiag, as a loop over its items would.
+    (i, j) order, as a loop over the sorted terms would.
     """
-    pairs = np.array(list(q.offdiag), dtype=np.int64).reshape(-1, 2)
-    w = np.array(list(q.offdiag.values()), dtype=np.float64) / 4.0
-    h = q.diag / 2.0
-    np.add.at(h, pairs.ravel(), np.repeat(w, 2))
+    ei, ej, v = q.offdiag
+    w, h = v / 4.0, q.diag / 2.0
+    np.add.at(h, np.column_stack((ei, ej)).ravel(), np.repeat(w, 2))
     offset = float(np.add.accumulate(np.append(float(np.sum(q.diag)) / 2.0, w))[-1])
-    return IsingModel(n=q.L, h=h, J=(pairs[:, 0], pairs[:, 1], w), offset=offset)
+    return IsingModel(n=q.L, h=h, J=(ei, ej, w), offset=offset)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 
@@ -50,6 +51,11 @@ ODD = "odd"
 EDGE_CLASSES = (INTERNAL, EXTERNAL, ODD)
 
 
+def _vertex_id(m: int, t: int, u: int, w: int, k: int, j: int, z: int) -> int:
+    """Lexicographic rank of the coordinate (u, w, k, j, z) among the qubits of Z(m,t)."""
+    return (((u * (2 * m + 1) + w) * t + k) * 2 + j) * m + z
+
+
 @dataclass
 class ZephyrGraph:
     """Immutable Zephyr graph; vertex ids are lexicographic ranks of coordinates."""
@@ -60,8 +66,7 @@ class ZephyrGraph:
     edges: list[tuple[int, int, str]]
 
     def vertex_id(self, c: ZephyrCoordinate) -> int:
-        m, t = self.m, self.t
-        return (((c.u * (2 * m + 1) + c.w) * t + c.k) * 2 + c.j) * m + c.z
+        return _vertex_id(self.m, self.t, *c)
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in self.vertices]
@@ -116,9 +121,7 @@ def build_zephyr(m: int, t: int) -> ZephyrGraph:
         for z in range(m)
     ]
 
-    def vid(u, w, k, j, z):
-        return (((u * (2 * m + 1) + w) * t + k) * 2 + j) * m + z
-
+    vid = partial(_vertex_id, m, t)
     edges = []
 
     # external: consecutive head-to-tail segments on the same line

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -88,6 +89,12 @@ def model(kappa=0.35, sigma_h=0.06, sigma_c=0.005, **kw):
 
 
 class TestCbp:
+    def test_model_is_noise_and_margin_only(self):
+        # the margin is kappa = eta * k; a separate eta field was never read
+        assert [f.name for f in fields(CbpModel)] == ["noise", "kappa"]
+        with pytest.raises(ValueError, match="kappa must be > 0"):
+            model(kappa=0.0)
+
     def test_matches_closed_form(self):
         m = model()
         var = variance_law(13, m.noise)

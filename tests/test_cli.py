@@ -88,6 +88,13 @@ class TestCbfCurve:
         preds = [float(r["cbf_pred"]) for r in rows]
         assert all(a <= b + 1e-15 for a, b in zip(preds, preds[1:]))
 
+    @pytest.mark.parametrize("eta", [0.0, 1.5])
+    def test_rejects_eta_outside_unit_interval(self, tmp_path, capsys, eta):
+        cfg = write_config(tmp_path, {"eta": eta})
+        assert main(["cbf-curve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "eta must lie in (0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFitCommand:
     def test_fit_from_curve_outputs(self, tmp_path):
@@ -109,6 +116,14 @@ class TestFitCommand:
         rc = main(["fit", str(bad), "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_grid_range_names_its_key(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("L,cbf_obs,ell_bar\n20,0.1,3.4\n")
+        cfg = write_config(tmp_path, {"grid": {"sigma_h": {"lo": 0.08, "hi": 0.005}}})
+        assert main(["fit", str(obs), "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "grid.sigma_h: grid range needs lo <= hi" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestKstar:
@@ -246,7 +261,9 @@ class TestHeatmap:
         {"k_values": [0.3, -0.1]},
         {"eta": 0.0},
         {"eta": 1.5},
-        {"k_values": [0.3, math.nan]}])
+        {"k_values": [0.3, math.nan]},
+        {"k_values": [0.6, 0.5, 0.4, 0.3, 0.2, 0.1]},
+        {"k_values": [0.2, 0.2]}])
     def test_rejects_bad_k_and_eta(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, extra)
         assert main(["heatmap", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -377,16 +394,16 @@ class TestSweepValues:
                                       cli.DEFAULTS["k_values"],
                                       {"start": 0.1, "stop": 0.1012, "step": 0.0004}])
     def test_matches_the_accumulated_rule(self, spec):
-        got = cli._sweep_values(spec)
+        got = cli._sweep_values({"sweep": spec}, "sweep")
         assert got == self.accumulated(spec)
         assert [type(v) for v in got] == [type(v) for v in self.accumulated(spec)]
 
     def test_infinite_step_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            cli._sweep_values({"start": 0.1, "stop": 1.0, "step": math.inf})
+            cli._sweep_values({"sweep": {"start": 0.1, "stop": 1.0, "step": math.inf}}, "sweep")
 
     def test_list_passes_through(self):
-        assert cli._sweep_values((0.3, 0.1)) == [0.3, 0.1]
+        assert cli._sweep_values({"k_values": (0.3, 0.1)}, "k_values") == [0.3, 0.1]
 
     @pytest.mark.parametrize("command, extra", [
         ("heatmap", {"L_sweep": {"start": 50, "stop": 10, "step": 5}}),
@@ -397,14 +414,15 @@ class TestSweepValues:
         # start > stop used to exit 0 with header-only CSVs
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, extra), "--out", str(out)]) == 1
-        assert "lo <= hi" in capsys.readouterr().err
+        key, = extra
+        assert f"{key}: grid range needs lo <= hi" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("step", [0, -0.5])
     def test_nonpositive_step_rejected(self, step):
         # both used to loop forever
-        with pytest.raises(ValueError, match="sweep step must be > 0"):
-            cli._sweep_values({"start": 0.1, "stop": 1.0, "step": step})
+        with pytest.raises(ValueError, match="^k_values: sweep step must be > 0"):
+            cli._sweep_values({"k_values": {"start": 0.1, "stop": 1.0, "step": step}}, "k_values")
 
     def test_zero_step_config_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"k_values": {"step": 0}})

@@ -89,6 +89,11 @@ class TestBuildZephyr:
         with pytest.raises(ValueError):
             build_zephyr(0, 2)
 
+    @pytest.mark.parametrize("m,t", [(1, 1), (2, 3), (3, 2)])
+    def test_vertex_id_is_the_rank_in_vertices(self, m, t):
+        g = build_zephyr(m, t)
+        assert [g.vertex_id(c) for c in g.vertices] == list(range(len(g.vertices)))
+
 
 class TestDegreeHistogram:
     def test_counts_sum_to_vertex_count(self):
