@@ -39,47 +39,47 @@ def erfc_inv(p: float) -> float:
 
 @dataclass
 class CbpModel:
-    """Noise widths plus effective stabilizing margin kappa = eta * k."""
+    """Noise widths plus effective stabilizing margin kappa = eta * k (a float or an array)."""
 
     noise: NoiseModel
     kappa: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
+        if not np.all(np.isfinite(self.kappa) & np.greater(self.kappa, 0)):
+            raise ValueError("kappa must be > 0 and finite")
 
 
-def cbp(ell, model: CbpModel) -> float:
-    """Break probability of a single chain of length ell."""
-    var = variance_law(ell, model.noise)
-    if var == 0.0:
-        return 0.0
-    return erfc(model.kappa / math.sqrt(2.0 * var))
+def cbp(ell, model: CbpModel):
+    """Break probability of chains of length ell; broadcasts over ell, the widths and kappa.
+
+    A zero-variance cell gets the argument kappa / 0 = inf, so cbp 0.
+    """
+    with np.errstate(divide="ignore"):
+        arg = np.asarray(model.kappa / np.sqrt(2.0 * variance_law(ell, model.noise)))
+    # math.erfc mapped over a flat list beats np.frompyfunc, which boxes every result
+    out = np.fromiter(map(math.erfc, arg.ravel().tolist()), np.float64, arg.size)
+    return out.reshape(arg.shape)[()]
 
 
 def cbf_predict(lengths, model: CbpModel) -> float:
     """Expected chain-break fraction: mean of per-chain break probabilities."""
-    lengths = np.atleast_1d(np.asarray(lengths))
-    if lengths.size == 0:
+    if np.size(lengths) == 0:
         raise ValueError("need at least one chain length")
-    return float(np.mean([cbp(ell, model) for ell in lengths]))
+    return float(np.mean(cbp(lengths, model)))
 
 
 def cbp_vs_m(m: int, alpha: float, beta: float, model: CbpModel) -> float:
     """Break probability at grid parameter m, via ell = alpha * m + beta."""
-    ell = alpha * m + beta
-    if ell < 1:
-        raise ValueError(f"alpha*m + beta = {ell} is below the minimum chain length 1")
-    return cbp(ell, model)
+    return cbp(alpha * m + beta, model)
 
 
-def critical_chain_strength(ell, nm: NoiseModel, tau: float, eta: float = 1.0) -> float:
-    """Chain strength k* with cbp(ell) = tau at margin kappa = eta * k*."""
+def critical_chain_strength(ell, nm: NoiseModel, tau: float, eta: float = 1.0):
+    """Chain strength k* with cbp(ell) = tau at margin kappa = eta * k*; broadcasts over ell."""
     if not (0.0 < tau < 1.0):
         raise ValueError("tau must lie in (0, 1)")
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must lie in (0, 1]")
-    return math.sqrt(2.0 * variance_law(ell, nm)) * erfc_inv(tau) / eta
+    return np.sqrt(2.0 * variance_law(ell, nm)) * erfc_inv(tau) / eta
 
 
 @dataclass

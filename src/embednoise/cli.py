@@ -198,7 +198,7 @@ def cmd_kstar(cfg, empirical: bool = False) -> int:
         if empirical:
             ks = [_kstar_of_draws(mags, tau, eta) for mags in draws]
         else:
-            ks = [critical_chain_strength(ell, nm, tau, eta) for ell in ells]
+            ks = critical_chain_strength(ells, nm, tau, eta)
         lines += [f"{ell},{k:.12g},{tau:.12g}" for ell, k in zip(ells, ks)]
         pf = power_law_fit(ells, ks)
         fits[str(tau)] = asdict(pf)

@@ -14,6 +14,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .analytics import CbpModel, cbp
+from .noise import NoiseModel
+
 
 @dataclass
 class GridRange:
@@ -88,8 +91,8 @@ def _point_lengths(point: dict) -> np.ndarray:
         lengths = np.asarray(point["lengths"], dtype=np.float64)
     else:
         lengths = np.asarray([point["ell_bar"]], dtype=np.float64)
-    if lengths.size == 0 or np.any(lengths < 1):
-        raise ValueError("chain lengths must be a nonempty multiset of values >= 1")
+    if lengths.size == 0 or not np.all(np.isfinite(lengths) & (lengths >= 1)):
+        raise ValueError("chain lengths must be a nonempty multiset of finite values >= 1")
     return lengths
 
 
@@ -104,8 +107,6 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
     observations = list(observations)
     if len(observations) < 3:
         raise ValueError("need at least 3 observation points")
-    if corr_strength < 0:
-        raise ValueError("corr_strength must be >= 0")
     grid = grid or FitGrid()
     sh, sc, kp = grid.axes()
 
@@ -116,7 +117,9 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
     all_lengths = np.concatenate(per_point)
     uniq, inverse = np.unique(all_lengths, return_inverse=True)
 
-    cbp_table = _cbp_table(sh, sc, uniq, kp, corr_strength, corr_exponent)
+    # break probability over the (sigma_h, sigma_c, length, kappa) grid
+    nm = NoiseModel(sh[:, None, None, None], sc[None, :, None, None], corr_strength, corr_exponent)
+    cbp_table = cbp(uniq[None, None, :, None], CbpModel(nm, kp))
 
     # mean over each point's lengths, summed in order as .mean(axis=2) sums -> (Sh, Sc, P, K),
     # from a length-first copy of the table, whose (Sh, Sc, K) slices are contiguous
@@ -147,24 +150,6 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
         sse=float(total[ih, ic, ik]),
         per_L=per_L,
     )
-
-
-def _cbp_table(sh, sc, lengths, kp, corr_strength=0.0, corr_exponent=0.0) -> np.ndarray:
-    """Break probability over the (sigma_h, sigma_c, length, kappa) grid.
-
-    Var depends on (sigma_h, sigma_c, length) only; kappa enters through
-    the erfc argument, so the table is a 4-d broadcast. A zero-variance
-    cell gets cbp 0, as in analytics.cbp.
-    """
-    var = (lengths[None, None, :] * (sh**2)[:, None, None]
-           + (lengths[None, None, :] - 1.0) * (sc**2)[None, :, None])
-    if corr_strength:
-        var = var + corr_strength * lengths[None, None, :] ** corr_exponent
-    with np.errstate(divide="ignore"):
-        arg = kp[None, None, None, :] / np.sqrt(2.0 * var)[:, :, :, None]
-    # math.erfc is the erfc of analytics.cbp; mapping it over a flat list
-    # beats np.frompyfunc, which boxes every result in an object array
-    return np.fromiter(map(math.erfc, arg.ravel().tolist()), np.float64, arg.size).reshape(arg.shape)
 
 
 def fit_report(fr: FitResult) -> str:

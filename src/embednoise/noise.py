@@ -14,7 +14,6 @@ single extra Gaussian per chain.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -29,11 +28,10 @@ class NoiseModel:
     corr_strength: float = 0.0
     corr_exponent: float = 0.0
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.sigma_h, self.sigma_c,
-                                       self.corr_strength, self.corr_exponent))):
+    def __post_init__(self):  # each field may be a float or a broadcastable array
+        if not all(np.isfinite(v).all() for v in vars(self).values()):
             raise ValueError("noise fields must be finite")
-        if self.sigma_h < 0 or self.sigma_c < 0 or self.corr_strength < 0:
+        if not all(np.all(v >= 0) for v in (self.sigma_h, self.sigma_c, self.corr_strength)):
             raise ValueError("noise widths must be >= 0")
 
     def to_dict(self) -> dict:
@@ -52,14 +50,19 @@ class NoiseModel:
         )
 
 
-def variance_law(ell, nm: NoiseModel) -> float:
-    """Variance of the accumulated chain error at (real-valued) length ell."""
-    ell = float(ell)
-    if ell < 1:
-        raise ValueError("chain length must be >= 1")
-    var = ell * nm.sigma_h**2 + (ell - 1.0) * nm.sigma_c**2
-    if nm.corr_strength > 0:
-        var += nm.corr_strength * ell**nm.corr_exponent
+def variance_law(ell, nm: NoiseModel):
+    """Variance of the accumulated chain error at (real-valued) lengths ell.
+
+    Broadcasts over ell and the model's fields, on array ufuncs throughout,
+    so a scalar ell gets the bits of the matching array element (as a NumPy
+    float). Every ell must be finite and >= 1.
+    """
+    ell = np.asarray(ell, dtype=np.float64)
+    if not (np.isfinite(ell) & (ell >= 1)).all():
+        raise ValueError("chain length must be finite and >= 1")
+    var = ell * np.square(nm.sigma_h) + (ell - 1.0) * np.square(nm.sigma_c)
+    if np.count_nonzero(nm.corr_strength):
+        var = var + nm.corr_strength * np.power(ell, nm.corr_exponent)
     return var
 
 

@@ -62,8 +62,8 @@ class IsingModel:
 
     Couplers are stored only as COO arrays: ei[e] < ej[e] < n, pairs unique
     and sorted by (i, j), with values jv[e]. `J` may be given as a
-    {(i, j): v} mapping or as an (ei, ej, jv) triple in any order. h, J and
-    offset must be finite.
+    {(i, j): v} mapping or as an (ei, ej, jv) triple in any order; an index
+    given as a float must be integral. h, J and offset must be finite.
     """
 
     def __init__(self, n: int, h, J=None, offset: float = 0.0):
@@ -73,9 +73,12 @@ class IsingModel:
             raise ValueError(f"h must have length n={n}")
         J = {} if J is None else J
         if isinstance(J, dict):
-            pairs = np.array(list(J), dtype=np.int64).reshape(-1, 2)
+            pairs = np.array(list(J)).reshape(-1, 2)
             J = pairs[:, 0], pairs[:, 1], list(J.values())
-        ei, ej = np.asarray(J[0], dtype=np.int64), np.asarray(J[1], dtype=np.int64)
+        with np.errstate(invalid="ignore"):  # a NaN or inf index casts to junk, caught below
+            ei, ej = (np.asarray(a).astype(np.int64, copy=False) for a in J[:2])
+        if not (np.array_equal(ei, J[0]) and np.array_equal(ej, J[1])):
+            raise ValueError("coupler indices must be integers")
         jv = np.asarray(J[2], dtype=np.float64)
         if not (ei.ndim == 1 and ei.shape == ej.shape == jv.shape):
             raise ValueError("coupler arrays ei, ej, jv must be 1-d and of equal length")

@@ -300,7 +300,7 @@ def margin_errors(lengths, nm: NoiseModel, reads: int, seed: int) -> np.ndarray:
     if lengths.size == 0:
         raise ValueError("lengths must hold at least one chain length")
     delta = substream(seed, "margin").standard_normal((reads, lengths.size))
-    delta *= np.sqrt([variance_law(ell, nm) for ell in lengths])
+    delta *= np.sqrt(variance_law(lengths, nm))
     return delta
 
 

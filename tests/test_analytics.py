@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -123,6 +124,32 @@ class TestCbp:
         with pytest.raises(ValueError):
             cbp(0.5, model())
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, np.array([0.2, 0.0])])
+    def test_rejects_bad_kappa(self, kappa):
+        # a nan kappa used to pass the check and give cbp nan
+        with pytest.raises(ValueError, match="kappa must be > 0 and finite"):
+            model(kappa=kappa)
+
+    @pytest.mark.parametrize("ell", [np.inf, np.nan, [3.0, np.inf]])
+    def test_rejects_non_finite_length(self, ell):
+        # cbp(inf) used to give 1.0
+        with pytest.raises(ValueError, match="chain length must be finite"):
+            cbp(ell, model())
+
+    def test_broadcasts_over_lengths_widths_and_kappa(self):
+        ells, sh, kp = np.array([1.0, 2.5, 9.0, 30.0]), np.array([0.0, 0.03, 0.06]), np.array([0.1, 0.4])
+        got = cbp(ells[:, None], CbpModel(NoiseModel(sh[:, None, None], 0.005, 0.001, 1.3), kp))
+        assert got.shape == (3, 4, 2)
+        for i, e, k in np.ndindex(got.shape):
+            one = CbpModel(NoiseModel(sh[i], 0.005, 0.001, 1.3), kp[k])
+            assert got[i, e, k] == cbp(ells[e], one)
+
+    def test_zero_variance_cells_give_zero_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cbp(np.array([1.0, 3.0]), model(sigma_h=0.0, sigma_c=0.0))
+        assert got.tolist() == [0.0, 0.0]
+
     @settings(max_examples=100, deadline=None)
     @given(ell=st.floats(1, 50), kappa=st.floats(0.05, 3.0),
            sh=st.floats(0.001, 0.1), sc=st.floats(0.0, 0.1))
@@ -191,6 +218,17 @@ class TestCriticalChainStrength:
         nm = NoiseModel(sigma_h=0.06, sigma_c=0.005)
         assert critical_chain_strength(8, nm, 0.02, eta=0.5) == pytest.approx(
             2 * critical_chain_strength(8, nm, 0.02, eta=1.0))
+
+    def test_broadcasts_over_lengths(self):
+        nm = NoiseModel(0.06, 0.005, 0.001, 1.3)
+        ells = np.arange(3, 31)
+        got = critical_chain_strength(ells, nm, 0.02, 0.8)
+        assert got.tolist() == [critical_chain_strength(e, nm, 0.02, 0.8) for e in ells.tolist()]
+
+    def test_rejects_non_finite_length(self):
+        # nan used to give k* nan
+        with pytest.raises(ValueError, match="chain length must be finite"):
+            critical_chain_strength(np.nan, NoiseModel(0.06, 0.005), 0.02)
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -451,3 +452,28 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "[]" and lines[-1] == "[]"
     assert (tmp_path / "fit_result.json").is_file()
+
+
+class TestGoldenOutputs:
+    """sha256 of the closed-form and calibration outputs at --seed 0 --reads 300 on the
+    defaults: a change that moves any byte of them fails here. A deliberate change updates
+    the digests and says so in CHANGES.md."""
+
+    DIGESTS = {
+        "cbf_curve.csv": "71dd0c94ef3172d9c5fe76411adac252871dc4a14d18bbfb4418ac547c84b04e",
+        "fit_result.json": "fd8028b773f681a9626390b9605d8f70318f16eb253760956a2412a34571342e",
+        "fit_report.csv": "72b527180ef0737326f433aef0990d5f2b0ccf52fb2346c91da236e9555f2e8b",
+        "kstar.csv": "f9a25b7ef94aaf4245c7e26d87da9bc8a6688931d4d8910f12bd31a4ae7c44ce",
+        "heatmap.csv": "a30b6f927b930b048e1c4ef43accdf34a5c81dc20b03b40c253d40a372ed0c0d",
+    }
+
+    def test_default_outputs(self, tmp_path):
+        common = ["--seed", "0", "--reads", "300", "--out", str(tmp_path)]
+        for argv in (["cbf-curve"],
+                     ["fit", str(tmp_path / "cbf_curve.csv"),
+                      "--lengths", str(tmp_path / "cbf_curve_lengths.json")],
+                     ["kstar"], ["heatmap"]):
+            assert main(argv + common) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.DIGESTS}
+        assert got == self.DIGESTS

@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 from scipy.special import erfc as scipy_erfc
 
 from embednoise import cli
-from embednoise.analytics import CbpModel, cbf_predict
+from embednoise.analytics import CbpModel, cbf_predict, cbp
 from embednoise.embedding import ChainLengthModel, synth_chain_lengths
-from embednoise.fitting import (FitGrid, GridRange, _cbp_table, fit_noise_params, fit_report,
+from embednoise.fitting import (FitGrid, GridRange, fit_noise_params, fit_report,
                                 read_lengths_json, read_observations_csv, sse)
 from embednoise.noise import NoiseModel
+
+
+def grid_cbp(sh, sc, lengths, kp, corr_strength=0.0, corr_exponent=0.0):
+    """cbp over the (sigma_h, sigma_c, length, kappa) grid, broadcast as fit_noise_params does."""
+    nm = NoiseModel(sh[:, None, None, None], sc[None, :, None, None], corr_strength, corr_exponent)
+    return cbp(lengths[None, None, :, None], CbpModel(nm, kp))
 
 
 def synthetic_observations(sigma_h, sigma_c, kappa, jitter=1, seed=0):
@@ -83,7 +89,7 @@ class TestCbpTable:
         lengths = np.arange(1.0, 41.0)
         var = lengths * (sh**2)[:, None, None] + (lengths - 1.0) * (sc**2)[None, :, None]
         want = scipy_erfc(kp / np.sqrt(2.0 * var)[..., None])
-        got = _cbp_table(sh, sc, lengths, kp)
+        got = grid_cbp(sh, sc, lengths, kp)
         assert got.shape == want.shape and got.dtype == np.float64
         live = want > 1e-300
         assert live.sum() > 0.9 * want.size
@@ -99,7 +105,7 @@ class TestCbpTable:
         lengths = np.array([1.0, 3.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = _cbp_table(sh, sc, lengths, kp)
+            table = grid_cbp(sh, sc, lengths, kp)
             m = CbpModel(noise=NoiseModel(0.02, 0.02), kappa=0.2)
             obs = [{"L": L, "lengths": [1, 3], "cbf_obs": cbf_predict([1, 3], m)}
                    for L in (5, 10, 15)]
@@ -108,6 +114,19 @@ class TestCbpTable:
         assert np.all(table[1:, :, 0, :] > 0.0)
         assert (fr.sigma_h, fr.sigma_c, fr.kappa) == pytest.approx((0.02, 0.02, 0.2))
         assert np.isfinite(fr.sse) and fr.sse <= 1e-20
+
+    def test_correlated_grid_equals_scalar_cbp(self):
+        # the fit takes its table from cbp itself; its former private copy raised ell to the
+        # exponent another way and differed from cbp in 765 of these cells, by up to 2.7e-14
+        sh, sc, kp = FitGrid().axes()
+        lengths = np.arange(1.0, 41.0)
+        table = grid_cbp(sh, sc, lengths, kp, 0.001, 1.3)
+        assert table.shape == (len(sh), len(sc), len(lengths), len(kp))
+        want = np.empty_like(table)
+        for i, j, k in np.ndindex(len(sh), len(sc), len(kp)):
+            m = CbpModel(NoiseModel(sh[i], sc[j], 0.001, 1.3), kp[k])
+            want[i, j, :, k] = [cbp(ell, m) for ell in lengths.tolist()]
+        assert np.array_equal(table, want)
 
     def test_seeded_cbf_curve_fit_is_pinned(self, tmp_path):
         # the triple fitted at the CLI defaults, seed 7, by the scipy.special.erfc grid
@@ -165,6 +184,33 @@ class TestFitNoiseParams:
         with pytest.raises(ValueError):
             fit_noise_params(obs, corr_strength=-1.0)
 
+    def test_non_finite_corr_strength_rejected(self):
+        obs = synthetic_observations(0.06, 0.005, 0.35)[:3]
+        with pytest.raises(ValueError, match="finite"):
+            fit_noise_params(obs, corr_strength=float("nan"))
+
+    @pytest.mark.parametrize("key, value", [("lengths", [3.0, float("nan")]),
+                                            ("lengths", [float("inf")]),
+                                            ("ell_bar", float("inf")), ("ell_bar", float("nan"))])
+    def test_non_finite_length_rejected(self, key, value):
+        # a nan length used to give sse nan; ell_bar inf "fitted" the grid's corner
+        obs = [{"L": L, "ell_bar": 0.122 * L + 1.0, "cbf_obs": 0.01} for L in (5, 10, 15)]
+        obs[1].pop("ell_bar")
+        obs[1][key] = value
+        with pytest.raises(ValueError, match="finite values >= 1"):
+            fit_noise_params(obs)
+
+    def test_correlated_predictions_are_scalar_cbp(self):
+        # a single-length point's prediction is one cell of the table: the scalar cbp, bit for bit
+        cs, ce = 0.001, 1.3
+        m = CbpModel(noise=NoiseModel(0.04, 0.01, cs, ce), kappa=0.45)
+        ells = [0.122 * L + 1.0 for L in range(5, 55, 5)]
+        obs = [{"L": L, "ell_bar": e, "cbf_obs": cbp(e, m) * 1.01}
+               for L, e in zip(range(5, 55, 5), ells)]
+        fr = fit_noise_params(obs, corr_strength=cs, corr_exponent=ce)
+        fitted = CbpModel(NoiseModel(fr.sigma_h, fr.sigma_c, cs, ce), fr.kappa)
+        assert [row["cbf_pred"] for row in fr.per_L] == [cbp(e, fitted) for e in ells]
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01, 1.01])
     def test_bad_observation_rejected(self, bad):
         # one NaN used to return the grid's first triple with sse nan
@@ -184,7 +230,7 @@ class TestFitNoiseParams:
         sh, sc, kp = FitGrid().axes()
         uniq, inverse = np.unique(np.concatenate([p["lengths"] for p in obs]).astype(np.float64),
                                   return_inverse=True)
-        table = _cbp_table(sh, sc, uniq, kp)
+        table = grid_cbp(sh, sc, uniq, kp)
         ends = np.cumsum([len(p["lengths"]) for p in obs])
         preds = np.stack([table[:, :, inverse[e - len(p["lengths"]):e], :].mean(axis=2)
                           for p, e in zip(obs, ends)], axis=2)

@@ -40,6 +40,34 @@ class TestVarianceLaw:
         with pytest.raises(ValueError):
             variance_law(0.5, NoiseModel(0.1, 0.1))
 
+    @pytest.mark.parametrize("ell", [np.nan, np.inf, [2.0, np.nan], [3.0, np.inf]])
+    def test_rejects_non_finite_length(self, ell):
+        # nan used to give a nan variance
+        with pytest.raises(ValueError, match="chain length must be finite and >= 1"):
+            variance_law(ell, NoiseModel(0.06, 0.005))
+
+    @pytest.mark.parametrize("nm", [NoiseModel(0.06, 0.005, 0.001, 1.3),
+                                    NoiseModel(0.03, 0.02, 0.0004, 1.64)])
+    def test_array_equals_scalar_calls_bit_for_bit(self, nm):
+        # one ufunc path for every shape: a scalar call gets the bits of its array element
+        ells = np.concatenate([np.arange(1.0, 101.0), np.linspace(1.0, 60.0, 997)])
+        got = variance_law(ells, nm)
+        assert got.shape == ells.shape and got.dtype == np.float64
+        assert got.tolist() == [variance_law(ell, nm) for ell in ells.tolist()]
+
+    def test_scalar_gives_a_hashable_numpy_float(self):
+        v = variance_law(7, NoiseModel(0.06, 0.005))
+        assert type(v) is np.float64 and {v: 1}[v] == 1
+
+    def test_broadcasts_over_widths(self):
+        sh, sc = np.array([0.0, 0.01, 0.06]), np.array([0.005, 0.02])
+        ells = np.array([1.0, 4.0, 9.5])
+        nm = NoiseModel(sh[:, None, None], sc[None, :, None], 0.001, 1.3)
+        got = variance_law(ells, nm)
+        assert got.shape == (3, 2, 3)
+        for i, j, e in np.ndindex(got.shape):
+            assert got[i, j, e] == variance_law(ells[e], NoiseModel(sh[i], sc[j], 0.001, 1.3))
+
     def test_correlated_loglog_slope_approaches_gamma(self):
         nm = NoiseModel(sigma_h=1e-6, sigma_c=0.0, corr_strength=1.0, corr_exponent=1.64)
         ells = np.array([10.0, 1000.0])
@@ -157,6 +185,14 @@ class TestNoiseModel:
     def test_rejects_non_finite_fields(self, fields):
         # NoiseModel(nan, 0.005) used to make margin_model_run report CBF 0.0
         with pytest.raises(ValueError, match="finite"):
+            NoiseModel(*fields)
+
+    @pytest.mark.parametrize("fields, match", [
+        ((np.array([0.01, -0.02]), 0.005), ">= 0"),
+        ((0.06, np.array([[0.0], [np.nan]])), "finite"),
+        ((0.06, 0.005, np.array([0.01, 0.0]), np.array([1.0, np.inf])), "finite")])
+    def test_array_fields_are_checked_elementwise(self, fields, match):
+        with pytest.raises(ValueError, match=match):
             NoiseModel(*fields)
 
     def test_json_roundtrip(self):

@@ -192,6 +192,25 @@ class TestValidation:
             load(text)
 
 
+    @pytest.mark.parametrize("make", [
+        lambda: IsingModel(3, np.zeros(3), ([0], [1.7], [0.5])),
+        lambda: IsingModel(3, np.zeros(3), ([np.nan], [1], [0.5])),
+        lambda: IsingModel(3, np.zeros(3), {(0, 1.5): 0.5}),
+        lambda: QuboInstance.loads('{"L": 3, "diag": [0, 0, 0], "offdiag": [[0, 1.7, 0.5]], '
+                                   '"density": 1.0, "seed": 0}'),
+        lambda: IsingModel.loads('{"n": 3, "h": [0, 0, 0], "J": [[0.5, 2, 1.0]], "offset": 0}')])
+    def test_non_integral_index_rejected(self, make):
+        # the index used to be truncated: [0, 1.7, 0.5] stored the pair (0, 1)
+        with pytest.raises(ValueError, match="coupler indices must be integers"):
+            make()
+
+    def test_integral_float_indices_load(self):
+        q = QuboInstance.loads('{"L": 3, "diag": [0, 0, 0], "offdiag": [[1.0, 2.0, 0.5]], '
+                               '"density": 1.0, "seed": 0}')
+        assert q.offdiag[0].tolist() == [1] and q.offdiag[1].tolist() == [2]
+        assert q.offdiag[0].dtype == q.offdiag[1].dtype == np.int64
+
+
 class TestQuboArrays:
     def test_mapping_and_triple_store_the_same_sorted_terms(self):
         Q = {(1, 3): 0.5, (0, 2): -1.0, (0, 1): 0.25, (2, 3): 2.0}
