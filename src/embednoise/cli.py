@@ -267,7 +267,7 @@ def cmd_zephyr(cfg, m: int, t: int) -> int:
     hist = degree_histogram(g)
     _write(out / f"zephyr_{m}_{t}_degrees.json",
            json.dumps({str(k): v for k, v in sorted(hist.items())}, indent=2) + "\n")
-    print(f"Z({m},{t}): {len(g.vertices)} vertices, {len(g.edges)} edges")
+    print(f"Z({m},{t}): {len(g)} vertices, {len(g.edges)} edges")
     return 0
 
 

@@ -31,10 +31,13 @@ class ChainLengthModel:
     jitter: int = 0
 
     def __post_init__(self):
+        if not np.isfinite([self.slope, self.intercept]).all():
+            raise ValueError("slope and intercept must be finite")
         if self.slope < 0:
             raise ValueError("slope must be >= 0")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
+        if not (float(self.jitter).is_integer() and self.jitter >= 0):
+            raise ValueError(f"jitter must be an integer >= 0, got {self.jitter!r}")
+        self.jitter = int(self.jitter)
 
 
 @dataclass
@@ -149,7 +152,7 @@ def build_embedded_ising(logical: IsingModel, chains_or_lengths, k: float) -> Em
     else:
         faults, steps, inter, edge, count = _check(emb.chains, emb.hardware, logical.ei, logical.ej)
         if faults:
-            last = len(emb.hardware.vertices) - 1
+            last = len(emb.hardware) - 1
             raise ValueError(_MESSAGES[faults[0]["kind"]].format(last=last, **faults[0]))
         shares = logical.jv[edge] / count[edge]  # the model's couplers are sorted and unique
 
@@ -191,7 +194,7 @@ def _check(chains, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tup
     """Decide in one array pass whether `chains` embed the logical edges
     (ei[t], ej[t]) in `hardware`.
 
-    Chains must be nonempty, name ids in 0..len(hardware.vertices)-1, be
+    Chains must be nonempty, name ids in 0..len(hardware)-1, be
     disjoint and connected, and every logical edge needs a coupler
     between its two chains. A chain holding an unknown id is not checked
     for connectivity, and an unknown id is in no chain for the rest.
@@ -200,7 +203,7 @@ def _check(chains, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tup
     rank of each one's logical edge among the unique logical edges, and
     the couplers per unique logical edge.
     """
-    n, size = len(chains), len(hardware.vertices)
+    n, size = len(chains), len(hardware)
     i, j = np.minimum(ei, ej), np.maximum(ei, ej)
     if np.any((i == j) | (i < 0) | (j >= n)):
         raise ValueError(f"logical edges must join two distinct chains in 0..{n - 1}")
@@ -219,10 +222,7 @@ def _check(chains, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tup
 
     chain_of = np.full(size, -1)
     chain_of[ids] = owner
-    edges = np.array([e[:2] for e in hardware.edges], dtype=np.int64).reshape(-1, 2)
-    edges = np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1)
-    _, first = np.unique(edges[:, 0] * size + edges[:, 1], return_index=True)  # sorts as the rows
-    edges = edges[first]
+    edges = hardware.edges  # unique sorted rows (a, b), a < b
     ca, cb = chain_of[edges].T  # -1 marks a qubit outside every chain
     intra = (ca >= 0) & (ca == cb)
     a, b = edges[intra].T  # label propagation: each qubit ends on its component's least id

@@ -78,8 +78,9 @@ class AnnealSchedule:
     def __post_init__(self):
         if self.kind not in ("logarithmic", "geometric", "linear"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
+        if not (float(self.sweeps).is_integer() and self.sweeps >= 1):
+            raise ValueError(f"sweeps must be an integer >= 1, got {self.sweeps!r}")
+        self.sweeps = int(self.sweeps)
         if any(b is not None and not 0 < b < math.inf for b in (self.beta_min, self.beta_max)):
             raise ValueError("beta_min and beta_max must be > 0 and finite")
         if None not in (self.beta_min, self.beta_max) and self.beta_min >= self.beta_max:
@@ -296,7 +297,9 @@ def margin_errors(lengths, nm: NoiseModel, reads: int, seed: int) -> np.ndarray:
     """
     if reads < 1:
         raise ValueError("reads must be >= 1")
-    lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
+    lengths = np.atleast_1d(np.asarray(lengths, dtype=np.float64))
+    if np.any(lengths != np.floor(lengths)):  # NaN included; variance_law rejects inf
+        raise ValueError("chain lengths must be integers")
     if lengths.size == 0:
         raise ValueError("lengths must hold at least one chain length")
     delta = substream(seed, "margin").standard_normal((reads, lengths.size))

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
+
+import numpy as np
 
 
 class ZephyrCoordinate(NamedTuple):
@@ -51,53 +51,66 @@ ODD = "odd"
 EDGE_CLASSES = (INTERNAL, EXTERNAL, ODD)
 
 
-def _vertex_id(m: int, t: int, u: int, w: int, k: int, j: int, z: int) -> int:
-    """Lexicographic rank of the coordinate (u, w, k, j, z) among the qubits of Z(m,t)."""
-    return (((u * (2 * m + 1) + w) * t + k) * 2 + j) * m + z
+def _shape(m: int, t: int) -> tuple[int, ...]:
+    """The coordinate ranges (u, w, k, j, z); a vertex id is the row-major rank."""
+    return 2, 2 * m + 1, t, 2, m
 
 
-@dataclass
 class ZephyrGraph:
-    """Immutable Zephyr graph; vertex ids are lexicographic ranks of coordinates."""
+    """Immutable Zephyr graph Z(m,t) as coupler arrays.
 
-    m: int
-    t: int
-    vertices: list[ZephyrCoordinate]
-    edges: list[tuple[int, int, str]]
+    `edges` is an (E, 2) int64 array of rows (a, b) with a < b, unique and
+    sorted; `classes[e]` indexes EDGE_CLASSES. Vertex ids are lexicographic
+    ranks of coordinates, so `vertices` is derived rather than stored.
+    """
+
+    def __init__(self, m: int, t: int, edges, classes):
+        n = vertex_count(m, t)
+        self.m, self.t = m, t
+        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        codes = np.asarray(classes, dtype=np.int64)
+        a, b = self.edges.T
+        if codes.shape != a.shape or np.any((codes < 0) | (codes >= len(EDGE_CLASSES))):
+            raise ValueError("need one class code in 0..2 (an index into EDGE_CLASSES) per coupler")
+        if (np.any((a < 0) | (a >= b) | (b >= n)) or np.any(np.diff(a * n + b) <= 0)
+                or not np.array_equal(self.edges, np.reshape(edges, (-1, 2)))):
+            raise ValueError(f"couplers must be unique sorted integer rows 0 <= a < b < {n}")
+        self.classes = codes.astype(np.int8)
+        self.edges.flags.writeable = self.classes.flags.writeable = False
+
+    def __len__(self) -> int:
+        return vertex_count(self.m, self.t)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """(n, 5) array whose row v is the coordinate (u, w, k, j, z) of vertex v."""
+        return np.stack(np.unravel_index(np.arange(len(self)), _shape(self.m, self.t)), axis=1)
 
     def vertex_id(self, c: ZephyrCoordinate) -> int:
-        return _vertex_id(self.m, self.t, *c)
+        return int(np.ravel_multi_index(tuple(c), _shape(self.m, self.t)))
 
-    def adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in self.vertices]
-        for a, b, _ in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+    def _rows(self):
+        return zip(*self.edges.T.tolist(), (EDGE_CLASSES[c] for c in self.classes.tolist()))
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "t": self.t,
-            "vertices": [list(v) for v in self.vertices],
-            "edges": [[a, b, cls] for a, b, cls in self.edges],
-        }
+        return {"m": self.m, "t": self.t, "vertices": self.vertices.tolist(),
+                "edges": [list(row) for row in self._rows()]}
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "ZephyrGraph":
-        return cls(
-            m=int(d["m"]),
-            t=int(d["t"]),
-            vertices=[ZephyrCoordinate(*map(int, v)) for v in d["vertices"]],
-            edges=[(int(a), int(b), str(c)) for a, b, c in d["edges"]],
-        )
+        codes = {c: i for i, c in enumerate(EDGE_CLASSES)}
+        g = cls(int(d["m"]), int(d["t"]), [e[:2] for e in d["edges"]],
+                [codes.get(e[2], -1) for e in d["edges"]])
+        if not np.array_equal(np.asarray(d["vertices"]), g.vertices):
+            raise ValueError(f"vertices are not the coordinates of Z({g.m},{g.t}) in id order")
+        return g
 
     def to_edgelist(self) -> str:
         """One edge per line: 'a b class'."""
-        return "\n".join(f"{a} {b} {cls}" for a, b, cls in self.edges) + "\n"
+        return "\n".join(f"{a} {b} {cls}" for a, b, cls in self._rows()) + "\n"
 
 
 def vertex_count(m: int, t: int) -> int:
@@ -109,60 +122,24 @@ def vertex_count(m: int, t: int) -> int:
 
 def build_zephyr(m: int, t: int) -> ZephyrGraph:
     """Construct Z(m,t) with canonically ordered vertices and edges."""
-    if m < 1 or t < 1:
-        raise ValueError("m and t must be >= 1")
-
-    vertices = [
-        ZephyrCoordinate(u, w, k, j, z)
-        for u in (0, 1)
-        for w in range(2 * m + 1)
-        for k in range(t)
-        for j in (0, 1)
-        for z in range(m)
-    ]
-
-    vid = partial(_vertex_id, m, t)
-    edges = []
-
-    # external: consecutive head-to-tail segments on the same line
-    for u in (0, 1):
-        for w in range(2 * m + 1):
-            for k in range(t):
-                for j in (0, 1):
-                    for z in range(m - 1):
-                        edges.append((vid(u, w, k, j, z), vid(u, w, k, j, z + 1), EXTERNAL))
-
-    # odd: overlapping parallel twins on the same line
-    for u in (0, 1):
-        for w in range(2 * m + 1):
-            for k in range(t):
-                for z0 in range(m):
-                    for z1 in (z0 - 1, z0):
-                        if 0 <= z1 < m:
-                            edges.append((vid(u, w, k, 0, z0), vid(u, w, k, 1, z1), ODD))
-
-    # internal: orthogonal qubits with crossing two-tile windows
-    for w in range(2 * m + 1):
-        for j in (0, 1):
-            for z in range(m):
-                rows = (2 * z + j, 2 * z + j + 1)
-                cols = []
-                for p in (w - 1, w):  # 2z'+j' must equal w-1 or w
-                    if 0 <= p <= 2 * m - 1:
-                        cols.append((p % 2, p // 2))
-                for k in range(t):
-                    a = vid(0, w, k, j, z)
-                    for wp in rows:
-                        for jp, zp in cols:
-                            for kp in range(t):
-                                edges.append((a, vid(1, wp, kp, jp, zp), INTERNAL))
-
-    edges = [(a, b, cls) if a < b else (b, a, cls) for a, b, cls in edges]
-    edges.sort()
-    return ZephyrGraph(m=m, t=t, vertices=vertices, edges=edges)
-
+    ids = np.arange(vertex_count(m, t)).reshape(_shape(m, t))
+    # internal: vertical (w, k, j, z) crosses horizontal (2z+j+r, k', j', z') where 2z'+j' = w-1+q
+    w, k, j, z, r, q, kp = np.ix_(range(2 * m + 1), range(t), (0, 1), range(m),
+                                  (0, 1), (0, 1), range(t))
+    p = w - 1 + q
+    inside = (p >= 0) & (p < 2 * m)
+    p = np.clip(p, 0, 2 * m - 1)
+    vertical, horizontal, inside = np.broadcast_arrays(
+        ids[0, w, k, j, z], ids[1, 2 * z + j + r, kp, p % 2, p // 2], inside)
+    groups = [(ids[..., :-1], ids[..., 1:], EXTERNAL),  # head-to-tail segments on one line
+              (ids[..., 0, :], ids[..., 1, :], ODD),  # twins (j=0, z) ~ (j=1, z)
+              (ids[..., 0, 1:], ids[..., 1, :-1], ODD),  # and (j=0, z) ~ (j=1, z-1)
+              (vertical[inside], horizontal[inside], INTERNAL)]
+    a, b = (np.concatenate([g[i].ravel() for g in groups]) for i in (0, 1))
+    classes = np.repeat([EDGE_CLASSES.index(g[2]) for g in groups], [g[0].size for g in groups])
+    order = np.lexsort((b, a))  # every a < b: u, then j, is the more significant digit
+    return ZephyrGraph(m, t, np.stack([a, b], axis=1)[order], classes[order])
 
 def degree_histogram(g: ZephyrGraph) -> dict[int, int]:
-    """Map degree -> number of vertices with that degree."""
-    deg = Counter(v for a, b, _ in g.edges for v in (a, b))
-    return dict(Counter(deg[v] for v in range(len(g.vertices))))
+    """Map degree -> number of vertices with that degree, keyed in order of first vertex."""
+    return dict(Counter(np.bincount(g.edges.ravel(), minlength=len(g)).tolist()))

@@ -309,6 +309,34 @@ class TestZephyrCommand:
         fixture = (Path(__file__).parent / "data" / "zephyr_2_2_edges.txt").read_text()
         assert edges == fixture
 
+    # sha256 of zephyr_M_T.json, zephyr_M_T_edges.txt and zephyr_M_T_degrees.json, recorded
+    # from the coordinate-loop build, which stored the graph as lists of tuples
+    @pytest.mark.parametrize("m, t, digests", [
+        (1, 1, ("5002d05f51d19b3a1ddc0c0b5458da4e699d68d4171f2d09dc4e1d3c4bbbaccf",
+                "867f87003e77adb608a5ddb3887b5caf02ffc56c61643dc80ec2a515267298ae",
+                "ad67b6daee87d28e8cbc773ae904dd1718fb9cfdb5e29114c35cae5b349b3ac0")),
+        (1, 4, ("454e150e23e4f40281230e8f49cb7a65c4d104b836bfca00f82bbd6869bb119f",
+                "ac8b13b74fa972fd468bd897a48bda6dbabd100a1e5ecb139288244fe2fbdc27",
+                "d361f3ba90fdc4a265d0bda25d5bc77696cd668967df7aebfad5dd21b1f669fc")),
+        (2, 2, ("04c0839eb88d60b7aa38d08ee0dc8f04aae526cf564496fc424ed50d3e0da002",
+                "37c0e046dc041cd95f471a0ed4c6d422f114e7aa0765b18d4e5baec26fb330b2",
+                "4b1a2a548043df0f70b410d9d2293b64e8a4af912340607d2cdd9b99666ed8df")),
+        (3, 4, ("9958d5f3a84787d86b52e0cf7d8162e3cddd79f2b6ccb67032a32f8263455746",
+                "4da6e7a0e6e25bef87e228114193ff7f73ec95b1b5a0b795b67f034f059564c7",
+                "162519d35ec5b0b0c05ba3f678c52ce468ac8fcc2eb48cf885c358752a610312")),
+        (4, 2, ("14fa874721bd324130bbb30dcaaad16b5544b818647b3617098b00865cc02cc0",
+                "2bf1e15b25e15318920630fe3038db9d1b5a170d1ee5423f8f5b8592ed69daf6",
+                "615b535d05b73235914396dada9a5ccd312cea16688dd20016dbde838deb5c22")),
+        (7, 4, ("6d7fd8a999b86801880c8226c9c60b8f2e39b4c59610935cc2ab053d2d5c65be",
+                "d3eb4c9fe9cc1231e31f6c44643afe68f9ee4a95696e0773ee868306a8a4950f",
+                "38ace04eb799154c9afd7fa3b9ab68ddf65dd08dc5ec1d4bcea17eea3dd0d833")),
+    ])
+    def test_outputs_are_pinned(self, tmp_path, m, t, digests):
+        assert main(["zephyr", "--m", str(m), "--t", str(t), "--out", str(tmp_path)]) == 0
+        names = [f"zephyr_{m}_{t}{end}" for end in (".json", "_edges.txt", "_degrees.json")]
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names)
+        assert got == digests
+
     def test_invalid_m(self, tmp_path, capsys):
         rc = main(["zephyr", "--m", "0", "--out", str(tmp_path)])
         assert rc == 1
@@ -368,6 +396,19 @@ class TestConfigPrecedence:
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "chainlen.csv").exists()
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("chainlen", {"chain_length": {"slope": math.nan}}, "slope and intercept must be finite"),
+        ("chainlen", {"chain_length": {"intercept": math.inf}},
+         "slope and intercept must be finite"),
+        ("chainlen", {"chain_length": {"jitter": 1.5}}, "jitter must be an integer >= 0"),
+        ("bench", {"sweeps": 12.5, "bench_L": [3]}, "sweeps must be an integer >= 1"),
+    ], ids=["nan-slope", "inf-intercept", "fractional-jitter", "fractional-sweeps"])
+    def test_bad_model_field_exits_1(self, tmp_path, capsys, command, extra, message):
+        # json writes and reads NaN and Infinity, so a config file can carry them
+        cfg = write_config(tmp_path, extra)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestDispatch:

@@ -25,6 +25,15 @@ def hardware_couplers(emb):
     return {(q[i], q[j]): v for (i, j), v in couplers(emb.model).items()}
 
 
+def adjacency(hw):
+    """Each qubit's hardware neighbours, in ascending id order."""
+    adj = [[] for _ in range(len(hw))]
+    for a, b in hw.edges.tolist():
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 SMALL_ZEPHYRS = (build_zephyr(1, 2), build_zephyr(2, 2))
 
 
@@ -34,7 +43,7 @@ def chain_sets(draw):
     one before it three times in four, else any id in -1..size; plus a set of
     logical edges between the chains."""
     hw = draw(st.sampled_from(SMALL_ZEPHYRS))
-    adj, ids = hw.adjacency(), st.integers(-1, len(hw.vertices))
+    adj, ids = adjacency(hw), st.integers(-1, len(hw))
     chains = []
     for _ in range(draw(st.integers(1, 4))):
         chain = []
@@ -105,6 +114,25 @@ class TestSynthChainLengths:
         assert abs(fit["slope"] - 0.122) < 0.01
         assert fit["r_squared"] > 0.95
 
+    @pytest.mark.parametrize("fields", [
+        {"slope": float("nan")}, {"slope": float("inf")}, {"slope": 0.1, "intercept": float("nan")},
+        {"slope": 0.1, "intercept": -float("inf")}, {"slope": -0.1},
+        {"slope": 0.1, "jitter": 1.5}, {"slope": 0.1, "jitter": -1},
+        {"slope": 0.1, "jitter": float("nan")}, {"slope": 0.1, "jitter": float("inf")},
+    ], ids=["nan-slope", "inf-slope", "nan-intercept", "inf-intercept", "negative-slope",
+            "fractional-jitter", "negative-jitter", "nan-jitter", "inf-jitter"])
+    def test_model_rejects_bad_fields(self, fields):
+        # a NaN slope used to fail inside synth_chain_lengths with "cannot convert float
+        # NaN to integer", inf with an OverflowError; jitter 1.5 was accepted
+        with pytest.raises(ValueError):
+            ChainLengthModel(**fields)
+
+    def test_integral_float_jitter_is_the_integer(self):
+        model = ChainLengthModel(slope=0.122, jitter=2.0)
+        assert model.jitter == 2 and type(model.jitter) is int
+        assert np.array_equal(synth_chain_lengths(40, model, seed=9),
+                              synth_chain_lengths(40, ChainLengthModel(0.122, jitter=2), seed=9))
+
 
 class TestBuildEmbeddedIsing:
     def test_field_and_coupler_division(self):
@@ -171,14 +199,14 @@ class TestBuildEmbeddedIsing:
 
     def test_explicit_embedding_on_hardware(self):
         hw = build_zephyr(2, 2)
-        adj = hw.adjacency()
+        adj = adjacency(hw)
         # grow two adjacent chains greedily from an edge
-        a, b, _ = hw.edges[0]
+        a, b = hw.edges[0].tolist()
         chain_a = [a, next(v for v in adj[a] if v != b)]
         chain_b = [b, next(v for v in adj[b] if v not in chain_a and v != a)]
         logical = IsingModel(n=2, h=np.array([0.5, -0.5]), J={(0, 1): 1.0})
         emb = build_embedded_ising(logical, Embedding([chain_a, chain_b], hw), k=1.0)
-        hw_pairs = {(min(x, y), max(x, y)) for x, y, _ in hw.edges}
+        hw_pairs = {(min(x, y), max(x, y)) for x, y in hw.edges.tolist()}
         assert set(hardware_couplers(emb)) <= hw_pairs
         inter = [e for e, tag in emb.provenance.items() if tag[0] == "inter"]
         assert sum(hardware_couplers(emb)[e] for e in inter) == pytest.approx(1.0)
@@ -278,23 +306,23 @@ class TestValidateEmbedding:
         self.hw = build_zephyr(2, 2)
 
     def test_valid_single_qubit_chains(self):
-        a, b, _ = self.hw.edges[0]
+        a, b = self.hw.edges[0].tolist()
         report = validate_embedding(Embedding([[a], [b]]), self.hw, [(0, 1)])
         assert report.ok
 
     def test_overlap_detected(self):
-        a, b, _ = self.hw.edges[0]
+        a, b = self.hw.edges[0].tolist()
         report = validate_embedding(Embedding([[a, b], [b]]), self.hw, [])
         assert any(v["kind"] == "disjointness" for v in report.violations)
 
     def test_disconnected_chain_detected(self):
-        adj = self.hw.adjacency()
+        adj = adjacency(self.hw)
         far = next(v for v in range(len(adj)) if v not in adj[0] and v != 0)
         report = validate_embedding(Embedding([[0, far]]), self.hw, [])
         assert any(v["kind"] == "connectivity" for v in report.violations)
 
     def test_missing_edge_coverage(self):
-        adj = self.hw.adjacency()
+        adj = adjacency(self.hw)
         far = next(v for v in range(len(adj)) if v not in adj[0] and v != 0)
         report = validate_embedding(Embedding([[0], [far]]), self.hw, [(0, 1)])
         assert any(v["kind"] == "edge_coverage" for v in report.violations)
@@ -314,7 +342,7 @@ class TestValidateEmbedding:
     @pytest.mark.parametrize("edge", [(-1, 0), (0, 2), (1, 1)])
     def test_bad_logical_edge_rejected(self, edge):
         # (-1, 0) used to wrap onto the last chain and (0, 2) to raise a bare IndexError
-        a, b, _ = self.hw.edges[0]
+        a, b = self.hw.edges[0].tolist()
         with pytest.raises(ValueError, match="logical edges must join two distinct chains"):
             validate_embedding(Embedding([[a], [b]]), self.hw, [edge])
 

@@ -70,6 +70,19 @@ class TestAnnealSchedule:
         betas = schedule_betas(AnnealSchedule(beta_min=1.0), h, c)
         assert betas[0] == pytest.approx(1.0) and betas[-1] == pytest.approx(math.log(1e4) / 2)
 
+    @pytest.mark.parametrize("sweeps", [12.5, 0.5, math.nan, math.inf, 0, -3])
+    def test_non_integral_sweeps_rejected(self, sweeps):
+        # sweeps=12.5 used to give 13 betas, the last above the derived beta_max
+        with pytest.raises(ValueError, match="sweeps must be an integer >= 1"):
+            AnnealSchedule(sweeps=sweeps)
+
+    def test_integral_float_sweeps_are_the_integer(self):
+        s = AnnealSchedule(sweeps=12.0)
+        assert s.sweeps == 12 and type(s.sweeps) is int
+        h, c = np.ones(4), np.zeros(4)
+        want = schedule_betas(AnnealSchedule(sweeps=12), h, c)
+        assert np.array_equal(schedule_betas(s, h, c), want)
+
 
 class TestBruteForce:
     def test_two_field_spins(self):
@@ -527,6 +540,24 @@ class TestMarginErrors:
             margin_errors([5], nm, 0, seed=0)
         with pytest.raises(ValueError, match="length"):
             margin_errors([5, 0], nm, 10, seed=0)
+
+    @pytest.mark.parametrize("lengths, match", [
+        ([2.7], "integers"), ([3, 2.5], "integers"), (4.5, "integers"), ([math.nan], "integers"),
+        ([math.inf], "finite")])
+    def test_non_integral_length_rejected(self, lengths, match):
+        # [2.7] used to draw exactly as [2], while cbf_predict([2.7], ...) uses 2.7
+        nm = NoiseModel(0.06, 0.005)
+        with pytest.raises(ValueError, match=match):
+            margin_errors(lengths, nm, 5, seed=0)
+        with pytest.raises(ValueError, match=match):
+            margin_model_run(lengths, 0.3, 1.0, nm, 5, seed=0)
+
+    def test_integral_float_lengths_give_the_integer_draws(self):
+        nm = NoiseModel(0.06, 0.005, corr_strength=0.002, corr_exponent=1.5)
+        assert np.array_equal(margin_errors([3.0, 8.0], nm, 50, seed=4),
+                              margin_errors([3, 8], nm, 50, seed=4))
+        assert np.array_equal(margin_errors(np.array([3.0]), nm, 50, seed=4),
+                              margin_errors(3, nm, 50, seed=4))
 
 
 class TestSyntheticHardwareRun:

@@ -1,8 +1,11 @@
+import itertools
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from embednoise.topology import (EDGE_CLASSES, EXTERNAL, INTERNAL, ODD,
+from embednoise.topology import (EDGE_CLASSES, EXTERNAL, INTERNAL, ODD, ZephyrCoordinate,
                                  ZephyrGraph, build_zephyr, degree_histogram,
                                  vertex_count)
 
@@ -25,10 +28,15 @@ class TestVertexCount:
 
 
 def class_counts(g):
-    counts = {c: 0 for c in EDGE_CLASSES}
-    for _, _, cls in g.edges:
-        counts[cls] += 1
-    return counts
+    return {c: int(np.count_nonzero(g.classes == i)) for i, c in enumerate(EDGE_CLASSES)}
+
+
+def adjacency_sets(g):
+    adj = [set() for _ in range(len(g))]
+    for a, b in g.edges.tolist():
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
 
 
 class TestBuildZephyr:
@@ -48,15 +56,15 @@ class TestBuildZephyr:
         g = build_zephyr(m, t)
         assert len(g.vertices) == vertex_count(m, t)
         # simple graph: no loops, no duplicates (ignoring class)
-        pairs = [(a, b) for a, b, _ in g.edges]
+        pairs = [(a, b) for a, b in g.edges.tolist()]
         assert all(a < b for a, b in pairs)
         assert len(set(pairs)) == len(pairs)
         # per-class degree caps: 4t internal, 2 external, 2 odd
         caps = {INTERNAL: 4 * t, EXTERNAL: 2, ODD: 2}
         per_class = {c: [0] * len(g.vertices) for c in EDGE_CLASSES}
-        for a, b, cls in g.edges:
-            per_class[cls][a] += 1
-            per_class[cls][b] += 1
+        for (a, b), code in zip(g.edges.tolist(), g.classes.tolist()):
+            per_class[EDGE_CLASSES[code]][a] += 1
+            per_class[EDGE_CLASSES[code]][b] += 1
         for cls, cap in caps.items():
             assert max(per_class[cls]) <= cap
         assert max(degree_histogram(g)) <= 4 * t + 4
@@ -78,8 +86,8 @@ class TestBuildZephyr:
     def test_deterministic_and_canonical(self):
         a = build_zephyr(2, 3)
         b = build_zephyr(2, 3)
-        assert a.edges == b.edges
-        assert a.edges == sorted(a.edges)
+        assert np.array_equal(a.edges, b.edges) and np.array_equal(a.classes, b.classes)
+        assert a.edges.tolist() == sorted(a.edges.tolist())
 
     def test_matches_committed_fixture(self):
         g = build_zephyr(2, 2)
@@ -92,7 +100,15 @@ class TestBuildZephyr:
     @pytest.mark.parametrize("m,t", [(1, 1), (2, 3), (3, 2)])
     def test_vertex_id_is_the_rank_in_vertices(self, m, t):
         g = build_zephyr(m, t)
-        assert [g.vertex_id(c) for c in g.vertices] == list(range(len(g.vertices)))
+        assert [g.vertex_id(ZephyrCoordinate(*c)) for c in g.vertices.tolist()] == list(
+            range(len(g.vertices)))
+
+    @pytest.mark.parametrize("m,t", [(1, 1), (2, 3), (3, 2)])
+    def test_vertices_are_the_coordinates_in_lexicographic_order(self, m, t):
+        g = build_zephyr(m, t)
+        want = itertools.product((0, 1), range(2 * m + 1), range(t), (0, 1), range(m))
+        assert g.vertices.tolist() == [list(c) for c in want]
+        assert len(g) == vertex_count(m, t)
 
 
 class TestDegreeHistogram:
@@ -102,7 +118,7 @@ class TestDegreeHistogram:
 
     def test_empty_edge_graph(self):
         g = build_zephyr(1, 1)
-        empty = ZephyrGraph(m=1, t=1, vertices=g.vertices, edges=[])
+        empty = ZephyrGraph(m=1, t=1, edges=[], classes=[])
         assert degree_histogram(empty) == {0: len(g.vertices)}
 
     def test_fixture_histogram(self):
@@ -122,12 +138,9 @@ class TestNativeSubgraphs:
     def test_contains_k4(self):
         # a pair of odd twins in each orientation at a crossing forms K4
         g = build_zephyr(3, 4)
-        adj = [set() for _ in g.vertices]
-        for a, b, _ in g.edges:
-            adj[a].add(b)
-            adj[b].add(a)
+        adj = adjacency_sets(g)
         found = False
-        for a, b, _ in g.edges:
+        for a, b in g.edges.tolist():
             common = adj[a] & adj[b]
             for c in common:
                 if common & adj[c]:
@@ -140,15 +153,12 @@ class TestNativeSubgraphs:
     def test_contains_k88(self):
         # t=4 qubits per group, two groups crossing -> complete bipartite K_{8,8}
         g = build_zephyr(3, 4)
-        adj = [set() for _ in g.vertices]
-        for a, b, _ in g.edges:
-            adj[a].add(b)
-            adj[b].add(a)
+        adj = adjacency_sets(g)
         # verticals covering rows {2z+j, 2z+j+1} at w with both j shifts:
         # take u=0, w=3, all k, j in {0,1} around z chosen so windows overlap
-        left = [g.vertex_id(type(g.vertices[0])(0, 3, k, j, 1)) for k in range(4)
+        left = [g.vertex_id(ZephyrCoordinate(0, 3, k, j, 1)) for k in range(4)
                 for j in (0, 1)]
-        right = [g.vertex_id(type(g.vertices[0])(1, 3, k, j, 1)) for k in range(4)
+        right = [g.vertex_id(ZephyrCoordinate(1, 3, k, j, 1)) for k in range(4)
                  for j in (0, 1)]
         # at least one 8x8 biclique among these groups exists in Zephyr; check
         # the specific aligned choice is fully connected
@@ -160,7 +170,8 @@ class TestSerialization:
     def test_json_roundtrip(self):
         g = build_zephyr(2, 2)
         r = ZephyrGraph.from_dict(g.to_dict())
-        assert r.edges == g.edges and r.vertices == g.vertices
+        assert np.array_equal(r.edges, g.edges) and np.array_equal(r.vertices, g.vertices)
+        assert np.array_equal(r.classes, g.classes) and r.dumps() == g.dumps()
 
     def test_edgelist_format(self):
         g = build_zephyr(1, 1)
@@ -168,3 +179,64 @@ class TestSerialization:
             a, b, cls = line.split()
             assert int(a) < int(b)
             assert cls in EDGE_CLASSES
+
+
+class TestRepresentation:
+    """The one coupler format: unique sorted int64 rows (a, b), a < b, and int8 class codes."""
+
+    def test_arrays(self):
+        g = build_zephyr(2, 2)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (356, 2)
+        assert g.classes.dtype == np.int8 and g.classes.shape == (356,)
+        assert len(g) == 80 and g.vertices.shape == (80, 5)
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 1  # read-only: the embedding check relies on the order
+
+    @pytest.mark.parametrize("edges, classes", [
+        ([[1, 1]], [0]),  # a == b
+        ([[2, 1]], [0]),  # a > b
+        ([[0, 1], [0, 1]], [0, 0]),  # duplicate row
+        ([[0, 2], [0, 1]], [0, 0]),  # unsorted rows
+        ([[0, 12]], [0]),  # id >= n = 12
+        ([[-1, 3]], [0]),  # negative id
+        ([[0, 1]], [3]),  # unknown class code
+        ([[0, 1]], [-1]),
+        ([[0, 1]], [258]),  # would wrap to code 2 in int8
+        ([[0, 1], [0, 2]], [0]),  # one code short
+        ([[0, 1.5]], [0]),  # would truncate to (0, 1)
+    ], ids=["a==b", "a>b", "duplicate", "unsorted", "id>=n", "negative", "class-3",
+            "class-neg", "class-wraps", "class-short", "fractional-id"])
+    def test_constructor_rejects(self, edges, classes):
+        with pytest.raises(ValueError):
+            ZephyrGraph(1, 1, edges, classes)
+
+    def test_constructor_rejects_nonpositive_size(self):
+        with pytest.raises(ValueError):
+            ZephyrGraph(0, 1, [], [])
+
+    @pytest.mark.parametrize("edit", ["a>=b", "duplicate", "unsorted", "id>=n", "fractional-id",
+                                      "class", "vertex-order", "vertex-count"])
+    def test_from_dict_rejects(self, edit):
+        d = json.loads(build_zephyr(1, 1).dumps())
+        if edit == "a>=b":
+            d["edges"][0][:2] = d["edges"][0][1::-1]
+        elif edit == "duplicate":
+            d["edges"].append(d["edges"][-1])
+        elif edit == "unsorted":
+            d["edges"][0], d["edges"][1] = d["edges"][1], d["edges"][0]
+        elif edit == "id>=n":
+            d["edges"][-1][1] = 12
+        elif edit == "fractional-id":  # used to load as the coupler (0, 1)
+            d["edges"][0][1] = 1.5
+        elif edit == "class":
+            d["edges"][0][2] = "diagonal"
+        elif edit == "vertex-order":
+            d["vertices"][0], d["vertices"][1] = d["vertices"][1], d["vertices"][0]
+        else:
+            d["vertices"].pop()
+        with pytest.raises(ValueError):
+            ZephyrGraph.from_dict(d)
+
+    def test_vertex_id_rejects_a_coordinate_outside_the_graph(self):
+        with pytest.raises(ValueError):
+            build_zephyr(1, 1).vertex_id(ZephyrCoordinate(0, 3, 0, 0, 0))
