@@ -68,11 +68,6 @@ def cbf_predict(lengths, model: CbpModel) -> float:
     return float(np.mean(cbp(lengths, model)))
 
 
-def cbp_vs_m(m: int, alpha: float, beta: float, model: CbpModel) -> float:
-    """Break probability at grid parameter m, via ell = alpha * m + beta."""
-    return cbp(alpha * m + beta, model)
-
-
 def critical_chain_strength(ell, nm: NoiseModel, tau: float, eta: float = 1.0):
     """Chain strength k* with cbp(ell) = tau at margin kappa = eta * k*; broadcasts over ell."""
     if not (0.0 < tau < 1.0):

@@ -11,8 +11,6 @@ chains lower the energy by k per intra-chain edge).
 from __future__ import annotations
 
 import itertools
-import json
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +45,6 @@ class Embedding:
     chains: list[list[int]]
     hardware: ZephyrGraph | None = None
 
-    def lengths(self) -> list[int]:
-        return [len(c) for c in self.chains]
-
-    def to_dict(self) -> dict:
-        return {"chains": [list(c) for c in self.chains]}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 @dataclass
 class EmbeddedIsing:
@@ -81,27 +70,8 @@ class EmbeddedIsing:
         label = label[np.argsort(members)]
         return label[self.model.ei], label[self.model.ej]
 
-    @property
-    def provenance(self) -> dict[tuple[int, int], tuple]:
-        """Each coupler (p, q), by hardware id, mapped to ("intra", i) for the
-        penalty inside chain i or to ("inter", (i, j)) for a share of J_ij."""
-        ci, cj = self._chain_ends()
-        p, q = self.qubits[self.model.ei], self.qubits[self.model.ej]
-        return {(a, b): ("intra", i) if i == j else ("inter", (min(i, j), max(i, j)))
-                for a, b, i, j in zip(p.tolist(), q.tolist(), ci.tolist(), cj.tolist())}
-
     def intra_edge_count(self) -> int:
         return int(np.count_nonzero(np.equal(*self._chain_ends())))
-
-    def to_dict(self) -> dict:
-        prov = [[p, q, list(tag[1]) if tag[0] == "inter" else tag[1], tag[0]]
-                for (p, q), tag in sorted(self.provenance.items())]
-        return {"model": self.model.to_dict(), "chain_strength": self.chain_strength,
-                "provenance": prov, "embedding": self.embedding.to_dict(),
-                "qubits": self.qubits.tolist()}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def synth_chain_lengths(L: int, model: ChainLengthModel, seed: int) -> np.ndarray:
@@ -135,7 +105,10 @@ def build_embedded_ising(logical: IsingModel, chains_or_lengths, k: float) -> Em
         if emb.hardware is None:
             raise ValueError("an Embedding needs a hardware graph; lengths mean path chains")
     else:
-        lengths = [int(v) for v in chains_or_lengths]
+        lengths = [float(v) for v in chains_or_lengths]
+        if not all(v.is_integer() for v in lengths):  # NaN and inf included
+            raise ValueError("chain lengths must be integers")
+        lengths = [int(v) for v in lengths]
         if any(v < 1 for v in lengths):
             raise ValueError("chain lengths must be >= 1")
         ends = np.cumsum(lengths).tolist()
@@ -258,19 +231,12 @@ def validate_embedding(e: Embedding, hardware: ZephyrGraph, logical_edges) -> Va
     return ValidationReport(_check(e.chains, hardware, *edges.T)[0])
 
 
-def chain_stats(e_or_lengths) -> dict:
-    """Mean, min, max and histogram of chain lengths."""
-    lengths = e_or_lengths.lengths() if isinstance(e_or_lengths, Embedding) else list(e_or_lengths)
-    if len(lengths) == 0:
-        raise ValueError("no chains")
-    return {"mean": float(np.mean(lengths)), "min": int(np.min(lengths)),
-            "max": int(np.max(lengths)), "histogram": dict(Counter(int(v) for v in lengths))}
-
-
 def fit_linear(xs, ys) -> dict:
     """Ordinary least squares y = slope * x + intercept with R^2."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):  # NaN would reach LAPACK
+        raise ValueError("fit_linear needs finite data")
     if xs.shape != ys.shape or xs.size < 2 or np.unique(xs).size < 2:
         raise ValueError("need at least two distinct x values")
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -14,11 +14,9 @@ single extra Gaussian per chain.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
-
-from .problem import IsingModel
 
 
 @dataclass
@@ -95,15 +93,3 @@ def control_errors(model, nm: NoiseModel, stream: np.random.Generator, batch: tu
     """
     dh, dj = (stream.normal(0.0, 1.0, size=batch + (m,)) for m in (model.n, len(model.jv)))
     return np.multiply(dh, nm.sigma_h, out=dh), np.multiply(dj, nm.sigma_c, out=dj)
-
-
-def perturb_hamiltonian(emb, nm: NoiseModel, stream: np.random.Generator):
-    """Return a copy of an EmbeddedIsing with every programmed coefficient perturbed.
-
-    All physical fields receive N(0, sigma_h^2) deviations and all
-    physical couplers (intra- and inter-chain) receive N(0, sigma_c^2),
-    deterministically for a given stream state.
-    """
-    m = emb.model
-    dh, dj = control_errors(m, nm, stream)
-    return replace(emb, model=IsingModel(m.n, m.h + dh, (m.ei, m.ej, m.jv + dj), m.offset))

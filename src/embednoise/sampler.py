@@ -9,7 +9,6 @@ reproducible per seed and identical across kernel backends.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,26 +38,6 @@ class SampleSet:
     @property
     def num_reads(self) -> int:
         return self.spins.shape[0]
-
-    def records(self):
-        for r in range(self.num_reads):
-            yield {
-                "physical_spins": self.spins[r].tolist(),
-                "energy": float(self.energies[r]),
-                "cbf": float(self.cbf[r]),
-            }
-
-    def to_dict(self) -> dict:
-        return {"reads": list(self.records()), "metadata": self.metadata}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def summary_csv(self) -> str:
-        lines = ["read,energy,cbf"]
-        for r in range(self.num_reads):
-            lines.append(f"{r},{self.energies[r]:.12g},{self.cbf[r]:.12g}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -245,9 +224,12 @@ def brute_force(model: IsingModel) -> dict:
 
 def _chain_spins(spins, embedding_or_chains) -> tuple[np.ndarray, np.ndarray]:
     """The spins gathered in chain order along the last axis, and where each chain starts;
-    ValueError unless every chain is nonempty and holds spin ids in 0..n-1."""
+    ValueError unless every spin is +1 or -1 and every chain is nonempty and holds spin
+    ids in 0..n-1."""
     chains = getattr(embedding_or_chains, "chains", embedding_or_chains)
     spins, sizes = np.asarray(spins), np.array([len(c) for c in chains])
+    if not np.all((spins == 1) | (spins == -1)):
+        raise ValueError("spins must be +1 or -1")
     ids = np.concatenate(chains)
     if not sizes.all() or not 0 <= ids.min() <= ids.max() < spins.shape[-1]:
         raise ValueError(f"chains must be nonempty and hold spin ids in 0..{spins.shape[-1] - 1}")
@@ -364,14 +346,3 @@ def synthetic_hardware_run(
     resolved = SampleSet(spins=logical_spins, energies=logical_energies, cbf=physical.cbf,
                          metadata=dict(physical.metadata, resolved=True))
     return physical, resolved
-
-
-def energy_stats(ss: SampleSet) -> dict:
-    """Minimum, mean and standard deviation of read energies."""
-    if ss.num_reads == 0:
-        raise ValueError("empty sample set")
-    return {
-        "E_min": float(np.min(ss.energies)),
-        "E_mean": float(np.mean(ss.energies)),
-        "E_std": float(np.std(ss.energies)),
-    }

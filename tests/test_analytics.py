@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcinv
 
-from embednoise.analytics import (CbpModel, cbf_predict, cbp, cbp_vs_m,
+from embednoise.analytics import (CbpModel, cbf_predict, cbp,
                                   critical_chain_strength, erfc, erfc_inv,
                                   power_law_fit)
 from embednoise.noise import NoiseModel, variance_law
@@ -177,26 +177,6 @@ class TestCbfPredict:
             cbf_predict([], model())
 
 
-class TestCbpVsM:
-    def test_constant_when_alpha_zero(self):
-        m = model()
-        vals = {cbp_vs_m(mm, 0.0, 7.0, m) for mm in range(1, 10)}
-        assert len(vals) == 1
-
-    def test_substitution(self):
-        m = model()
-        assert cbp_vs_m(10, 0.9, 1.3, m) == pytest.approx(cbp(0.9 * 10 + 1.3, m), abs=1e-15)
-
-    def test_increasing_in_m(self):
-        m = model()
-        vals = [cbp_vs_m(mm, 0.9, 1.3, m) for mm in range(1, 16)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_sub_unit_length(self):
-        with pytest.raises(ValueError):
-            cbp_vs_m(1, 0.1, 0.0, model())
-
-
 class TestCriticalChainStrength:
     def test_inversion_consistency(self):
         nm = NoiseModel(sigma_h=0.06, sigma_c=0.005)
@@ -266,3 +246,10 @@ class TestPowerLawFit:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             power_law_fit([1.0, 2.0], [1.0, -2.0])
+
+    def test_rejects_nan(self, capfd):
+        # the <= 0 check lets NaN through, and fit_linear used to hand it to LAPACK,
+        # which printed DLASCL lines to stderr before a LinAlgError
+        with pytest.raises(ValueError, match="finite"):
+            power_law_fit([1.0, 2.0, np.nan], [1.0, 2.0, 3.0])
+        assert capfd.readouterr().err == ""

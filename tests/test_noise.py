@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from embednoise.embedding import build_embedded_ising
-from embednoise.noise import (NoiseModel, chain_error_sample, control_errors, perturb_hamiltonian,
-                              variance_law)
+from embednoise.noise import NoiseModel, chain_error_sample, control_errors, variance_law
 from embednoise.problem import IsingModel, generate_random_qubo, qubo_to_ising
 from embednoise.rng import substream
 
@@ -11,6 +12,13 @@ from embednoise.rng import substream
 def couplers(m):
     """The model's couplers as {(i, j): J_ij}, read from its arrays."""
     return dict(zip(zip(m.ei.tolist(), m.ej.tolist()), m.jv.tolist()))
+
+
+def perturbed(emb, nm, stream):
+    """A copy of an EmbeddedIsing programmed with one draw of control errors."""
+    m = emb.model
+    dh, dj = control_errors(m, nm, stream)
+    return replace(emb, model=IsingModel(m.n, m.h + dh, (m.ei, m.ej, m.jv + dj), m.offset))
 
 
 class TestVarianceLaw:
@@ -122,15 +130,15 @@ class TestPerturbHamiltonian:
 
     def test_zero_width_is_identity(self):
         emb = self.make_embedded()
-        out = perturb_hamiltonian(emb, NoiseModel(0.0, 0.0), substream(0, "p"))
+        out = perturbed(emb, NoiseModel(0.0, 0.0), substream(0, "p"))
         assert np.array_equal(out.model.h, emb.model.h)
         assert couplers(out.model) == couplers(emb.model)
 
     def test_deterministic(self):
         emb = self.make_embedded()
         nm = NoiseModel(sigma_h=0.06, sigma_c=0.02)
-        a = perturb_hamiltonian(emb, nm, substream(5, "p"))
-        b = perturb_hamiltonian(emb, nm, substream(5, "p"))
+        a = perturbed(emb, nm, substream(5, "p"))
+        b = perturbed(emb, nm, substream(5, "p"))
         assert np.array_equal(a.model.h, b.model.h)
         assert couplers(a.model) == couplers(b.model)
 
@@ -138,14 +146,14 @@ class TestPerturbHamiltonian:
         emb = self.make_embedded()
         h_before = emb.model.h.copy()
         J_before = couplers(emb.model)
-        perturb_hamiltonian(emb, NoiseModel(0.1, 0.1), substream(6, "p"))
+        perturbed(emb, NoiseModel(0.1, 0.1), substream(6, "p"))
         assert np.array_equal(emb.model.h, h_before)
         assert couplers(emb.model) == J_before
 
     def test_draws_fields_then_couplers(self):
         emb = self.make_embedded()
         m, nm = emb.model, NoiseModel(sigma_h=0.06, sigma_c=0.02)
-        out = perturb_hamiltonian(emb, nm, substream(9, "p"))
+        out = perturbed(emb, nm, substream(9, "p"))
         z = substream(9, "p").standard_normal(m.n + len(m.jv))
         assert out.model.h.tolist() == (m.h + z[:m.n] * 0.06).tolist()
         assert out.model.jv.tolist() == (m.jv + z[m.n:] * 0.02).tolist()
@@ -165,12 +173,13 @@ class TestPerturbHamiltonian:
         nm = NoiseModel(sigma_h=0.06, sigma_c=0.02)
         n_draws = 100_000
         stream = substream(8, "moments")
+        m = emb.model
         dh = np.empty(n_draws)
         dj = np.empty(n_draws)
-        for r in range(n_draws):
-            out = perturb_hamiltonian(emb, nm, stream)
-            dh[r] = out.model.h[0]
-            dj[r] = couplers(out.model)[(0, 1)] - couplers(emb.model)[(0, 1)]
+        for r in range(n_draws):  # one call per draw: a batch would draw every field first
+            eh, ej = control_errors(m, nm, stream)
+            dh[r] = m.h[0] + eh[0]
+            dj[r] = (m.jv[0] + ej[0]) - m.jv[0]
         assert dh.var() == pytest.approx(nm.sigma_h**2, rel=0.02)
         assert dj.var() == pytest.approx(nm.sigma_c**2, rel=0.02)
 

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import math
 import shutil
 import time
@@ -17,8 +16,8 @@ from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, q
 from embednoise.rng import substream
 from embednoise.topology import build_zephyr
 from embednoise import sampler
-from embednoise.sampler import (AnnealSchedule, SampleSet, _batch_energies, brute_force,
-                                detect_breaks, energy_stats, margin_errors, margin_model_run,
+from embednoise.sampler import (AnnealSchedule, _batch_energies, brute_force,
+                                detect_breaks, margin_errors, margin_model_run,
                                 resolve_chains, schedule_betas, simulated_anneal,
                                 synthetic_hardware_run)
 
@@ -410,6 +409,14 @@ class TestChainInputs:
             reduce(np.array([1, -1]), [[0, 1], []])
 
 
+    @pytest.mark.parametrize("reduce", REDUCTIONS, ids=["detect_breaks", "resolve_chains"])
+    @pytest.mark.parametrize("spins", [[0, 1, 1], [[1, 1, 1], [0, 0, 1]], [1, 2, 1]])
+    def test_spins_other_than_plus_minus_one_rejected(self, reduce, spins):
+        # [0, 1, 1] used to report chain 0 broken, and "plus_one" to resolve the zeros to +1
+        with pytest.raises(ValueError, match=r"spins must be \+1 or -1"):
+            reduce(np.array(spins), [[0, 1], [2]])
+
+
 class TestResolveChains:
     def test_unbroken_chain(self):
         assert resolve_chains(np.array([-1, -1, -1]), [[0, 1, 2]], policy="plus_one")[0] == -1
@@ -597,6 +604,20 @@ class TestSyntheticHardwareRun:
         assert np.array_equal(a_phys.spins, b_phys.spins)
         assert np.array_equal(a_res.spins, b_res.spins)
 
+    def test_rejects_non_integral_lengths(self):
+        # int(2.5) used to anneal the embedding of [2, 2, 2, 2]
+        q = generate_random_qubo(4, 1.0, seed=6)
+        with pytest.raises(ValueError, match="chain lengths must be integers"):
+            synthetic_hardware_run(q, [2, 2.5, 2, 2], k=2.0, nm=NoiseModel(0.05, 0.01),
+                                   reads=10, seed=0)
+
+    def test_integral_float_length_is_the_integer(self):
+        q = generate_random_qubo(4, 1.0, seed=6)
+        kw = dict(k=2.0, nm=NoiseModel(0.05, 0.01), reads=20, seed=3)
+        a, _ = synthetic_hardware_run(q, [2, 3.0, 2, 2], **kw)
+        b, _ = synthetic_hardware_run(q, [2, 3, 2, 2], **kw)
+        assert np.array_equal(a.spins, b.spins) and np.array_equal(a.energies, b.energies)
+
     def test_zero_noise_is_simulated_anneal(self, monkeypatch):
         # one anneal path: with zero control errors and every read in one
         # block, the synthetic run draws simulated_anneal's uniforms in its order
@@ -663,41 +684,3 @@ class TestSyntheticHardwareRun:
         loud, _ = synthetic_hardware_run(
             q, [3] * 8, k=1.0, nm=NoiseModel(0.4, 0.2), reads=200, seed=4)
         assert float(loud.cbf.mean()) > float(quiet.cbf.mean())
-
-
-class TestSampleSet:
-    def make(self):
-        m = qubo_to_ising(generate_random_qubo(5, 1.0, seed=0))
-        return simulated_anneal(m, 10, seed=0)
-
-    def test_json_schema(self):
-        ss = self.make()
-        d = json.loads(ss.dumps())
-        assert len(d["reads"]) == 10
-        rec = d["reads"][0]
-        assert set(rec) == {"physical_spins", "energy", "cbf"}
-        assert d["metadata"]["reads"] == 10
-
-    def test_summary_csv(self):
-        ss = self.make()
-        lines = ss.summary_csv().splitlines()
-        assert lines[0] == "read,energy,cbf"
-        assert len(lines) == 11
-        r, e, c = lines[1].split(",")
-        assert int(r) == 0
-        assert float(e) == pytest.approx(ss.energies[0], rel=1e-11)
-        assert float(c) == 0.0
-
-    def test_energy_stats(self):
-        ss = self.make()
-        stats = energy_stats(ss)
-        assert stats["E_min"] == float(ss.energies.min())
-        assert stats["E_mean"] == pytest.approx(float(ss.energies.mean()))
-
-    def test_energy_stats_degenerate(self):
-        ss = SampleSet(spins=np.ones((3, 1), dtype=np.int8),
-                       energies=np.full(3, 2.0), cbf=np.zeros(3))
-        assert energy_stats(ss)["E_std"] == 0.0
-        with pytest.raises(ValueError):
-            energy_stats(SampleSet(spins=np.ones((0, 1), dtype=np.int8),
-                                   energies=np.zeros(0), cbf=np.zeros(0)))
