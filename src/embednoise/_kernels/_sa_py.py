@@ -4,7 +4,7 @@ import sys
 import numpy as np
 
 NAME = "python"
-DRAWS_PER_CALL = sys.maxsize  # whole blocks: the steps loop over spins in Python, across all reads
+DRAWS_PER_CALL = sys.maxsize  # whole chunks: the steps loop over spins in Python, across all reads
 
 
 def csr(n, edges):
@@ -35,21 +35,19 @@ def run_metropolis(spins, h, edges, jv, perms, betas, log_u):
 
     Local fields are summed once per call, h then the row of csr(n, edges) in entry order; a
     spin update only compares, and an accepted flip of i adds 2 * s_i * v to each neighbour's
-    field.
+    field. Values are read from jv by each entry's edge id, shared or per read alike.
     """
     reads, n = spins.shape
     row_ptr, nbr_idx, edge_id = csr(n, edges)
     ar, deg = np.arange(reads), np.diff(row_ptr)
     slot = row_ptr[:-1, None] + np.arange(deg.max(initial=0))
     pad, slot = slot >= row_ptr[1:, None], np.minimum(slot, len(nbr_idx) - 1)
-    shared = jv.strides[0] == 0  # one table for all reads: pad it once
-    val = np.where(pad, 0.0, (jv[:1] if shared else jv)[:, edge_id[slot]])
-    nbr, val_row = np.where(pad, n, nbr_idx[slot]), 0 * ar if shared else ar
+    nbr, eid = np.where(pad, n, nbr_idx[slot]), edge_id[slot]
     field = np.empty((reads, n + 1))  # column n takes the pads' updates
     field[:, :n] = h
     for d in range(slot.shape[1]):  # h first, then the row's entries, as in sa.c
         at = np.flatnonzero(deg > d)
-        field[:, at] += val[:, at, d] * spins[:, nbr[at, d]]
+        field[:, at] += jv[:, eid[at, d]] * spins[:, nbr[at, d]]
     for c, beta in enumerate(betas):
         for t in range(n):
             i = perms[:, t]
@@ -59,4 +57,4 @@ def run_metropolis(spins, h, edges, jv, perms, betas, log_u):
             spins[flip, i] = s
             # flat and unbuffered, in (read, entry) order: a pair listed twice adds twice, as in sa.c
             np.add.at(field.reshape(-1), (flip[:, None] * (n + 1) + nbr[i]).ravel(),
-                      ((2.0 * s)[:, None] * val[val_row[flip], i]).ravel())
+                      ((2.0 * s)[:, None] * jv[flip[:, None], eid[i]]).ravel())

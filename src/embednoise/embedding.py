@@ -157,10 +157,15 @@ _MESSAGES = {
 
 
 def _labels(chains) -> tuple[np.ndarray, np.ndarray]:
-    """Every chain member, chain after chain, and the chain each belongs to."""
-    sizes = [len(c) for c in chains]
-    members = np.fromiter(itertools.chain.from_iterable(chains), np.int64, sum(sizes))
-    return members, np.repeat(np.arange(len(chains)), sizes)
+    """Every chain member as int64, chain after chain, and the chain each belongs to;
+    ValueError unless every member is an integer (158.0 counts as 158)."""
+    members = np.asarray(list(itertools.chain.from_iterable(chains)))
+    label = np.repeat(np.arange(len(chains)), [len(c) for c in chains])
+    odd = np.flatnonzero(members % 1 != 0) if members.dtype.kind == "f" else []  # NaN, inf too
+    if len(odd):
+        raise ValueError(f"chain members must be integers; chain {label[odd[0]]} holds "
+                         f"{members[odd[0]]}")
+    return members.astype(np.int64), label
 
 
 def _check(chains, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tuple:

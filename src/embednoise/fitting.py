@@ -187,6 +187,11 @@ def read_observations_csv(text: str, lengths_by_L: dict | None = None) -> list[d
 
 
 def read_lengths_json(text: str) -> dict[int, list[int]]:
-    """Parse the optional lengths JSON {"L": [lengths...]}."""
-    raw = json.loads(text)
-    return {int(k): [int(v) for v in vals] for k, vals in raw.items()}
+    """Parse the optional lengths JSON {"L": [lengths...]}; ValueError naming the L unless
+    every length is an integer (3.0 counts as 3)."""
+    lengths = {}
+    for key, vals in json.loads(text).items():
+        if not all(float(v).is_integer() for v in vals):  # NaN and Infinity included
+            raise ValueError(f"L={key}: chain lengths must be integers, got {vals}")
+        lengths[int(key)] = [int(v) for v in vals]
+    return lengths

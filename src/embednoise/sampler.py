@@ -2,7 +2,7 @@
 chain-break sampling and the synthetic-hardware pipeline.
 
 The annealer draws its initial spins and per-read visit permutations up
-front and its acceptance uniforms block by block, all from named
+front and its acceptance uniforms chunk by chunk, all from named
 substreams, and feeds them to a Metropolis sweep kernel, so results are
 reproducible per seed and identical across kernel backends.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import csr, get_kernel
-from .embedding import ChainLengthModel, build_embedded_ising, synth_chain_lengths
+from .embedding import ChainLengthModel, _labels, build_embedded_ising, synth_chain_lengths
 from .noise import NoiseModel, control_errors, variance_law
 from .noise import chain_error_sample  # noqa: F401  unused here; perfbench's tracer wraps it
 from .problem import IsingModel, QuboInstance, _batch_energies, qubo_to_ising
@@ -42,21 +42,18 @@ class SampleSet:
 
 @dataclass
 class AnnealSchedule:
-    """Inverse-temperature schedule for the Metropolis annealer.
+    """Logarithmic inverse-temperature schedule for the Metropolis annealer.
 
     With beta endpoints left unset they are derived from the model: the
     median single-flip energy scale gets ~50% acceptance at beta_min and
     ~1e-4 acceptance at beta_max.
     """
 
-    kind: str = "logarithmic"
     beta_min: float | None = None
     beta_max: float | None = None
     sweeps: int = 128
 
     def __post_init__(self):
-        if self.kind not in ("logarithmic", "geometric", "linear"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not (float(self.sweeps).is_integer() and self.sweeps >= 1):
             raise ValueError(f"sweeps must be an integer >= 1, got {self.sweeps!r}")
         self.sweeps = int(self.sweeps)
@@ -66,7 +63,7 @@ class AnnealSchedule:
             raise ValueError("need 0 < beta_min < beta_max")
 
     def describe(self) -> str:
-        return f"{self.kind}[{self.beta_min},{self.beta_max}]x{self.sweeps}"
+        return f"logarithmic[{self.beta_min},{self.beta_max}]x{self.sweeps}"
 
 
 def _auto_endpoints(h: np.ndarray, abs_coupling: np.ndarray) -> tuple[float, float]:
@@ -87,13 +84,7 @@ def schedule_betas(schedule: AnnealSchedule, h: np.ndarray, abs_coupling: np.nda
     s = schedule.sweeps
     if s == 1:
         return np.array([bmax])
-    idx = np.arange(s, dtype=np.float64)
-    if schedule.kind == "linear":
-        frac = idx / (s - 1)
-        return bmin + (bmax - bmin) * frac
-    if schedule.kind == "geometric":
-        return bmin * (bmax / bmin) ** (idx / (s - 1))
-    frac = np.log1p(idx) / np.log1p(s - 1)  # logarithmic
+    frac = np.log1p(np.arange(s, dtype=np.float64)) / np.log1p(s - 1)
     return bmin + (bmax - bmin) * frac
 
 
@@ -104,12 +95,10 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     With errors = (dh, dj), read r runs on h + dh[r] and jv + dj[r], summed
     into dh and dj in place; betas and energies come from the unperturbed
     model. The stream gives the initial spins, the visit orders, then the
-    log acceptance uniforms block by block: one block of all reads when
-    they share couplers, else blocks of clip(2^24 // (n * width), 16, reads)
-    reads with their own couplers, where width = max(1, largest degree);
-    inside a block, sweep chunks of clip(2^25 // (block reads * n), 1, 32).
-    These two sizes decide which uniform goes to which (read, sweep, spin),
-    so changing them changes every seeded SA stream.
+    log acceptance uniforms in sweep chunks of all reads, chunk sweeps =
+    clip(2^25 // (reads * n), 1, 32). That one size decides which uniform
+    goes to which (read, sweep, spin), so changing it changes every seeded
+    SA stream; shared and per-read couplers draw alike.
 
     A chunk's uniforms are drawn and passed to the kernel in tiles of
     max(1, kernel.DRAWS_PER_CALL // (chunk sweeps * n)) consecutive reads,
@@ -127,7 +116,6 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     edges = np.stack([model.ei, model.ej], axis=1).astype(np.int32)
     row_ptr, _, edge_id = csr(n, edges)
     deg = np.diff(row_ptr)
-    width = max(1, int(deg.max()))
     abs_coupling, abs_jv = np.zeros(n), np.abs(model.jv)
     for d in np.flatnonzero(np.bincount(deg)):  # each row's sum|J|, as NumPy sums that row alone
         at = np.flatnonzero(deg == d)
@@ -137,22 +125,18 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     rng = substream(seed, "sa")
     spins = (rng.integers(0, 2, size=(reads, n)) * 2 - 1).astype(np.int8)
     perms = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (reads, 1)), axis=1)
-    block = reads if errors is None else int(np.clip((1 << 24) // (n * width), 16, reads))
-    for start in range(0, reads, block):
-        rows = slice(start, min(start + block, reads))
-        size, s_blk, p_blk = rows.stop - start, spins[rows], perms[rows]
-        h2, jv2 = np.broadcast_to(model.h, (size, n)), np.broadcast_to(model.jv, (size, m))
-        if errors is not None:  # summed into the error rows: e + jv has the bits of jv + e
-            h2, jv2 = (np.add(d[rows], v, out=d[rows]) for d, v in zip(errors, (h2, jv2)))
-        chunk = int(np.clip((1 << 25) // (size * n), 1, 32))
-        for b in np.split(betas, range(chunk, len(betas), chunk)):
-            tile = max(1, kernel.DRAWS_PER_CALL // (len(b) * n))
-            for t in range(0, size, tile):
-                tr = slice(t, min(t + tile, size))
-                u = rng.random((tr.stop - t, len(b), n))
-                kernel.run_metropolis(s_blk[tr], h2[tr], edges, jv2[tr], p_blk[tr], b,
-                                      np.log(u, out=u))
-                del u  # before the next tile is drawn
+    h2, jv2 = np.broadcast_to(model.h, (reads, n)), np.broadcast_to(model.jv, (reads, m))
+    if errors is not None:  # summed into the error arrays: e + jv has the bits of jv + e
+        h2, jv2 = (np.add(e, v, out=e) for e, v in zip(errors, (h2, jv2)))
+    chunk = int(np.clip((1 << 25) // (reads * n), 1, 32))
+    for b in np.split(betas, range(chunk, len(betas), chunk)):
+        tile = max(1, kernel.DRAWS_PER_CALL // (len(b) * n))
+        for t in range(0, reads, tile):
+            rows = slice(t, min(t + tile, reads))
+            u = rng.random((rows.stop - t, len(b), n))
+            kernel.run_metropolis(spins[rows], h2[rows], edges, jv2[rows], perms[rows], b,
+                                  np.log(u, out=u))
+            del u  # before the next tile is drawn
     del h2, jv2, errors  # the perturbed models are not needed for scoring
 
     energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
@@ -224,13 +208,13 @@ def brute_force(model: IsingModel) -> dict:
 
 def _chain_spins(spins, embedding_or_chains) -> tuple[np.ndarray, np.ndarray]:
     """The spins gathered in chain order along the last axis, and where each chain starts;
-    ValueError unless every spin is +1 or -1 and every chain is nonempty and holds spin
-    ids in 0..n-1."""
+    ValueError unless every spin is +1 or -1 and every chain is nonempty and holds integer
+    spin ids in 0..n-1."""
     chains = getattr(embedding_or_chains, "chains", embedding_or_chains)
     spins, sizes = np.asarray(spins), np.array([len(c) for c in chains])
     if not np.all((spins == 1) | (spins == -1)):
         raise ValueError("spins must be +1 or -1")
-    ids = np.concatenate(chains)
+    ids = _labels(chains)[0]
     if not sizes.all() or not 0 <= ids.min() <= ids.max() < spins.shape[-1]:
         raise ValueError(f"chains must be nonempty and hold spin ids in 0..{spins.shape[-1] - 1}")
     return spins[..., ids], np.cumsum(sizes) - sizes

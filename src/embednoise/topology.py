@@ -65,8 +65,8 @@ class ZephyrGraph:
     """
 
     def __init__(self, m: int, t: int, edges, classes):
-        n = vertex_count(m, t)
-        self.m, self.t = m, t
+        self.m, self.t = _size(m, t)
+        n = len(self)
         self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
         codes = np.asarray(classes, dtype=np.int64)
         a, b = self.edges.T
@@ -102,7 +102,7 @@ class ZephyrGraph:
     @classmethod
     def from_dict(cls, d: dict) -> "ZephyrGraph":
         codes = {c: i for i, c in enumerate(EDGE_CLASSES)}
-        g = cls(int(d["m"]), int(d["t"]), [e[:2] for e in d["edges"]],
+        g = cls(d["m"], d["t"], [e[:2] for e in d["edges"]],
                 [codes.get(e[2], -1) for e in d["edges"]])
         if not np.array_equal(np.asarray(d["vertices"]), g.vertices):
             raise ValueError(f"vertices are not the coordinates of Z({g.m},{g.t}) in id order")
@@ -113,15 +113,22 @@ class ZephyrGraph:
         return "\n".join(f"{a} {b} {cls}" for a, b, cls in self._rows()) + "\n"
 
 
+def _size(m: int, t: int) -> tuple[int, int]:
+    """(m, t) as ints; ValueError unless both are integers >= 1 (4.0 counts as 4)."""
+    if not all(float(v).is_integer() and v >= 1 for v in (m, t)):  # NaN and inf included
+        raise ValueError(f"m and t must be integers >= 1, got {m!r}, {t!r}")
+    return int(m), int(t)
+
+
 def vertex_count(m: int, t: int) -> int:
     """Number of qubits in Z(m,t): 8tm^2 + 4tm."""
-    if m < 1 or t < 1:
-        raise ValueError("m and t must be >= 1")
+    m, t = _size(m, t)
     return 8 * t * m * m + 4 * t * m
 
 
 def build_zephyr(m: int, t: int) -> ZephyrGraph:
     """Construct Z(m,t) with canonically ordered vertices and edges."""
+    m, t = _size(m, t)
     ids = np.arange(vertex_count(m, t)).reshape(_shape(m, t))
     # internal: vertical (w, k, j, z) crosses horizontal (2z+j+r, k', j', z') where 2z'+j' = w-1+q
     w, k, j, z, r, q, kp = np.ix_(range(2 * m + 1), range(t), (0, 1), range(m),

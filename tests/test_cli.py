@@ -118,6 +118,14 @@ class TestFitCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_integral_lengths_fail_cleanly(self, tmp_path, capsys):
+        obs, lengths = tmp_path / "obs.csv", tmp_path / "lengths.json"
+        obs.write_text("L,cbf_obs\n5,0.01\n")
+        lengths.write_text('{"5": [2.5, 3]}')
+        rc = main(["fit", str(obs), "--lengths", str(lengths), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "L=5: chain lengths must be integers" in capsys.readouterr().err
+
     def test_empty_grid_range_names_its_key(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
         obs.write_text("L,cbf_obs,ell_bar\n20,0.1,3.4\n")

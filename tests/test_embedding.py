@@ -244,6 +244,19 @@ class TestBuildEmbeddedIsing:
         assert emb.spin_chains() == [[1], [0]]
         assert validate_embedding(emb.embedding, hw, [(0, 1)]).ok
 
+    def test_non_integral_member_rejected(self):
+        # 159.7 used to be cast to 159: the model built on qubits [158, 159] and the
+        # report found the chains ok
+        hw = build_zephyr(2, 4)
+        logical = IsingModel(n=2, h=np.array([0.5, -0.5]), J={(0, 1): 1.0})
+        bad = Embedding([[159.7], [158]], hw)
+        with pytest.raises(ValueError, match="chain members must be integers; chain 0 holds 159.7"):
+            build_embedded_ising(logical, bad, k=1.0)
+        with pytest.raises(ValueError, match="chain members must be integers"):
+            validate_embedding(bad, hw, [(0, 1)])
+        emb = build_embedded_ising(logical, Embedding([[159.0], [158]], hw), k=1.0)
+        assert emb.qubits.tolist() == [158, 159] and emb.spin_chains() == [[1], [0]]
+
     def test_embedding_without_hardware_rejected(self):
         # consecutive ids would be taken as chain edges that may not exist
         logical = IsingModel(n=2, h=np.zeros(2), J={(0, 1): 1.0})

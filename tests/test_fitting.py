@@ -308,6 +308,12 @@ class TestObservationIO:
         fr = fit_noise_params(obs)
         assert fr.sse >= 0.0
 
+    def test_non_integral_lengths_json_rejected(self):
+        # int(2.5) used to fit the multiset [2, 3] where the file holds [2.5, 3]
+        with pytest.raises(ValueError, match="L=5: chain lengths must be integers"):
+            read_lengths_json('{"5": [2.5, 3]}')
+        assert read_lengths_json('{"5": [2, 3.0]}') == {5: [2, 3]}
+
     def test_csv_with_ell_bar_column(self):
         csv_text = "L,cbf_obs,ell_bar\n5,0.01,1.6\n10,0.02,2.2\n15,0.05,2.8\n"
         obs = read_observations_csv(csv_text)

@@ -367,11 +367,12 @@ class TestBackendSelection:
 
 @needs_cc
 def test_bench_kernels_script_runs():
-    # the script asserts C/NumPy parity on the dense and path models and exits 1 on a mismatch
+    # the script asserts C/NumPy parity on the dense and path models, shared and per read,
+    # and exits 1 on a mismatch
     root = Path(embednoise.__file__).resolve().parents[2]
     src = str(root / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(root / "benchmarks" / "bench_kernels.py"), "--reads", "20",
                            "--sweeps", "4", "--sizes", "8"], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "path L=60" in proc.stdout
+    assert "path L=60" in proc.stdout and "per-read L=60" in proc.stdout

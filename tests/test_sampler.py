@@ -24,12 +24,13 @@ from embednoise.sampler import (AnnealSchedule, _batch_energies, brute_force,
 
 class TestAnnealSchedule:
     def test_kinds_and_endpoints(self):
-        for kind in ("logarithmic", "geometric", "linear"):
-            s = AnnealSchedule(kind=kind, beta_min=0.1, beta_max=3.0, sweeps=64)
-            betas = schedule_betas(s, np.zeros(1), np.zeros(1))
-            assert betas[0] == pytest.approx(0.1)
-            assert betas[-1] == pytest.approx(3.0)
-            assert np.all(np.diff(betas) > 0)
+        # the one shape, logarithmic; its text stays in metadata["schedule"]
+        s = AnnealSchedule(beta_min=0.1, beta_max=3.0, sweeps=64)
+        betas = schedule_betas(s, np.zeros(1), np.zeros(1))
+        assert betas[0] == pytest.approx(0.1)
+        assert betas[-1] == pytest.approx(3.0)
+        assert np.all(np.diff(betas) > 0)
+        assert s.describe() == "logarithmic[0.1,3.0]x64"
 
     def test_auto_endpoints_scale_with_model(self):
         s = AnnealSchedule()
@@ -38,8 +39,6 @@ class TestAnnealSchedule:
         assert small[0] == pytest.approx(100 * large[0])
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            AnnealSchedule(kind="exp")
         with pytest.raises(ValueError):
             AnnealSchedule(beta_min=2.0, beta_max=1.0)
         with pytest.raises(ValueError):
@@ -403,6 +402,14 @@ class TestChainInputs:
             reduce(np.array([1, -1, 1, 1]), [[0, -1], [1, 2]])
 
     @pytest.mark.parametrize("reduce", REDUCTIONS, ids=["detect_breaks", "resolve_chains"])
+    def test_non_integral_id_rejected(self, reduce):
+        # id 1.9 used to fail as NumPy's bare IndexError; 1.0 is spin 1
+        with pytest.raises(ValueError, match="chain members must be integers; chain 0 holds 1.9"):
+            reduce(np.array([1, 1, 1]), [[0, 1.9], [2]])
+        spins = np.array([1, -1, 1])
+        assert np.array_equal(reduce(spins, [[0, 1.0], [2]]), reduce(spins, [[0, 1], [2]]))
+
+    @pytest.mark.parametrize("reduce", REDUCTIONS, ids=["detect_breaks", "resolve_chains"])
     def test_empty_chain_rejected(self, reduce):
         # an empty chain used to count as unbroken (CBF 0.5 here) and to resolve to the tie value
         with pytest.raises(ValueError, match="nonempty"):
@@ -619,19 +626,24 @@ class TestSyntheticHardwareRun:
         assert np.array_equal(a.spins, b.spins) and np.array_equal(a.energies, b.energies)
 
     def test_zero_noise_is_simulated_anneal(self, monkeypatch):
-        # one anneal path: with zero control errors and every read in one
-        # block, the synthetic run draws simulated_anneal's uniforms in its order
-        q = generate_random_qubo(6, 1.0, seed=6)
-        lengths, schedule = [2, 1, 3, 2, 1, 2], AnnealSchedule(sweeps=40)
-        sa = simulated_anneal(build_embedded_ising(qubo_to_ising(q), lengths, 1.0).model,
-                              60, schedule, seed=5)
-        # perfbench traces sampler.simulated_anneal as SA; a synthetic run must not enter it
-        monkeypatch.setattr(sampler, "simulated_anneal", None)
-        phys, _ = synthetic_hardware_run(q, lengths, 1.0, NoiseModel(0.0, 0.0), schedule,
-                                         reads=60, seed=5)
-        assert np.array_equal(phys.spins, sa.spins)
-        assert np.array_equal(phys.energies, sa.energies)
-        assert phys.metadata["betas"] == sa.metadata["betas"]
+        # one anneal path: with zero control errors the synthetic run draws
+        # simulated_anneal's uniforms in its order at any read count. The L=60 path
+        # chains (n=480, heads of degree 60) with 600 reads and 33 sweeps were split
+        # into read blocks of 582, each drawing its own sweep chunks
+        cases = [(generate_random_qubo(6, 1.0, seed=6), [2, 1, 3, 2, 1, 2], 60, 40),
+                 (generate_random_qubo(60, 1.0, seed=0), [8] * 60, 600, 33)]
+        for q, lengths, reads, sweeps in cases:
+            schedule = AnnealSchedule(sweeps=sweeps)
+            sa = simulated_anneal(build_embedded_ising(qubo_to_ising(q), lengths, 1.0).model,
+                                  reads, schedule, seed=5)
+            # perfbench traces sampler.simulated_anneal as SA; a synthetic run must not enter it
+            with monkeypatch.context() as patch:
+                patch.setattr(sampler, "simulated_anneal", None)
+                phys, _ = synthetic_hardware_run(q, lengths, 1.0, NoiseModel(0.0, 0.0), schedule,
+                                                 reads=reads, seed=5)
+            assert np.array_equal(phys.spins, sa.spins)
+            assert np.array_equal(phys.energies, sa.energies)
+            assert phys.metadata["betas"] == sa.metadata["betas"]
 
     def test_cbf_is_detect_breaks_of_the_batch(self):
         q = generate_random_qubo(8, 1.0, seed=7)
@@ -670,6 +682,19 @@ class TestSyntheticHardwareRun:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+    def test_python_kernel_traced_peak_memory(self):
+        # per-read couplers are read from the (reads, m) errors by edge id: a padded
+        # (reads, n, 60) value table of the L=60 path model used to peak at 48 MB
+        args = (generate_random_qubo(60, 1.0, seed=0), ChainLengthModel(slope=0.122), 2.0,
+                NoiseModel(0.06, 0.005), AnnealSchedule(sweeps=4))
+        tracemalloc.start()
+        try:
+            synthetic_hardware_run(*args, reads=100, seed=0, backend="python")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
 
     def test_correlated_noise_rejected(self):
         # the correlated term is not drawn: corr_strength > 0 used to give zero-noise spins

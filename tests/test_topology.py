@@ -26,6 +26,18 @@ class TestVertexCount:
         with pytest.raises(ValueError):
             vertex_count(3, 0)
 
+    @pytest.mark.parametrize("m, t", [(1.5, 4), (2, 4.5), (float("nan"), 4), (2, float("inf"))])
+    def test_rejects_non_integral(self, m, t):
+        # vertex_count(1.5, 4) used to return 96.0 and build_zephyr to raise a bare TypeError
+        for f in (vertex_count, build_zephyr):
+            with pytest.raises(ValueError, match="m and t must be integers >= 1"):
+                f(m, t)
+
+    def test_integral_floats_are_the_integers(self):
+        assert vertex_count(2.0, 4.0) == 160 and type(vertex_count(2.0, 4.0)) is int
+        g = build_zephyr(2.0, 4.0)
+        assert (g.m, g.t) == (2, 4) and np.array_equal(g.edges, build_zephyr(2, 4).edges)
+
 
 def class_counts(g):
     return {c: int(np.count_nonzero(g.classes == i)) for i, c in enumerate(EDGE_CLASSES)}
@@ -215,7 +227,7 @@ class TestRepresentation:
             ZephyrGraph(0, 1, [], [])
 
     @pytest.mark.parametrize("edit", ["a>=b", "duplicate", "unsorted", "id>=n", "fractional-id",
-                                      "class", "vertex-order", "vertex-count"])
+                                      "class", "vertex-order", "vertex-count", "fractional-m"])
     def test_from_dict_rejects(self, edit):
         d = json.loads(build_zephyr(1, 1).dumps())
         if edit == "a>=b":
@@ -230,6 +242,8 @@ class TestRepresentation:
             d["edges"][0][1] = 1.5
         elif edit == "class":
             d["edges"][0][2] = "diagonal"
+        elif edit == "fractional-m":  # used to load as Z(1,1)
+            d["m"] = 1.5
         elif edit == "vertex-order":
             d["vertices"][0], d["vertices"][1] = d["vertices"][1], d["vertices"][0]
         else:
