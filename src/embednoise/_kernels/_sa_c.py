@@ -8,7 +8,7 @@ import numpy as np
 from ._sa_py import csr
 
 NAME = "c"
-DRAWS_PER_CALL = 1 << 17  # log-uniforms per call, 1 MB: sa.c runs one read after another
+DRAWS_PER_CALL = 1 << 17  # log-uniforms held at once by all of an anneal's threads, 1 MB
 SOURCE = os.path.join(os.path.dirname(__file__), "sa.c")
 FLAGS = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
 
@@ -47,12 +47,12 @@ def _csr(n, edges):
     """csr(n, edges), kept for the last edge list, compared by value: an anneal passes one edge
     list to every call, so its endpoints are checked and its CSR built once, not per call."""
     global _last
-    key = (n, edges.tobytes())
-    if key != _last[0]:
+    key, last = (n, edges.tobytes()), _last  # read once: another thread may replace _last
+    if key != last[0]:
         if not np.all((0 <= edges) & (edges < n)) or np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("edges must join two distinct spins in 0..n-1")
-        _last = (key, csr(n, edges))
-    return _last[1]
+        last = _last = (key, csr(n, edges))
+    return last[1]
 
 
 def run_metropolis(spins, h, edges, jv, perms, betas, log_u):

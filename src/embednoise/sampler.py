@@ -10,6 +10,8 @@ reproducible per seed and identical across kernel backends.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +90,13 @@ def schedule_betas(schedule: AnnealSchedule, h: np.ndarray, abs_coupling: np.nda
     return bmin + (bmax - bmin) * frac
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on (os.cpu_count() where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed: int,
             backend: str | None, errors=None) -> SampleSet:
     """Anneal `reads` Metropolis reads of `model` with the (seed, "sa") stream.
@@ -100,11 +109,21 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     goes to which (read, sweep, spin), so changing it changes every seeded
     SA stream; shared and per-read couplers draw alike.
 
-    A chunk's uniforms are drawn and passed to the kernel in tiles of
-    max(1, kernel.DRAWS_PER_CALL // (chunk sweeps * n)) consecutive reads,
-    so at most one tile of draws is held at a time. Generator.random fills
-    in C order, so the tiles laid end to end are the chunk's (reads,
-    sweeps, n) array: the tile size does not change the stream.
+    The reads are split into P contiguous parts, P = min(CPUs this process
+    may run on, tiles the first chunk needs at max(1, kernel.DRAWS_PER_CALL
+    // (chunk sweeps * n)) reads each). Part 0 runs on the calling thread,
+    parts 1..P-1 on threads joined before this returns or raises; sa.c,
+    Generator.random and np.log release the GIL. Each part anneals its rows
+    through every chunk, drawing from its own copy of the stream jumped
+    ahead (PCG64.advance, one 64-bit output per double) to its first
+    uniform of the chunk: the earlier chunks' uniforms plus lo * chunk
+    sweeps * n. Within a part the draws go to the kernel in tiles of
+    max(1, kernel.DRAWS_PER_CALL // (P * chunk sweeps * n)) reads, drawn
+    just before their call, so all parts hold at most one DRAWS_PER_CALL
+    (1 MB for sa.c) of draws at a time. Generator.random fills in C order,
+    so every (read, sweep, spin) gets the uniform of one array for the
+    whole chunk: neither P nor the tile size changes the stream. The NumPy
+    kernel takes whole chunks, so it runs as one part.
     """
     if model.n < 1:
         raise ValueError("model must have at least one spin")
@@ -129,19 +148,53 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     if errors is not None:  # summed into the error arrays: e + jv has the bits of jv + e
         h2, jv2 = (np.add(e, v, out=e) for e, v in zip(errors, (h2, jv2)))
     chunk = int(np.clip((1 << 25) // (reads * n), 1, 32))
-    for b in np.split(betas, range(chunk, len(betas), chunk)):
-        tile = max(1, kernel.DRAWS_PER_CALL // (len(b) * n))
-        for t in range(0, reads, tile):
-            rows = slice(t, min(t + tile, reads))
-            u = rng.random((rows.stop - t, len(b), n))
-            kernel.run_metropolis(spins[rows], h2[rows], edges, jv2[rows], perms[rows], b,
-                                  np.log(u, out=u))
-            del u  # before the next tile is drawn
+    chunks = np.split(betas, range(chunk, len(betas), chunk))
+    parts = min(_cpus(), -(-reads // max(1, kernel.DRAWS_PER_CALL // (len(chunks[0]) * n))))
+    state = rng.bit_generator.state  # after the perms: the first chunk's first uniform
+
+    def anneal_part(p):
+        lo, hi = reads * p // parts, reads * (p + 1) // parts
+        bits, start = np.random.PCG64(), 0  # start: the uniforms of the earlier chunks
+        draw = np.random.Generator(bits).random
+        for b in chunks:
+            bits.state = state
+            bits.advance(start + lo * len(b) * n)
+            tile = max(1, kernel.DRAWS_PER_CALL // (parts * len(b) * n))
+            for t in range(lo, hi, tile):
+                rows = slice(t, min(t + tile, hi))
+                u = draw((rows.stop - t, len(b), n))
+                kernel.run_metropolis(spins[rows], h2[rows], edges, jv2[rows], perms[rows], b,
+                                      np.log(u, out=u))
+                del u  # before the next tile is drawn
+            start += reads * len(b) * n
+
+    failed = [None] * parts
+
+    def run(p):
+        try:
+            anneal_part(p)
+        except BaseException as exc:  # re-raised on the calling thread
+            failed[p] = exc
+
+    threads = []
+    try:
+        for p in range(1, parts):
+            thread = threading.Thread(target=run, args=(p,))
+            thread.start()
+            threads.append(thread)
+        anneal_part(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in failed:
+        if exc is not None:
+            raise exc
     del h2, jv2, errors  # the perturbed models are not needed for scoring
 
     energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
     meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
-            "schedule": schedule.describe(), "betas": [float(betas[0]), float(betas[-1])]}
+            "threads": parts, "schedule": schedule.describe(),
+            "betas": [float(betas[0]), float(betas[-1])]}
     return SampleSet(spins=spins, energies=energies, cbf=np.zeros(reads), metadata=meta)
 
 
@@ -155,7 +208,7 @@ def simulated_anneal(
     """Sample `reads` independent Metropolis anneals of an Ising model.
 
     `backend` is "auto" (None), "c" or "python"; metadata["kernel"] names
-    the kernel that ran.
+    the kernel that ran, and metadata["threads"] the threads its reads ran on.
     """
     return _anneal(model, reads, schedule, seed, backend)
 
@@ -215,7 +268,7 @@ def _chain_spins(spins, embedding_or_chains) -> tuple[np.ndarray, np.ndarray]:
     if not np.all((spins == 1) | (spins == -1)):
         raise ValueError("spins must be +1 or -1")
     ids = _labels(chains)[0]
-    if not sizes.all() or not 0 <= ids.min() <= ids.max() < spins.shape[-1]:
+    if not sizes.all() or not len(ids) or not 0 <= ids.min() <= ids.max() < spins.shape[-1]:
         raise ValueError(f"chains must be nonempty and hold spin ids in 0..{spins.shape[-1] - 1}")
     return spins[..., ids], np.cumsum(sizes) - sizes
 

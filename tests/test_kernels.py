@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -276,7 +277,8 @@ class TestDrawTiles:
     @staticmethod
     def runs(monkeypatch, draws):
         """Spins of a simulated_anneal and a synthetic_hardware_run, 37 reads each, and the C
-        kernel's calls, with DRAWS_PER_CALL = draws."""
+        kernel's calls, with DRAWS_PER_CALL = draws, on two CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", draws)
         calls, run = [], _sa_c.run_metropolis
         monkeypatch.setattr(_sa_c, "run_metropolis", lambda *a: calls.append(len(a[0])) or run(*a))
@@ -287,16 +289,18 @@ class TestDrawTiles:
         return sa.spins, synth.spins, calls
 
     def test_tile_size_does_not_change_the_streams(self, monkeypatch):
-        # 128 sweeps are 4 chunks of 32, so a tile is max(1, DRAWS_PER_CALL // (32 * n)) reads;
-        # n is 12 for simulated_anneal and 14 (the chain lengths' sum) for the synthetic run
+        # 128 sweeps are 4 chunks of 32; n is 12 for simulated_anneal and 14 (the chain lengths'
+        # sum) for the synthetic run. When the first chunk needs more than one tile of
+        # max(1, DRAWS_PER_CALL // (32 * n)) reads, the two CPUs anneal parts of 18 and 19
+        # reads, in tiles of max(1, DRAWS_PER_CALL // (2 * 32 * n)) reads, on two threads
         whole = self.runs(monkeypatch, sys.maxsize)
         assert whole[2] == [37] * 8  # one call per chunk of each anneal
         for draws, sa_tiles, synth_tiles in [(1, [1] * 37, [1] * 37),
-                                             (5 * 32 * 12, [5] * 7 + [2], [4] * 9 + [1]),
+                                             (5 * 32 * 12, [2] * 18 + [1], [2] * 18 + [1]),
                                              (_sa_c.DRAWS_PER_CALL, [37], [37])]:
             sa, synth, calls = self.runs(monkeypatch, draws)
             assert sa.tobytes() == whole[0].tobytes() and synth.tobytes() == whole[1].tobytes()
-            assert calls == sa_tiles * 4 + synth_tiles * 4
+            assert sorted(calls) == sorted(sa_tiles * 4 + synth_tiles * 4)
 
     def test_numpy_kernel_gets_whole_chunks(self, monkeypatch):
         calls, run = [], _sa_py.run_metropolis
@@ -320,6 +324,35 @@ class TestDrawTiles:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+@needs_cc
+def test_edge_list_cache_is_thread_safe():
+    # a call must sweep the CSR of its own edge list, even when another thread's call keeps
+    # the CSR of a longer list (neighbour ids beyond this n) between its check and its read
+    kernel, switch = get_kernel("c"), sys.getswitchinterval()
+    inputs = [make_inputs(reads=2, n=n, sweeps=2, seed=n) for n in (5, 40)]
+
+    def run(args):
+        spins = args[0].copy()
+        kernel.run_metropolis(spins, *args[1:])
+        return spins
+    serial = [run(args) for args in inputs]
+    same = [[] for _ in range(4)]  # more threads than cores, alternating the two edge lists
+
+    def repeat(k):
+        same[k] += [np.array_equal(run(inputs[k % 2]), serial[k % 2]) for _ in range(300)]
+    threads = [threading.Thread(target=repeat, args=(k,)) for k in range(4)]
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert same == [[True] * 300] * 4
 
 
 class TestLoader:

@@ -1,14 +1,16 @@
 import hashlib
 import itertools
 import math
+import os
 import shutil
+import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from embednoise._kernels import csr, get_kernel
+from embednoise._kernels import _sa_c, csr, get_kernel
 from embednoise.analytics import CbpModel, cbf_predict, cbp
 from embednoise.embedding import ChainLengthModel, Embedding, build_embedded_ising
 from embednoise.noise import NoiseModel, chain_error_sample, variance_law
@@ -358,6 +360,95 @@ class TestGoldenStreams:
             "94dc184197344c02bbc1f7f6e24786ac01746766a9b3a2251b33fcbd32dc4d2f")
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+class TestReadParts:
+    """The C kernel's reads anneal in one contiguous part per CPU, each part on its own thread
+    drawing from its own jumped-ahead copy of the SA stream: the CPU count moves no spin."""
+
+    @staticmethod
+    def pin_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    @staticmethod
+    def anneals(reads, sweeps, backend="c"):
+        """Outputs of a simulated_anneal (n=12) and a synthetic_hardware_run (n=14), and the
+        thread counts of the runs."""
+        schedule = AnnealSchedule(sweeps=sweeps)
+        sa = simulated_anneal(qubo_to_ising(generate_random_qubo(12, 0.7, seed=3)), reads,
+                              schedule, seed=4, backend=backend)
+        phys, res = synthetic_hardware_run(generate_random_qubo(6, 0.8, seed=4),
+                                           [3, 2, 3, 1, 2, 3], 1.0, NoiseModel(0.05, 0.02),
+                                           schedule, reads=reads, seed=5, backend=backend)
+        assert res.metadata["threads"] == phys.metadata["threads"]
+        outputs = [sa.spins, sa.energies, sa.metadata["betas"], phys.spins, phys.energies,
+                   phys.metadata["betas"], res.spins, res.energies]
+        return outputs, (sa.metadata["threads"], phys.metadata["threads"])
+
+    # (reads, sweeps, DRAWS_PER_CALL, threads on 3 CPUs): 100 sweeps end in a short chunk of 4;
+    # with 2 reads there are fewer reads than CPUs; 1 read is one part
+    CASES = [(37, 100, 5 * 32 * 12, 3), (37, 128, 1, 3), (2, 100, 1, 2), (1, 100, 1, 1),
+             (37, 100, 1 << 17, 1)]
+
+    @pytest.mark.parametrize("reads, sweeps, draws, threads", CASES)
+    def test_cpu_count_does_not_change_the_streams(self, monkeypatch, reads, sweeps, draws,
+                                                   threads):
+        monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", draws)
+        runs = {}
+        for cpus in (1, 2, 3):
+            self.pin_cpus(monkeypatch, cpus)
+            runs[cpus] = self.anneals(reads, sweeps)
+        assert runs[1][1] == (1, 1) and runs[3][1] == (threads, threads)
+        assert runs[2][1] == (min(2, threads),) * 2
+        numpy_kernel = self.anneals(reads, sweeps, backend="python")
+        assert numpy_kernel[1] == (1, 1)  # whole chunks: one part on the calling thread
+        for outputs, _ in [runs[2], runs[3], numpy_kernel]:
+            assert all(np.array_equal(a, b) for a, b in zip(outputs, runs[1][0]))
+
+    def test_default_tiles_split_a_large_anneal(self, monkeypatch):
+        # 300 reads of 20 spins need two tiles of 204 reads in a chunk of 32 sweeps
+        model = qubo_to_ising(generate_random_qubo(20, 0.5, seed=2))
+        runs = []
+        for cpus in (1, 3):
+            self.pin_cpus(monkeypatch, cpus)
+            runs.append(simulated_anneal(model, 300, AnnealSchedule(sweeps=40), seed=6))
+        assert [ss.metadata["threads"] for ss in runs] == [1, 2]
+        assert np.array_equal(runs[0].spins, runs[1].spins)
+        assert np.array_equal(runs[0].energies, runs[1].energies)
+
+    def test_advanced_copies_draw_pieces_of_the_stream(self):
+        # as _anneal: integers and a permutation first (the 32-bit buffer may hold a value),
+        # then doubles, one 64-bit output each, so advance(k) skips k of them
+        def stream():
+            rng = substream(8, "sa")
+            rng.integers(0, 2, size=(3, 5))
+            rng.permuted(np.tile(np.arange(5), (3, 1)), axis=1)
+            return rng
+        whole, state = stream().random(1000), stream().bit_generator.state
+        for lo, hi in [(0, 1), (1, 300), (300, 1000), (999, 1000)]:
+            bits = np.random.PCG64()
+            bits.state = state
+            bits.advance(lo)
+            assert np.random.Generator(bits).random(hi - lo).tobytes() == whole[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("failing_part", [0, 1])
+    def test_an_error_in_any_part_propagates_and_no_thread_outlives_the_call(
+            self, monkeypatch, failing_part):
+        self.pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", 1)
+        run, main = _sa_c.run_metropolis, threading.main_thread()
+
+        def fail_in_one_part(*args):
+            if (threading.current_thread() is main) == (failing_part == 0):
+                raise RuntimeError(f"kernel failed in part {failing_part}")
+            return run(*args)
+        monkeypatch.setattr(_sa_c, "run_metropolis", fail_in_one_part)
+        before = threading.active_count()
+        model = qubo_to_ising(generate_random_qubo(12, 0.7, seed=3))
+        with pytest.raises(RuntimeError, match=f"kernel failed in part {failing_part}"):
+            simulated_anneal(model, 8, AnnealSchedule(sweeps=4), seed=1, backend="c")
+        assert threading.active_count() == before
+
+
 class TestDetectBreaks:
     def test_all_aligned(self):
         spins = np.array([1, 1, -1, -1, -1])
@@ -415,6 +506,12 @@ class TestChainInputs:
         with pytest.raises(ValueError, match="nonempty"):
             reduce(np.array([1, -1]), [[0, 1], []])
 
+
+    @pytest.mark.parametrize("reduce", REDUCTIONS, ids=["detect_breaks", "resolve_chains"])
+    def test_no_chains_rejected(self, reduce):
+        # no chains at all used to fail in NumPy's minimum of an empty array
+        with pytest.raises(ValueError, match="chains must be nonempty"):
+            reduce(np.ones(3, np.int8), [])
 
     @pytest.mark.parametrize("reduce", REDUCTIONS, ids=["detect_breaks", "resolve_chains"])
     @pytest.mark.parametrize("spins", [[0, 1, 1], [[1, 1, 1], [0, 0, 1]], [1, 2, 1]])
