@@ -1,7 +1,7 @@
 """Embedding-induced noise: chain-break laws, sampling and calibration."""
 
-from .analytics import (CbpModel, PowerLawFit, cbf_predict, cbp, critical_chain_strength,
-                        erfc, erfc_inv, power_law_fit)
+from .analytics import (PowerLawFit, cbf_predict, cbp, critical_chain_strength, erfc_inv,
+                        power_law_fit)
 from .embedding import (ChainLengthModel, EmbeddedIsing, Embedding, ValidationReport,
                         build_embedded_ising, fit_linear, synth_chain_lengths,
                         validate_embedding)
@@ -19,13 +19,13 @@ from .topology import ZephyrCoordinate, ZephyrGraph, build_zephyr, degree_histog
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnealSchedule", "CbpModel", "ChainLengthModel", "EmbeddedIsing",
+    "AnnealSchedule", "ChainLengthModel", "EmbeddedIsing",
     "Embedding", "FitGrid", "FitResult", "GridRange", "IsingModel",
     "NoiseModel", "PowerLawFit", "QuboInstance", "SampleSet",
     "ValidationReport", "ZephyrCoordinate", "ZephyrGraph",
     "brute_force", "build_embedded_ising", "build_zephyr", "cbf_predict",
     "cbp", "chain_error_sample", "critical_chain_strength",
-    "degree_histogram", "detect_breaks", "erfc", "erfc_inv", "fit_linear",
+    "degree_histogram", "detect_breaks", "erfc_inv", "fit_linear",
     "fit_noise_params", "fit_report", "generate_random_qubo", "ising_energy",
     "margin_errors", "margin_model_run", "power_law_fit",
     "qubo_energy", "qubo_to_ising", "resolve_chains", "simulated_anneal",

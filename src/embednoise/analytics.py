@@ -21,14 +21,6 @@ from .embedding import fit_linear
 from .noise import NoiseModel, variance_law
 
 
-def erfc(x: float) -> float:
-    """Complementary error function (double precision)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("erfc requires a finite argument")
-    return math.erfc(x)
-
-
 def erfc_inv(p: float) -> float:
     """Inverse of erfc on (0, 2): erfc(x) = p at x = -Phi^-1(p / 2) / sqrt(2)."""
     p = float(p)
@@ -37,35 +29,26 @@ def erfc_inv(p: float) -> float:
     return -NormalDist().inv_cdf(p / 2.0) / math.sqrt(2.0) + 0.0  # + 0.0: no -0.0 at p = 1
 
 
-@dataclass
-class CbpModel:
-    """Noise widths plus effective stabilizing margin kappa = eta * k (a float or an array)."""
-
-    noise: NoiseModel
-    kappa: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.kappa) & np.greater(self.kappa, 0)):
-            raise ValueError("kappa must be > 0 and finite")
-
-
-def cbp(ell, model: CbpModel):
-    """Break probability of chains of length ell; broadcasts over ell, the widths and kappa.
+def cbp(ell, nm: NoiseModel, kappa):
+    """Break probability of chains of length ell at the effective margin kappa = eta * k;
+    broadcasts over ell, the widths and kappa, which must be > 0 and finite.
 
     A zero-variance cell gets the argument kappa / 0 = inf, so cbp 0.
     """
+    if not np.all(np.isfinite(kappa) & np.greater(kappa, 0)):
+        raise ValueError("kappa must be > 0 and finite")
     with np.errstate(divide="ignore"):
-        arg = np.asarray(model.kappa / np.sqrt(2.0 * variance_law(ell, model.noise)))
+        arg = np.asarray(kappa / np.sqrt(2.0 * variance_law(ell, nm)))
     # math.erfc mapped over a flat list beats np.frompyfunc, which boxes every result
     out = np.fromiter(map(math.erfc, arg.ravel().tolist()), np.float64, arg.size)
     return out.reshape(arg.shape)[()]
 
 
-def cbf_predict(lengths, model: CbpModel) -> float:
+def cbf_predict(lengths, nm: NoiseModel, kappa) -> float:
     """Expected chain-break fraction: mean of per-chain break probabilities."""
     if np.size(lengths) == 0:
         raise ValueError("need at least one chain length")
-    return float(np.mean(cbp(lengths, model)))
+    return float(np.mean(cbp(lengths, nm, kappa)))
 
 
 def critical_chain_strength(ell, nm: NoiseModel, tau: float, eta: float = 1.0):

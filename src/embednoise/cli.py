@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import CbpModel, cbf_predict, critical_chain_strength, power_law_fit
+from .analytics import cbf_predict, critical_chain_strength, power_law_fit
 from .embedding import ChainLengthModel, fit_linear, synth_chain_lengths
 from .fitting import FitGrid, GridRange, fit_noise_params, fit_report, read_lengths_json, read_observations_csv
 from .noise import NoiseModel
@@ -72,6 +72,14 @@ def _sweep_values(cfg: dict, key: str) -> list:
     return [round(x, 10) for x in values.tolist()]
 
 
+def _int_values(key: str, values) -> list[int]:
+    """`values` as ints, 10.0 as 10; ValueError naming `key` unless every value is integral."""
+    bad = [v for v in values if not (isinstance(v, (int, float)) and float(v).is_integer())]
+    if bad:
+        raise ValueError(f"{key}: values must be integers, got {bad[0]!r}")
+    return [int(v) for v in values]
+
+
 def _merge(base: dict, override: dict, where: str = "") -> None:
     """Deep-merge `override` into `base`, rejecting keys that `base` lacks."""
     for key, val in override.items():
@@ -113,7 +121,7 @@ def _point_seed(seed: int, tag: str, value) -> int:
 
 def cmd_chainlen(cfg) -> int:
     model = ChainLengthModel(**cfg["chain_length"])
-    Ls = [int(v) for v in _sweep_values(cfg, "L_sweep")]
+    Ls = _int_values("L_sweep", _sweep_values(cfg, "L_sweep"))
     means = [float(np.mean(synth_chain_lengths(L, model, cfg["seed"]))) for L in Ls]
     lines = ["L,mean_chain_len"]
     lines += [f"{L},{m:.12g}" for L, m in zip(Ls, means)]
@@ -130,11 +138,11 @@ def cmd_cbf_curve(cfg) -> int:
     k, eta = cfg["k"], cfg["eta"]
     lines = ["L,cbf_obs,cbf_pred"]
     lengths_map = {}
-    for L in (int(v) for v in _sweep_values(cfg, "L_sweep")):
+    for L in _int_values("L_sweep", _sweep_values(cfg, "L_sweep")):
         lengths = synth_chain_lengths(L, model, cfg["seed"])
         obs = float(np.mean(margin_model_run(  # raises unless k > 0 and eta in (0, 1]
             lengths, k, eta, nm, cfg["reads"], _point_seed(cfg["seed"], "cbf-curve", L))))
-        lines.append(f"{L},{obs:.12g},{cbf_predict(lengths, CbpModel(nm, eta * k)):.12g}")
+        lines.append(f"{L},{obs:.12g},{cbf_predict(lengths, nm, eta * k):.12g}")
         lengths_map[L] = [int(v) for v in lengths]
     out = _out_dir(cfg)
     _write(out / "cbf_curve.csv", "\n".join(lines) + "\n")
@@ -160,12 +168,6 @@ def cmd_fit(cfg, observations_path: str, lengths_path: str | None) -> int:
     return 0
 
 
-def empirical_kstar(ell: int, nm: NoiseModel, tau: float, eta: float,
-                    reads: int, seed: int) -> float:
-    """Smallest chain strength whose margin-model mean CBF is at most tau."""
-    return _kstar_of_draws(np.abs(margin_errors([ell], nm, reads, seed)[:, 0]), tau, eta)
-
-
 def _kstar_of_draws(mags: np.ndarray, tau: float, eta: float) -> float:
     """Smallest k with at most a tau share of the |delta| in `mags` above eta * k.
 
@@ -187,7 +189,7 @@ def _kstar_of_draws(mags: np.ndarray, tau: float, eta: float) -> float:
 def cmd_kstar(cfg, empirical: bool = False) -> int:
     nm = NoiseModel(**cfg["noise"])
     eta = cfg["eta"]
-    ells = [int(v) for v in _sweep_values(cfg, "ell_sweep")]
+    ells = _int_values("ell_sweep", _sweep_values(cfg, "ell_sweep"))
     if empirical:  # one draw per length, seeded by the length alone, read at every tau
         seeds = [_point_seed(cfg["seed"], "kstar", ell) for ell in ells]
         draws = [np.abs(margin_errors([ell], nm, cfg["reads"], seed)[:, 0])
@@ -212,10 +214,12 @@ def cmd_kstar(cfg, empirical: bool = False) -> int:
 def cmd_heatmap(cfg) -> int:
     nm, model = NoiseModel(**cfg["noise"]), ChainLengthModel(**cfg["chain_length"])
     eta, tau = cfg["eta"], cfg["contour_tau"]
-    Ls = [int(v) for v in _sweep_values(cfg, "L_sweep")]
+    Ls = _int_values("L_sweep", _sweep_values(cfg, "L_sweep"))
     ks = [float(v) for v in _sweep_values(cfg, "k_values")]
     if not (all(a < b for a, b in zip([0.0] + ks, ks)) and 0.0 < eta <= 1.0):  # 0 < k_1 < k_2 < ...
         raise ValueError("heatmap needs strictly increasing k values, k > 0 and eta in (0, 1]")
+    if not 0.0 < tau < 1.0:  # NaN included
+        raise ValueError(f"contour_tau must lie in (0, 1), got {tau}")
     lines = ["L,k,cbf_mean"]
     contour = ["L,k_star_empirical"]
     for L in Ls:
@@ -243,7 +247,7 @@ def cmd_bench(cfg) -> int:
     nm, model = NoiseModel(**cfg["noise"]), ChainLengthModel(**cfg["chain_length"])
     schedule, reads, seed = AnnealSchedule(sweeps=cfg["sweeps"]), cfg["reads"], cfg["seed"]
     lines = ["L,solver,E_min,seconds"]
-    for L in cfg["bench_L"]:
+    for L in _int_values("bench_L", cfg["bench_L"]):
         q = generate_random_qubo(L, cfg["density"], seed)
         ising = qubo_to_ising(q)
         for solver, e_min in (

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .analytics import CbpModel, cbp
+from .analytics import cbp
 from .noise import NoiseModel
 
 
@@ -119,7 +119,7 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
 
     # break probability over the (sigma_h, sigma_c, length, kappa) grid
     nm = NoiseModel(sh[:, None, None, None], sc[None, :, None, None], corr_strength, corr_exponent)
-    cbp_table = cbp(uniq[None, None, :, None], CbpModel(nm, kp))
+    cbp_table = cbp(uniq[None, None, :, None], nm, kp)
 
     # mean over each point's lengths, summed in order as .mean(axis=2) sums -> (Sh, Sc, P, K),
     # from a length-first copy of the table, whose (Sh, Sc, K) slices are contiguous
@@ -169,9 +169,13 @@ def read_observations_csv(text: str, lengths_by_L: dict | None = None) -> list[d
     import csv
     import io
 
-    rows = list(csv.DictReader(io.StringIO(text)))
+    reader = csv.DictReader(io.StringIO(text))
+    rows = list(reader)
     if not rows:
         raise ValueError("empty observations CSV")
+    for column in ("L", "cbf_obs"):
+        if column not in reader.fieldnames:
+            raise ValueError(f"observations CSV has no {column!r} column (header L,cbf_obs)")
     out = []
     for row in rows:
         L = int(row["L"])
@@ -187,10 +191,14 @@ def read_observations_csv(text: str, lengths_by_L: dict | None = None) -> list[d
 
 
 def read_lengths_json(text: str) -> dict[int, list[int]]:
-    """Parse the optional lengths JSON {"L": [lengths...]}; ValueError naming the L unless
-    every length is an integer (3.0 counts as 3)."""
-    lengths = {}
-    for key, vals in json.loads(text).items():
+    """Parse the optional lengths JSON {"L": [lengths...]}; ValueError unless it has that
+    shape, naming the L, and every length is an integer (3.0 counts as 3)."""
+    data, lengths = json.loads(text), {}
+    if not isinstance(data, dict):
+        raise ValueError(f'lengths JSON must be {{"L": [lengths]}}, got a {type(data).__name__}')
+    for key, vals in data.items():
+        if not isinstance(vals, list):
+            raise ValueError(f'lengths JSON must be {{"L": [lengths]}}; L={key} holds {vals!r}')
         if not all(float(v).is_integer() for v in vals):  # NaN and Infinity included
             raise ValueError(f"L={key}: chain lengths must be integers, got {vals}")
         lengths[int(key)] = [int(v) for v in vals]

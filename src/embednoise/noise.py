@@ -13,7 +13,6 @@ single extra Gaussian per chain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,18 +33,6 @@ class NoiseModel:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseModel":
-        return cls(
-            sigma_h=float(d["sigma_h"]),
-            sigma_c=float(d["sigma_c"]),
-            corr_strength=float(d.get("corr_strength", 0.0)),
-            corr_exponent=float(d.get("corr_exponent", 0.0)),
-        )
 
 
 def variance_law(ell, nm: NoiseModel):

@@ -11,7 +11,6 @@ energies exactly for every assignment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,29 +31,10 @@ class QuboInstance:
     L: int
     diag: np.ndarray
     offdiag: tuple[np.ndarray, np.ndarray, np.ndarray]
-    density: float
-    seed: int
 
     def __post_init__(self):
         m = IsingModel(self.L, self.diag, self.offdiag)
         self.diag, self.offdiag = m.h, (m.ei, m.ej, m.jv)
-
-    def to_dict(self) -> dict:
-        triples = [list(t) for t in zip(*(a.tolist() for a in self.offdiag))]
-        return {"L": self.L, "diag": self.diag.tolist(), "offdiag": triples,
-                "density": self.density, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuboInstance":
-        offdiag = np.array(d["offdiag"], dtype=np.float64).reshape(-1, 3).T
-        return cls(int(d["L"]), d["diag"], offdiag, float(d["density"]), int(d["seed"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, s: str) -> "QuboInstance":
-        return cls.from_dict(json.loads(s))
 
 
 class IsingModel:
@@ -94,22 +74,6 @@ class IsingModel:
         if np.any((np.diff(self.ei) == 0) & (np.diff(self.ej) == 0)):
             raise ValueError("couplers must be unique pairs (i, j)")
 
-    def to_dict(self) -> dict:
-        triples = [list(t) for t in zip(self.ei.tolist(), self.ej.tolist(), self.jv.tolist())]
-        return {"n": self.n, "h": self.h.tolist(), "J": triples, "offset": self.offset}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IsingModel":
-        J = np.array(d["J"], dtype=np.float64).reshape(-1, 3).T
-        return cls(int(d["n"]), d["h"], J, float(d["offset"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, s: str) -> "IsingModel":
-        return cls.from_dict(json.loads(s))
-
 
 def generate_random_qubo(L: int, rho: float, seed: int) -> QuboInstance:
     """Draw a random QUBO with Uniform(-1,1) coefficients.
@@ -128,7 +92,7 @@ def generate_random_qubo(L: int, rho: float, seed: int) -> QuboInstance:
     present = rng.random(len(ei)) < rho
     values = rng.uniform(-1.0, 1.0, size=len(ei))
     offdiag = ei[present], ej[present], values[present]
-    return QuboInstance(L=L, diag=diag, offdiag=offdiag, density=rho, seed=seed)
+    return QuboInstance(L=L, diag=diag, offdiag=offdiag)
 
 
 def qubo_energy(q: QuboInstance, x) -> float:

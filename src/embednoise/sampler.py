@@ -259,11 +259,10 @@ def brute_force(model: IsingModel) -> dict:
     return {"best_spins": best_s, "best_energy": best_e}
 
 
-def _chain_spins(spins, embedding_or_chains) -> tuple[np.ndarray, np.ndarray]:
+def _chain_spins(spins, chains) -> tuple[np.ndarray, np.ndarray]:
     """The spins gathered in chain order along the last axis, and where each chain starts;
     ValueError unless every spin is +1 or -1 and every chain is nonempty and holds integer
     spin ids in 0..n-1."""
-    chains = getattr(embedding_or_chains, "chains", embedding_or_chains)
     spins, sizes = np.asarray(spins), np.array([len(c) for c in chains])
     if not np.all((spins == 1) | (spins == -1)):
         raise ValueError("spins must be +1 or -1")
@@ -273,37 +272,25 @@ def _chain_spins(spins, embedding_or_chains) -> tuple[np.ndarray, np.ndarray]:
     return spins[..., ids], np.cumsum(sizes) - sizes
 
 
-def detect_breaks(spins, embedding_or_chains) -> dict:
+def detect_breaks(spins, chains) -> dict:
     """Flag broken chains (spins not all equal) and compute the chain-break fraction.
 
     `spins` is one read (n,), giving a list of flags and a float CBF, or a
     batch (reads, n), giving a (reads, chains) flag array and a CBF per read.
     """
-    spins, starts = _chain_spins(spins, embedding_or_chains)
+    spins, starts = _chain_spins(spins, chains)
     flags = np.maximum.reduceat(spins, starts, -1) != np.minimum.reduceat(spins, starts, -1)
     if spins.ndim == 1:
         return {"broken": flags.tolist(), "cbf": float(flags.mean())}
     return {"broken": flags, "cbf": flags.mean(axis=-1)}
 
 
-def resolve_chains(spins, embedding_or_chains, policy: str = "coin",
-                   stream: np.random.Generator | None = None) -> np.ndarray:
+def resolve_chains(spins, chains, stream: np.random.Generator) -> np.ndarray:
     """Collapse physical spins, one read (n,) or a batch (reads, n), to logical
-    spins by per-chain majority vote.
-
-    Even splits resolve by a draw from `stream` (policy "coin") or to +1
-    (policy "plus_one").
+    spins by per-chain majority vote; even splits resolve by a coin from `stream`.
     """
-    spins, starts = _chain_spins(spins, embedding_or_chains)
-    shape = spins.shape[:-1] + starts.shape
-    if policy == "coin":
-        if stream is None:
-            raise ValueError("coin policy needs a random stream")
-        coins = (stream.integers(0, 2, size=shape) * 2 - 1).astype(np.int8)
-    elif policy == "plus_one":
-        coins = np.ones(shape, dtype=np.int8)
-    else:
-        raise ValueError(f"unknown tie policy {policy!r}")
+    spins, starts = _chain_spins(spins, chains)
+    coins = (stream.integers(0, 2, size=spins.shape[:-1] + starts.shape) * 2 - 1).astype(np.int8)
     maj = np.sign(np.add.reduceat(spins, starts, axis=-1, dtype=np.int64))
     return np.where(maj == 0, coins, maj.astype(np.int8))
 
@@ -377,7 +364,7 @@ def synthetic_hardware_run(
     physical.cbf = detect_breaks(physical.spins, chains)["cbf"]
     physical.metadata.update(chain_strength=k, noise=nm.to_dict(), lengths=[len(c) for c in chains])
 
-    logical_spins = resolve_chains(physical.spins, chains, "coin", substream(seed, "tie"))
+    logical_spins = resolve_chains(physical.spins, chains, substream(seed, "tie"))
     logical_energies = _batch_energies(logical_spins, logical.h, logical.ei, logical.ej,
                                        logical.jv, logical.offset)
     resolved = SampleSet(spins=logical_spins, energies=logical_energies, cbf=physical.cbf,

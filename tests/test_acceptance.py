@@ -46,7 +46,7 @@ def test_criterion_2_gaussian_tail():
     worst = 0.0
     for ell in (2, 9, 17, 24, 32):
         for kappa in (0.1, 0.325, 0.55, 0.775, 1.0):
-            p = en.cbp(ell, en.CbpModel(noise=nm, kappa=kappa))
+            p = en.cbp(ell, nm, kappa)
             freq = float(en.margin_model_run(
                 [ell], kappa, 1.0, nm, n, seed=200 + ell).mean())
             se = math.sqrt(p * (1 - p) / n)
@@ -60,11 +60,11 @@ def test_criterion_2_gaussian_tail():
 
 
 def test_criterion_3_lemma_1():
-    model = en.CbpModel(noise=NoiseModel(0.06, 0.005), kappa=0.35)
-    uniform = abs(en.cbf_predict([9] * 40, model) - en.cbp(9, model))
+    model = NoiseModel(0.06, 0.005), 0.35
+    uniform = abs(en.cbf_predict([9] * 40, *model) - en.cbp(9, *model))
     mixed_lengths = [2, 5, 9, 9, 13, 21]
-    mixed = abs(en.cbf_predict(mixed_lengths, model)
-                - np.mean([en.cbp(v, model) for v in mixed_lengths]))
+    mixed = abs(en.cbf_predict(mixed_lengths, *model)
+                - np.mean([en.cbp(v, *model) for v in mixed_lengths]))
     ok = uniform <= 1e-15 and mixed <= 1e-15
     assert report(3, "cbf_predict equals mean per-chain cbp to 1e-15", ok,
                   f"uniform dev {uniform:.1e}, mixed dev {mixed:.1e}")
@@ -81,7 +81,6 @@ def test_criterion_4_fit_recovery():
 
     def observations(truth, clm, seed, noisy):
         nm = NoiseModel(sigma_h=truth[0], sigma_c=truth[1])
-        model = en.CbpModel(noise=nm, kappa=truth[2])
         obs = []
         for L in range(5, 105, 5):
             lengths = en.synth_chain_lengths(L, clm, seed=seed * 1000 + L)
@@ -89,7 +88,7 @@ def test_criterion_4_fit_recovery():
                 cbf = float(en.margin_model_run(
                     lengths, truth[2], 1.0, nm, 2000, seed=seed * 1000 + L).mean())
             else:
-                cbf = en.cbf_predict(lengths, model)
+                cbf = en.cbf_predict(lengths, nm, truth[2])
             obs.append({"L": L, "lengths": [int(v) for v in lengths], "cbf_obs": cbf})
         return obs
 

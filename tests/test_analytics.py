@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import fields
+import inspect
 
 import numpy as np
 import pytest
@@ -8,44 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcinv
 
-from embednoise.analytics import (CbpModel, cbf_predict, cbp,
-                                  critical_chain_strength, erfc, erfc_inv,
-                                  power_law_fit)
+from embednoise.analytics import cbf_predict, cbp, critical_chain_strength, erfc_inv, power_law_fit
 from embednoise.noise import NoiseModel, variance_law
 
 # reference values computed once with mpmath at 40 decimal digits
-ERFC_ORACLE = {
-    0.5: 0.4795001221869534623,
-    1.0: 0.1572992070502851306,
-    2.0: 0.004677734981047265838,
-    3.0: 2.209049699858544137e-5,
-    5.0: 1.53745979442803485e-12,
-    -0.7: 1.677801193837418473,
-    0.1234: 0.8614615656435270109,
-}
 ERFCINV_ORACLE = {
     0.01: 1.821386367718449673,
     0.02: 1.644976357133187050,
     0.05: 1.385903824349677945,
     0.5: 0.476936276204469873,
 }
-
-
-class TestErfc:
-    def test_zero(self):
-        assert erfc(0.0) == 1.0
-
-    @pytest.mark.parametrize("x,val", sorted(ERFC_ORACLE.items()))
-    def test_oracle_values(self, x, val):
-        assert erfc(x) == pytest.approx(val, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.1, 0.9, 2.5, 6.0])
-    def test_reflection_identity(self, x):
-        assert erfc(-x) == pytest.approx(2.0 - erfc(x), abs=1e-15)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            erfc(float("nan"))
 
 
 class TestErfcInv:
@@ -58,7 +30,7 @@ class TestErfcInv:
 
     @pytest.mark.parametrize("p", [0.01, 0.05, 0.5, 1.3, 1.99])
     def test_round_trip(self, p):
-        assert erfc(erfc_inv(p)) == pytest.approx(p, abs=1e-10)
+        assert math.erfc(erfc_inv(p)) == pytest.approx(p, abs=1e-10)
 
     def test_negative_branch(self):
         assert erfc_inv(1.5) == pytest.approx(-erfc_inv(0.5), abs=1e-15)
@@ -71,7 +43,7 @@ class TestErfcInv:
     @settings(max_examples=200, deadline=None)
     @given(p=st.floats(1e-9, 2.0 - 1e-9))
     def test_round_trip_property(self, p):
-        assert erfc(erfc_inv(p)) == pytest.approx(p, abs=1e-10)
+        assert math.erfc(erfc_inv(p)) == pytest.approx(p, abs=1e-10)
 
     # 1e-270 lies where a Newton step on erfc divided by an underflowed
     # exp(-x^2); at 1e-100 that solver was 1.5e-5 off
@@ -86,23 +58,24 @@ class TestErfcInv:
 
 
 def model(kappa=0.35, sigma_h=0.06, sigma_c=0.005, **kw):
-    return CbpModel(noise=NoiseModel(sigma_h=sigma_h, sigma_c=sigma_c, **kw), kappa=kappa)
+    """The (nm, kappa) arguments that cbp and cbf_predict take after ell."""
+    return NoiseModel(sigma_h=sigma_h, sigma_c=sigma_c, **kw), kappa
 
 
 class TestCbp:
     def test_model_is_noise_and_margin_only(self):
         # the margin is kappa = eta * k; a separate eta field was never read
-        assert [f.name for f in fields(CbpModel)] == ["noise", "kappa"]
+        assert list(inspect.signature(cbp).parameters) == ["ell", "nm", "kappa"]
         with pytest.raises(ValueError, match="kappa must be > 0"):
-            model(kappa=0.0)
+            cbp(13, *model(kappa=0.0))
 
     def test_matches_closed_form(self):
         m = model()
-        var = variance_law(13, m.noise)
-        assert cbp(13, m) == pytest.approx(math.erfc(0.35 / math.sqrt(2 * var)), abs=1e-15)
+        var = variance_law(13, m[0])
+        assert cbp(13, *m) == pytest.approx(math.erfc(0.35 / math.sqrt(2 * var)), abs=1e-15)
 
     def test_vanishes_for_large_kappa(self):
-        vals = [cbp(13, model(kappa=k)) for k in (0.5, 1.0, 2.0, 5.0)]
+        vals = [cbp(13, *model(kappa=k)) for k in (0.5, 1.0, 2.0, 5.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-10
 
@@ -110,71 +83,76 @@ class TestCbp:
         nm = NoiseModel(sigma_h=0.06, sigma_c=0.005)
         for tau in (0.01, 0.02, 0.05):
             kappa = math.sqrt(2 * variance_law(9, nm)) * erfc_inv(tau)
-            assert cbp(9, CbpModel(noise=nm, kappa=kappa)) == pytest.approx(tau, abs=1e-12)
+            assert cbp(9, nm, kappa) == pytest.approx(tau, abs=1e-12)
 
     def test_monotone_in_length(self):
         m = model()
-        vals = [cbp(ell, m) for ell in range(1, 40)]
+        vals = [cbp(ell, *m) for ell in range(1, 40)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_zero_noise_gives_zero(self):
-        assert cbp(5, model(sigma_h=0.0, sigma_c=0.0)) == 0.0
+        assert cbp(5, *model(sigma_h=0.0, sigma_c=0.0)) == 0.0
 
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
-            cbp(0.5, model())
+            cbp(0.5, *model())
 
-    @pytest.mark.parametrize("kappa", [np.nan, np.inf, np.array([0.2, 0.0])])
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, np.array([0.2, 0.0]), 0.0, -0.1])
     def test_rejects_bad_kappa(self, kappa):
         # a nan kappa used to pass the check and give cbp nan
         with pytest.raises(ValueError, match="kappa must be > 0 and finite"):
-            model(kappa=kappa)
+            cbp(13, *model(kappa=kappa))
 
     @pytest.mark.parametrize("ell", [np.inf, np.nan, [3.0, np.inf]])
     def test_rejects_non_finite_length(self, ell):
         # cbp(inf) used to give 1.0
         with pytest.raises(ValueError, match="chain length must be finite"):
-            cbp(ell, model())
+            cbp(ell, *model())
 
     def test_broadcasts_over_lengths_widths_and_kappa(self):
         ells, sh, kp = np.array([1.0, 2.5, 9.0, 30.0]), np.array([0.0, 0.03, 0.06]), np.array([0.1, 0.4])
-        got = cbp(ells[:, None], CbpModel(NoiseModel(sh[:, None, None], 0.005, 0.001, 1.3), kp))
+        got = cbp(ells[:, None], NoiseModel(sh[:, None, None], 0.005, 0.001, 1.3), kp)
         assert got.shape == (3, 4, 2)
         for i, e, k in np.ndindex(got.shape):
-            one = CbpModel(NoiseModel(sh[i], 0.005, 0.001, 1.3), kp[k])
-            assert got[i, e, k] == cbp(ells[e], one)
+            one = NoiseModel(sh[i], 0.005, 0.001, 1.3), kp[k]
+            assert got[i, e, k] == cbp(ells[e], *one)
 
     def test_zero_variance_cells_give_zero_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = cbp(np.array([1.0, 3.0]), model(sigma_h=0.0, sigma_c=0.0))
+            got = cbp(np.array([1.0, 3.0]), *model(sigma_h=0.0, sigma_c=0.0))
         assert got.tolist() == [0.0, 0.0]
 
     @settings(max_examples=100, deadline=None)
     @given(ell=st.floats(1, 50), kappa=st.floats(0.05, 3.0),
            sh=st.floats(0.001, 0.1), sc=st.floats(0.0, 0.1))
     def test_probability_range_property(self, ell, kappa, sh, sc):
-        p = cbp(ell, CbpModel(noise=NoiseModel(sh, sc), kappa=kappa))
+        p = cbp(ell, NoiseModel(sh, sc), kappa)
         assert 0.0 <= p <= 1.0
 
 
 class TestCbfPredict:
     def test_uniform_lengths_reduce_to_cbp(self):
         m = model()
-        assert cbf_predict([9] * 25, m) == pytest.approx(cbp(9, m), abs=1e-15)
+        assert cbf_predict([9] * 25, *m) == pytest.approx(cbp(9, *m), abs=1e-15)
 
     def test_mixed_lengths_are_arithmetic_mean(self):
         m = model()
         lengths = [2, 5, 5, 13]
-        expect = np.mean([cbp(v, m) for v in lengths])
-        assert cbf_predict(lengths, m) == pytest.approx(expect, abs=1e-15)
+        expect = np.mean([cbp(v, *m) for v in lengths])
+        assert cbf_predict(lengths, *m) == pytest.approx(expect, abs=1e-15)
 
     def test_length_one_huge_kappa(self):
-        assert cbf_predict([1], model(kappa=10.0)) < 1e-12
+        assert cbf_predict([1], *model(kappa=10.0)) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cbf_predict([], model())
+            cbf_predict([], *model())
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_bad_kappa(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be > 0 and finite"):
+            cbf_predict([3, 9], *model(kappa=kappa))
 
 
 class TestCriticalChainStrength:
@@ -182,7 +160,7 @@ class TestCriticalChainStrength:
         nm = NoiseModel(sigma_h=0.06, sigma_c=0.005)
         for tau in (0.01, 0.02, 0.05):
             k = critical_chain_strength(13, nm, tau)
-            assert cbp(13, CbpModel(noise=nm, kappa=k)) == pytest.approx(tau, abs=1e-9)
+            assert cbp(13, nm, k) == pytest.approx(tau, abs=1e-9)
 
     def test_sqrt_law_under_pure_field_noise(self):
         nm = NoiseModel(sigma_h=0.06, sigma_c=0.0)

@@ -12,9 +12,14 @@ import pytest
 from embednoise.analytics import critical_chain_strength
 import embednoise
 from embednoise import cli
-from embednoise.cli import _point_seed, empirical_kstar, main
+from embednoise.cli import _kstar_of_draws, _point_seed, main
 from embednoise.noise import NoiseModel
-from embednoise.sampler import margin_model_run
+from embednoise.sampler import margin_errors, margin_model_run
+
+def empirical_kstar(ell, nm, tau, eta, reads, seed):
+    """`kstar --empirical` at one length: the order statistic of one margin-model draw."""
+    return _kstar_of_draws(np.abs(margin_errors([ell], nm, reads, seed)[:, 0]), tau, eta)
+
 
 FAST_SWEEP = {"L_sweep": {"start": 5, "stop": 40, "step": 5}, "reads": 400}
 
@@ -125,6 +130,32 @@ class TestFitCommand:
         rc = main(["fit", str(obs), "--lengths", str(lengths), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "L=5: chain lengths must be integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("csv, message", [
+        ("L,cbf\n5,0.01\n", "observations CSV has no 'cbf_obs' column (header L,cbf_obs)"),
+        ("size,cbf_obs\n5,0.01\n", "observations CSV has no 'L' column (header L,cbf_obs)")],
+        ids=["no-cbf_obs", "no-L"])
+    def test_csv_without_a_column_names_it(self, tmp_path, capsys, csv, message):
+        # used to print the bare KeyError "error: 'cbf_obs'"
+        obs = tmp_path / "obs.csv"
+        obs.write_text(csv)
+        assert main(["fit", str(obs), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", 'lengths JSON must be {"L": [lengths]}, got a list'),
+        ('{"5": 3}', 'lengths JSON must be {"L": [lengths]}; L=5 holds 3')],
+        ids=["list", "int-value"])
+    def test_lengths_json_of_another_shape_fails_cleanly(self, tmp_path, capsys, text, message):
+        # used to print "'list' object has no attribute 'items'" and "'int' object is not iterable"
+        obs, lengths = tmp_path / "obs.csv", tmp_path / "lengths.json"
+        obs.write_text("L,cbf_obs\n5,0.01\n")
+        lengths.write_text(text)
+        rc = main(["fit", str(obs), "--lengths", str(lengths), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_grid_range_names_its_key(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
@@ -278,6 +309,16 @@ class TestHeatmap:
         assert main(["heatmap", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "k > 0 and eta in (0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "heatmap.csv").exists()
+
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_rejects_contour_tau_outside_unit_interval(self, tmp_path, capsys, tau):
+        # 1.5 used to give the smallest k as the contour at every L, -0.1 an empty contour
+        out = tmp_path / "out"
+        assert main(["heatmap", "--config", write_config(tmp_path, {"contour_tau": tau}),
+                     "--out", str(out)]) == 1
+        assert f"contour_tau must lie in (0, 1), got {tau}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBench:
@@ -467,6 +508,30 @@ class TestSweepValues:
         key, = extra
         assert f"{key}: grid range needs lo <= hi" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, bad", [
+        ("chainlen", {"L_sweep": [5.5, 10]}, "5.5"),
+        ("cbf-curve", {"L_sweep": {"start": 5, "stop": 10, "step": 2.5}}, "7.5"),
+        ("heatmap", {"L_sweep": [10, 12.5]}, "12.5"),
+        ("kstar", {"ell_sweep": {"start": 3, "stop": 9, "step": 1.5}}, "4.5"),
+        ("bench", {"bench_L": [5.5]}, "5.5"),
+        ("bench", {"bench_L": [5, "6"]}, "'6'")])
+    def test_non_integral_sweep_exits_1_and_writes_nothing(self, tmp_path, capsys, command,
+                                                           extra, bad):
+        # chainlen used to write L=5 for 5.5, cbf-curve L = 5, 7, 10 for a step of 2.5, kstar
+        # l=4 for 4.5, and bench to fail with "substream tag must be int or str, got float"
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, extra), "--out", str(out)]) == 1
+        key, = extra
+        assert f"{key}: values must be integers, got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_floats_are_the_integers(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"L_sweep": [5.0, 10.0, 15]})
+        assert main(["chainlen", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "chainlen.csv")
+        assert [row["L"] for row in rows] == ["5", "10", "15"]
 
     @pytest.mark.parametrize("step", [0, -0.5])
     def test_nonpositive_step_rejected(self, step):

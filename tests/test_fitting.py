@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc as scipy_erfc
 
 from embednoise import cli
-from embednoise.analytics import CbpModel, cbf_predict, cbp
+from embednoise.analytics import cbf_predict, cbp
 from embednoise.embedding import ChainLengthModel, synth_chain_lengths
 from embednoise.fitting import (FitGrid, GridRange, fit_noise_params, fit_report,
                                 read_lengths_json, read_observations_csv, sse)
@@ -18,18 +18,18 @@ from embednoise.noise import NoiseModel
 def grid_cbp(sh, sc, lengths, kp, corr_strength=0.0, corr_exponent=0.0):
     """cbp over the (sigma_h, sigma_c, length, kappa) grid, broadcast as fit_noise_params does."""
     nm = NoiseModel(sh[:, None, None, None], sc[None, :, None, None], corr_strength, corr_exponent)
-    return cbp(lengths[None, None, :, None], CbpModel(nm, kp))
+    return cbp(lengths[None, None, :, None], nm, kp)
 
 
 def synthetic_observations(sigma_h, sigma_c, kappa, jitter=1, seed=0):
     nm = NoiseModel(sigma_h=sigma_h, sigma_c=sigma_c)
-    model = CbpModel(noise=nm, kappa=kappa)
+    model = nm, kappa
     clm = ChainLengthModel(slope=0.122, intercept=1.0, jitter=jitter)
     obs = []
     for L in range(5, 105, 5):
         lengths = synth_chain_lengths(L, clm, seed=seed + L)
         obs.append({"L": L, "lengths": [int(v) for v in lengths],
-                    "cbf_obs": cbf_predict(lengths, model)})
+                    "cbf_obs": cbf_predict(lengths, *model)})
     return obs
 
 
@@ -106,8 +106,8 @@ class TestCbpTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = grid_cbp(sh, sc, lengths, kp)
-            m = CbpModel(noise=NoiseModel(0.02, 0.02), kappa=0.2)
-            obs = [{"L": L, "lengths": [1, 3], "cbf_obs": cbf_predict([1, 3], m)}
+            m = NoiseModel(0.02, 0.02), 0.2
+            obs = [{"L": L, "lengths": [1, 3], "cbf_obs": cbf_predict([1, 3], *m)}
                    for L in (5, 10, 15)]
             fr = fit_noise_params(obs, grid)
         assert np.all(table[0, :, 0, :] == 0.0) and np.all(table[0, 0] == 0.0)
@@ -124,8 +124,8 @@ class TestCbpTable:
         assert table.shape == (len(sh), len(sc), len(lengths), len(kp))
         want = np.empty_like(table)
         for i, j, k in np.ndindex(len(sh), len(sc), len(kp)):
-            m = CbpModel(NoiseModel(sh[i], sc[j], 0.001, 1.3), kp[k])
-            want[i, j, :, k] = [cbp(ell, m) for ell in lengths.tolist()]
+            m = NoiseModel(sh[i], sc[j], 0.001, 1.3), kp[k]
+            want[i, j, :, k] = [cbp(ell, *m) for ell in lengths.tolist()]
         assert np.array_equal(table, want)
 
     def test_seeded_cbf_curve_fit_is_pinned(self, tmp_path):
@@ -164,15 +164,15 @@ class TestFitNoiseParams:
         for sh in grid.sigma_h_range.values():
             for sc in grid.sigma_c_range.values():
                 for kp in grid.kappa_range.values():
-                    m = CbpModel(noise=NoiseModel(sh, sc), kappa=kp)
-                    preds = [cbf_predict(p["lengths"], m) for p in obs]
+                    m = NoiseModel(sh, sc), kp
+                    preds = [cbf_predict(p["lengths"], *m) for p in obs]
                     assert sse(cbf_obs, preds) >= fr.sse - 1e-15
 
     def test_tie_break_lexicographic_on_degenerate_data(self):
         # one shared length makes sigma_h / sigma_c enter only through
         # the combined variance; ties resolve to the smallest triple
-        m = CbpModel(noise=NoiseModel(0.04, 0.04), kappa=0.35)
-        obs = [{"L": L, "lengths": [5] * L, "cbf_obs": cbf_predict([5], m)}
+        m = NoiseModel(0.04, 0.04), 0.35
+        obs = [{"L": L, "lengths": [5] * L, "cbf_obs": cbf_predict([5], *m)}
                for L in (5, 10, 15)]
         a = fit_noise_params(obs)
         b = fit_noise_params(list(reversed(obs)))
@@ -203,13 +203,13 @@ class TestFitNoiseParams:
     def test_correlated_predictions_are_scalar_cbp(self):
         # a single-length point's prediction is one cell of the table: the scalar cbp, bit for bit
         cs, ce = 0.001, 1.3
-        m = CbpModel(noise=NoiseModel(0.04, 0.01, cs, ce), kappa=0.45)
+        m = NoiseModel(0.04, 0.01, cs, ce), 0.45
         ells = [0.122 * L + 1.0 for L in range(5, 55, 5)]
-        obs = [{"L": L, "ell_bar": e, "cbf_obs": cbp(e, m) * 1.01}
+        obs = [{"L": L, "ell_bar": e, "cbf_obs": cbp(e, *m) * 1.01}
                for L, e in zip(range(5, 55, 5), ells)]
         fr = fit_noise_params(obs, corr_strength=cs, corr_exponent=ce)
-        fitted = CbpModel(NoiseModel(fr.sigma_h, fr.sigma_c, cs, ce), fr.kappa)
-        assert [row["cbf_pred"] for row in fr.per_L] == [cbp(e, fitted) for e in ells]
+        fitted = NoiseModel(fr.sigma_h, fr.sigma_c, cs, ce), fr.kappa
+        assert [row["cbf_pred"] for row in fr.per_L] == [cbp(e, *fitted) for e in ells]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01, 1.01])
     def test_bad_observation_rejected(self, bad):
@@ -242,9 +242,9 @@ class TestFitNoiseParams:
         assert [row["cbf_pred"] for row in fr.per_L] == preds[ih, ic, :, ik].tolist()
 
     def test_ell_bar_path(self):
-        m = CbpModel(noise=NoiseModel(0.06, 0.005), kappa=0.35)
+        m = NoiseModel(0.06, 0.005), 0.35
         obs = [{"L": L, "ell_bar": 0.122 * L + 1.0,
-                "cbf_obs": cbf_predict([0.122 * L + 1.0], m)} for L in range(5, 55, 5)]
+                "cbf_obs": cbf_predict([0.122 * L + 1.0], *m)} for L in range(5, 55, 5)]
         fr = fit_noise_params(obs)
         assert fr.sse <= 1e-20
         assert fr.kappa == pytest.approx(0.35)
@@ -272,9 +272,9 @@ class TestFitNoiseParams:
 
     def test_correlated_variant(self):
         nm = NoiseModel(0.02, 0.01, corr_strength=0.005, corr_exponent=1.64)
-        m = CbpModel(noise=nm, kappa=0.35)
+        m = nm, 0.35
         obs = [{"L": L, "lengths": [round(0.122 * L + 1)] * L,
-                "cbf_obs": cbf_predict([round(0.122 * L + 1)], m)} for L in range(5, 55, 5)]
+                "cbf_obs": cbf_predict([round(0.122 * L + 1)], *m)} for L in range(5, 55, 5)]
         fr = fit_noise_params(obs, corr_strength=0.005, corr_exponent=1.64)
         assert (fr.sigma_h, fr.sigma_c, fr.kappa) == pytest.approx((0.02, 0.01, 0.35))
 

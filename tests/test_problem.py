@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -69,14 +70,14 @@ class TestGenerateRandomQubo:
 class TestQuboToIsing:
     def test_single_variable(self):
         # Q_00 = q expands to q(1+s)/2: h = q/2, offset = q/2
-        q = QuboInstance(L=1, diag=np.array([0.8]), offdiag={}, density=0.0, seed=0)
+        q = QuboInstance(L=1, diag=np.array([0.8]), offdiag={})
         m = qubo_to_ising(q)
         assert m.h[0] == pytest.approx(0.4)
         assert m.offset == pytest.approx(0.4)
         assert couplers(m) == {}
 
     def test_single_coupler(self):
-        q = QuboInstance(L=2, diag=np.zeros(2), offdiag={(0, 1): 1.0}, density=1.0, seed=0)
+        q = QuboInstance(L=2, diag=np.zeros(2), offdiag={(0, 1): 1.0})
         m = qubo_to_ising(q)
         assert couplers(m)[(0, 1)] == pytest.approx(0.25)
         assert m.h[0] == pytest.approx(0.25)
@@ -84,7 +85,7 @@ class TestQuboToIsing:
         assert m.offset == pytest.approx(0.25)
 
     def test_all_zero(self):
-        q = QuboInstance(L=3, diag=np.zeros(3), offdiag={}, density=0.0, seed=0)
+        q = QuboInstance(L=3, diag=np.zeros(3), offdiag={})
         m = qubo_to_ising(q)
         assert np.all(m.h == 0) and couplers(m) == {} and m.offset == 0
 
@@ -151,7 +152,7 @@ class TestEnergies:
 class TestValidation:
     def test_bad_offdiag_key(self):
         with pytest.raises(ValueError):
-            QuboInstance(L=3, diag=np.zeros(3), offdiag={(2, 1): 0.5}, density=0.1, seed=0)
+            QuboInstance(L=3, diag=np.zeros(3), offdiag={(2, 1): 0.5})
 
     def test_bad_J_key(self):
         with pytest.raises(ValueError):
@@ -166,7 +167,7 @@ class TestValidation:
 
     def test_diag_length(self):
         with pytest.raises(ValueError):
-            QuboInstance(L=3, diag=np.zeros(2), offdiag={}, density=0.0, seed=0)
+            QuboInstance(L=3, diag=np.zeros(2), offdiag={})
 
     @pytest.mark.parametrize("offdiag, match", [
         (([0], [1], [np.nan]), "not finite"),
@@ -176,37 +177,25 @@ class TestValidation:
         (([0], [3], [0.5]), "violates 0 <= i < j")])
     def test_qubo_rejects_bad_triple(self, offdiag, match):
         with pytest.raises(ValueError, match=match):
-            QuboInstance(L=3, diag=np.zeros(3), offdiag=offdiag, density=0.5, seed=0)
+            QuboInstance(L=3, diag=np.zeros(3), offdiag=offdiag)
 
     def test_qubo_rejects_non_finite_diag(self):
         with pytest.raises(ValueError, match="not finite"):
-            QuboInstance(L=2, diag=[0.0, np.inf], offdiag={}, density=0.0, seed=0)
-
-    @pytest.mark.parametrize("load, text", [
-        (QuboInstance.loads, '{"L": 3, "diag": [0, 0, 0], "offdiag": [[0, 1, 0.5], [0, 1, 1.5]], '
-                             '"density": 1.0, "seed": 0}'),
-        (IsingModel.loads, '{"n": 3, "h": [0, 0, 0], "J": [[1, 2, 0.5], [1, 2, 1.5]], "offset": 0}')])
-    def test_json_duplicate_pair_rejected(self, load, text):
-        # a dict used to keep the last value silently
-        with pytest.raises(ValueError, match="unique"):
-            load(text)
-
+            QuboInstance(L=2, diag=[0.0, np.inf], offdiag={})
 
     @pytest.mark.parametrize("make", [
         lambda: IsingModel(3, np.zeros(3), ([0], [1.7], [0.5])),
         lambda: IsingModel(3, np.zeros(3), ([np.nan], [1], [0.5])),
         lambda: IsingModel(3, np.zeros(3), {(0, 1.5): 0.5}),
-        lambda: QuboInstance.loads('{"L": 3, "diag": [0, 0, 0], "offdiag": [[0, 1.7, 0.5]], '
-                                   '"density": 1.0, "seed": 0}'),
-        lambda: IsingModel.loads('{"n": 3, "h": [0, 0, 0], "J": [[0.5, 2, 1.0]], "offset": 0}')])
+        lambda: QuboInstance(3, np.zeros(3), ([0.0], [1.7], [0.5])),
+        lambda: IsingModel(3, np.zeros(3), ([0.5], [2.0], [1.0]))])
     def test_non_integral_index_rejected(self, make):
         # the index used to be truncated: [0, 1.7, 0.5] stored the pair (0, 1)
         with pytest.raises(ValueError, match="coupler indices must be integers"):
             make()
 
     def test_integral_float_indices_load(self):
-        q = QuboInstance.loads('{"L": 3, "diag": [0, 0, 0], "offdiag": [[1.0, 2.0, 0.5]], '
-                               '"density": 1.0, "seed": 0}')
+        q = QuboInstance(3, np.zeros(3), ([1.0], [2.0], [0.5]))
         assert q.offdiag[0].tolist() == [1] and q.offdiag[1].tolist() == [2]
         assert q.offdiag[0].dtype == q.offdiag[1].dtype == np.int64
 
@@ -214,18 +203,17 @@ class TestValidation:
 class TestQuboArrays:
     def test_mapping_and_triple_store_the_same_sorted_terms(self):
         Q = {(1, 3): 0.5, (0, 2): -1.0, (0, 1): 0.25, (2, 3): 2.0}
-        a = QuboInstance(4, np.zeros(4), Q, 0.5, 0)
-        b = QuboInstance(4, np.zeros(4), ([1, 0, 0, 2], [3, 2, 1, 3], [0.5, -1.0, 0.25, 2.0]),
-                         0.5, 0)
+        a = QuboInstance(4, np.zeros(4), Q)
+        b = QuboInstance(4, np.zeros(4), ([1, 0, 0, 2], [3, 2, 1, 3], [0.5, -1.0, 0.25, 2.0]))
         for q in (a, b):
             ei, ej, v = q.offdiag
             assert ei.tolist() == [0, 0, 1, 2] and ej.tolist() == [1, 2, 3, 3]
             assert v.tolist() == [0.25, -1.0, 0.5, 2.0]
             assert ei.dtype == ej.dtype == np.int64 and v.dtype == np.float64
-        assert a.dumps() == b.dumps()
         assert not any(isinstance(x, dict) for x in vars(a).values())
 
-    # sha256 of the converted model's h, ei, ej, jv and offset bytes, then q.dumps(),
+    # sha256 of the converted model's h, ei, ej, jv and offset bytes, then the QUBO's JSON
+    # text {"L", "diag", "offdiag": sorted [i, j, Q_ij] triples, "density", "seed"},
     # as the dict-backed QuboInstance produced them
     GOLDEN = [
         (20, 1.0, 5, "c04194f29a3765bcffd3ff20d8a4dab464069b9c69eaf796732a5bdfb1e8365e"),
@@ -241,7 +229,9 @@ class TestQuboArrays:
         h = hashlib.sha256()
         for a in (m.h, m.ei, m.ej, m.jv, np.float64(m.offset)):
             h.update(np.ascontiguousarray(a).tobytes())
-        h.update(q.dumps().encode())
+        triples = [list(t) for t in zip(*(a.tolist() for a in q.offdiag))]
+        h.update(json.dumps({"L": q.L, "diag": q.diag.tolist(), "offdiag": triples,
+                             "density": rho, "seed": seed}).encode())
         assert h.hexdigest() == digest
 
 
@@ -254,13 +244,11 @@ class TestIsingModelArrays:
             assert m.ei.tolist() == [0, 0, 1, 2] and m.ej.tolist() == [1, 2, 3, 3]
             assert m.jv.tolist() == [0.25, -1.0, 0.5, 2.0]
             assert m.ei.dtype == m.ej.dtype == np.int64 and m.jv.dtype == np.float64
-        assert a.dumps() == b.dumps()
         assert not any(isinstance(v, dict) for v in vars(a).values())
 
     def test_no_couplers(self):
         m = IsingModel(3, np.zeros(3))
         assert m.ei.shape == m.ej.shape == m.jv.shape == (0,)
-        assert m.to_dict()["J"] == []
 
     @pytest.mark.parametrize("J", [([0], [0], [1.0]), ([1], [0], [1.0]), ([0], [3], [1.0]),
                                    ([-1], [1], [1.0]), ([0, 0], [1, 1], [1.0, 2.0]),
@@ -268,11 +256,6 @@ class TestIsingModelArrays:
     def test_rejects_bad_arrays(self, J):
         with pytest.raises(ValueError):
             IsingModel(3, np.zeros(3), J)
-
-    def test_json_triples_sorted(self):
-        m = IsingModel(3, np.zeros(3), {(1, 2): 0.5, (0, 2): 1.5})
-        assert m.to_dict()["J"] == [[0, 2, 1.5], [1, 2, 0.5]]
-        assert IsingModel.loads(m.dumps()).dumps() == m.dumps()
 
     def test_ising_energy_is_the_row_formula(self):
         m = qubo_to_ising(generate_random_qubo(30, 0.7, seed=8))
@@ -290,7 +273,7 @@ def test_qubo_to_ising_adds_in_the_order_of_a_loop(seed):
     items = terms(g)
     if seed % 2:
         items = [items[k] for k in rng.permutation(len(items))]
-    q = QuboInstance(25, g.diag, dict(items), 0.6, seed)
+    q = QuboInstance(25, g.diag, dict(items))
     h, offset = q.diag / 2.0, float(np.sum(q.diag)) / 2.0
     for (i, j), v in sorted(items):
         h[i] += v / 4.0
@@ -299,25 +282,6 @@ def test_qubo_to_ising_adds_in_the_order_of_a_loop(seed):
     m = qubo_to_ising(q)
     assert m.h.tobytes() == h.tobytes() and m.offset == offset
     assert couplers(m) == {key: v / 4.0 for key, v in items}
-
-
-class TestSerialization:
-    def test_qubo_roundtrip(self):
-        q = generate_random_qubo(8, 0.6, seed=4)
-        r = QuboInstance.loads(q.dumps())
-        assert np.array_equal(q.diag, r.diag) and terms(q) == terms(r)
-        assert [a.dtype for a in r.offdiag] == [np.int64, np.int64, np.float64]
-        assert r.dumps() == q.dumps()
-
-    def test_ising_roundtrip(self):
-        m = qubo_to_ising(generate_random_qubo(8, 0.6, seed=4))
-        r = IsingModel.loads(m.dumps())
-        assert np.array_equal(m.h, r.h) and couplers(m) == couplers(r) and m.offset == r.offset
-
-    def test_offdiag_sorted_in_json(self):
-        q = generate_random_qubo(8, 1.0, seed=4)
-        triples = q.to_dict()["offdiag"]
-        assert triples == sorted(triples)
 
 
 @settings(max_examples=50, deadline=None)

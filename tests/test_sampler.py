@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from embednoise._kernels import _sa_c, csr, get_kernel
-from embednoise.analytics import CbpModel, cbf_predict, cbp
+from embednoise.analytics import cbf_predict, cbp
 from embednoise.embedding import ChainLengthModel, Embedding, build_embedded_ising
 from embednoise.noise import NoiseModel, chain_error_sample, variance_law
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
@@ -484,7 +484,8 @@ class TestDetectBreaks:
 
 
 class TestChainInputs:
-    REDUCTIONS = [detect_breaks, lambda spins, chains: resolve_chains(spins, chains, "plus_one")]
+    REDUCTIONS = [detect_breaks,
+                  lambda spins, chains: resolve_chains(spins, chains, substream(0, "tie"))]
 
     @pytest.mark.parametrize("reduce", REDUCTIONS, ids=["detect_breaks", "resolve_chains"])
     def test_negative_id_rejected(self, reduce):
@@ -523,35 +524,26 @@ class TestChainInputs:
 
 class TestResolveChains:
     def test_unbroken_chain(self):
-        assert resolve_chains(np.array([-1, -1, -1]), [[0, 1, 2]], policy="plus_one")[0] == -1
+        assert resolve_chains(np.array([-1, -1, -1]), [[0, 1, 2]], substream(3, "tie"))[0] == -1
 
     def test_majority(self):
-        assert resolve_chains(np.array([1, 1, -1]), [[0, 1, 2]], policy="plus_one")[0] == 1
+        assert resolve_chains(np.array([1, 1, -1]), [[0, 1, 2]], substream(3, "tie"))[0] == 1
 
     def test_tie_deterministic_per_stream(self):
         spins = np.array([1, -1])
-        a = resolve_chains(spins, [[0, 1]], policy="coin", stream=substream(3, "tie"))
-        b = resolve_chains(spins, [[0, 1]], policy="coin", stream=substream(3, "tie"))
+        a = resolve_chains(spins, [[0, 1]], stream=substream(3, "tie"))
+        b = resolve_chains(spins, [[0, 1]], stream=substream(3, "tie"))
         assert a[0] == b[0]
         assert a[0] in (-1, 1)
-
-    def test_plus_one_policy(self):
-        assert resolve_chains(np.array([1, -1]), [[0, 1]], policy="plus_one")[0] == 1
-
-    def test_coin_requires_stream(self):
-        with pytest.raises(ValueError):
-            resolve_chains(np.array([1, -1]), [[0, 1]], policy="coin")
 
     def test_batch_matches_each_read(self):
         chains = [[0, 1], [2, 3, 4], [5, 6], [7]]
         spins = (np.random.default_rng(3).integers(0, 2, (40, 8)) * 2 - 1).astype(np.int8)
-        batch = resolve_chains(spins, chains, policy="coin", stream=substream(4, "tie"))
+        batch = resolve_chains(spins, chains, stream=substream(4, "tie"))
         assert batch.dtype == np.int8 and batch.shape == (40, 4)
         stream = substream(4, "tie")  # one read at a time draws the same coins in turn
         for r in range(40):
-            assert resolve_chains(spins[r], chains, "coin", stream).tolist() == batch[r].tolist()
-        plus = resolve_chains(spins, chains, policy="plus_one")
-        assert np.array_equal(plus, [resolve_chains(s, chains, "plus_one") for s in spins])
+            assert resolve_chains(spins[r], chains, stream).tolist() == batch[r].tolist()
 
 
 class TestMarginModelRun:
@@ -569,7 +561,7 @@ class TestMarginModelRun:
         nm = NoiseModel(sigma_h=0.06, sigma_c=0.005)
         n = 10**6
         cbf = margin_model_run([13], 0.35, 1.0, nm, n, seed=1)
-        p = cbp(13, CbpModel(noise=nm, kappa=0.35))
+        p = cbp(13, nm, 0.35)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(float(cbf.mean()) - p) < 3 * se
 
@@ -578,7 +570,7 @@ class TestMarginModelRun:
         lengths = [3, 7, 13, 20]
         n = 200_000
         cbf = margin_model_run(lengths, 0.3, 1.0, nm, n, seed=2)
-        pred = cbf_predict(lengths, CbpModel(noise=nm, kappa=0.3))
+        pred = cbf_predict(lengths, nm, 0.3)
         se = math.sqrt(pred * (1 - pred) / n / len(lengths))
         assert abs(float(cbf.mean()) - pred) < 4 * se
 
@@ -746,7 +738,7 @@ class TestSyntheticHardwareRun:
         q = generate_random_qubo(8, 1.0, seed=7)
         phys, res = synthetic_hardware_run(q, [3] * 8, k=0.5, nm=NoiseModel(0.3, 0.1),
                                            reads=30, seed=4)
-        chains = build_embedded_ising(qubo_to_ising(q), [3] * 8, 0.5).embedding
+        chains = build_embedded_ising(qubo_to_ising(q), [3] * 8, 0.5).spin_chains()
         assert np.array_equal(phys.cbf, detect_breaks(phys.spins, chains)["cbf"])
         assert np.array_equal(res.cbf, phys.cbf) and phys.cbf.max() > 0
 
