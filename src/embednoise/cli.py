@@ -81,10 +81,14 @@ def _int_values(key: str, values) -> list[int]:
 
 
 def _merge(base: dict, override: dict, where: str = "") -> None:
-    """Deep-merge `override` into `base`, rejecting keys that `base` lacks."""
+    """Deep-merge `override` into `base`, rejecting keys that `base` lacks and a
+    scalar where `base` holds a list or a sweep."""
     for key, val in override.items():
         if key not in base:
             raise ValueError(f"unknown config key {where + key!r}")
+        listed = isinstance(base[key], list) or isinstance(base[key], dict) and "start" in base[key]
+        if listed and not isinstance(val, (list, dict)):  # a list, or a start..stop sweep
+            raise ValueError(f"config key {where + key!r} takes a list, got {val!r}")
         if isinstance(base[key], dict) and isinstance(val, dict):
             _merge(base[key], val, f"{where}{key}.")
         else:

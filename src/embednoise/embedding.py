@@ -52,26 +52,15 @@ class EmbeddedIsing:
 
     The model's spins are the qubits the chains use, relabelled 0..n-1 in
     ascending id order: spin s is qubit qubits[s]. The embedding names
-    qubits by hardware id.
+    qubits by hardware id. Chain i's spins, in the embedding's member
+    order, are chain_spins[chain_ptr[i]:chain_ptr[i + 1]].
     """
 
     model: IsingModel
-    chain_strength: float
     embedding: Embedding
     qubits: np.ndarray
-
-    def spin_chains(self) -> list[list[int]]:
-        """The chains as model spin indices, to read them off the model's spins."""
-        return [np.searchsorted(self.qubits, c).tolist() for c in self.embedding.chains]
-
-    def _chain_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """The chains of each coupler's two spins; spin s is the s-th smallest chain qubit."""
-        members, label = _labels(self.embedding.chains)
-        label = label[np.argsort(members)]
-        return label[self.model.ei], label[self.model.ej]
-
-    def intra_edge_count(self) -> int:
-        return int(np.count_nonzero(np.equal(*self._chain_ends())))
+    chain_spins: np.ndarray
+    chain_ptr: np.ndarray
 
 
 def synth_chain_lengths(L: int, model: ChainLengthModel, seed: int) -> np.ndarray:
@@ -116,14 +105,13 @@ def build_embedded_ising(logical: IsingModel, chains_or_lengths, k: float) -> Em
     if len(emb.chains) != logical.n:
         raise ValueError(f"embedding has {len(emb.chains)} chains for {logical.n} logical spins")
 
-    members, label = _labels(emb.chains)
-    sizes = np.bincount(label, minlength=logical.n)
+    members, label, ptr = _labels(emb.chains)
     if emb.hardware is None:  # path steps inside each chain, one head pair per logical edge
         steps = np.stack([members[:-1], members[1:]], axis=1)[label[:-1] == label[1:]]
-        heads = members[np.cumsum(sizes) - sizes]
-        inter, shares = np.stack([heads[logical.ei], heads[logical.ej]], axis=1), logical.jv
+        inter, shares = members[ptr[np.stack([logical.ei, logical.ej], axis=1)]], logical.jv
     else:
-        faults, steps, inter, edge, count = _check(emb.chains, emb.hardware, logical.ei, logical.ej)
+        faults, steps, inter, edge, count = _check(members, label, ptr, emb.hardware,
+                                                   logical.ei, logical.ej)
         if faults:
             last = len(emb.hardware) - 1
             raise ValueError(_MESSAGES[faults[0]["kind"]].format(last=last, **faults[0]))
@@ -131,11 +119,12 @@ def build_embedded_ising(logical: IsingModel, chains_or_lengths, k: float) -> Em
 
     qubits, spin = np.unique(members, return_inverse=True)
     h = np.zeros(len(qubits))
-    np.add.at(h, spin, logical.h[label] / sizes[label])
+    np.add.at(h, spin, logical.h[label] / np.diff(ptr)[label])
     pairs = np.searchsorted(qubits, np.concatenate([steps, inter]))
     values = np.concatenate([np.full(len(steps), -k), shares])
     model = IsingModel(len(h), h, (pairs[:, 0], pairs[:, 1], values), logical.offset)
-    return EmbeddedIsing(model=model, chain_strength=k, embedding=emb, qubits=qubits)
+    return EmbeddedIsing(model=model, embedding=emb, qubits=qubits, chain_spins=spin,
+                         chain_ptr=ptr)
 
 
 @dataclass
@@ -156,21 +145,23 @@ _MESSAGES = {
 }
 
 
-def _labels(chains) -> tuple[np.ndarray, np.ndarray]:
-    """Every chain member as int64, chain after chain, and the chain each belongs to;
-    ValueError unless every member is an integer (158.0 counts as 158)."""
+def _labels(chains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every chain member as int64, chain after chain, the chain each belongs to, and
+    where each chain starts (length chains + 1); ValueError unless every member is an
+    integer (158.0 counts as 158)."""
     members = np.asarray(list(itertools.chain.from_iterable(chains)))
-    label = np.repeat(np.arange(len(chains)), [len(c) for c in chains])
+    sizes = [len(c) for c in chains]
+    label = np.repeat(np.arange(len(chains)), sizes)
     odd = np.flatnonzero(members % 1 != 0) if members.dtype.kind == "f" else []  # NaN, inf too
     if len(odd):
         raise ValueError(f"chain members must be integers; chain {label[odd[0]]} holds "
                          f"{members[odd[0]]}")
-    return members.astype(np.int64), label
+    return members.astype(np.int64), label, np.cumsum([0] + sizes)
 
 
-def _check(chains, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tuple:
-    """Decide in one array pass whether `chains` embed the logical edges
-    (ei[t], ej[t]) in `hardware`.
+def _check(members, label, ptr, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tuple:
+    """Decide in one array pass whether the chains that `_labels` flattened to
+    (members, label, ptr) embed the logical edges (ei[t], ej[t]) in `hardware`.
 
     Chains must be nonempty, name ids in 0..len(hardware)-1, be
     disjoint and connected, and every logical edge needs a coupler
@@ -181,12 +172,11 @@ def _check(chains, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tup
     rank of each one's logical edge among the unique logical edges, and
     the couplers per unique logical edge.
     """
-    n, size = len(chains), len(hardware)
+    n, size, sizes = len(ptr) - 1, len(hardware), np.diff(ptr)
     i, j = np.minimum(ei, ej), np.maximum(ei, ej)
     if np.any((i == j) | (i < 0) | (j >= n)):
         raise ValueError(f"logical edges must join two distinct chains in 0..{n - 1}")
-    members, label = _labels(chains)
-    sizes, inside = np.bincount(label, minlength=n), (members >= 0) & (members < size)
+    inside = (members >= 0) & (members < size)
     faults = [{"kind": "empty_chain", "chain": c} for c in np.flatnonzero(sizes == 0).tolist()]
     faults += [{"kind": "unknown_qubit", "chain": c, "qubit": p}
                for c, p in zip(label[~inside].tolist(), members[~inside].tolist())]
@@ -210,7 +200,7 @@ def _check(chains, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tup
         np.minimum.at(comp, b, comp[a])
     checked = (sizes > 0) & (np.bincount(label[~inside], minlength=n) == 0)
     at = comp[np.where(inside, members, 0)]
-    far = checked[label] & (at != at[np.repeat(np.cumsum(sizes) - sizes, sizes)])
+    far = checked[label] & (at != at[np.repeat(ptr[:-1], sizes)])
     violations += [{"kind": "connectivity", "chain": c,
                     "unreached": np.unique(members[far & (label == c)]).tolist()}
                    for c in np.unique(label[far]).tolist()]
@@ -233,7 +223,7 @@ def validate_embedding(e: Embedding, hardware: ZephyrGraph, logical_edges) -> Va
     i != j, else ValueError.
     """
     edges = np.array(list(logical_edges), dtype=np.int64).reshape(-1, 2)
-    return ValidationReport(_check(e.chains, hardware, *edges.T)[0])
+    return ValidationReport(_check(*_labels(e.chains), hardware, *edges.T)[0])
 
 
 def fit_linear(xs, ys) -> dict:

@@ -176,14 +176,23 @@ def read_observations_csv(text: str, lengths_by_L: dict | None = None) -> list[d
     for column in ("L", "cbf_obs"):
         if column not in reader.fieldnames:
             raise ValueError(f"observations CSV has no {column!r} column (header L,cbf_obs)")
+
+    def cell(line, row, column, kind):
+        try:
+            return kind(row[column])
+        except (TypeError, ValueError):  # TypeError: None, a cell the row lacks
+            raise ValueError(f"observations CSV line {line}, column {column!r}: expected "
+                             f"{'an integer' if kind is int else 'a number'}, got {row[column]!r}"
+                             ) from None
+
     out = []
-    for row in rows:
-        L = int(row["L"])
-        point = {"L": L, "cbf_obs": float(row["cbf_obs"])}
+    for line, row in enumerate(rows, start=2):  # line 1 is the header
+        L = cell(line, row, "L", int)
+        point = {"L": L, "cbf_obs": cell(line, row, "cbf_obs", float)}
         if lengths_by_L is not None and L in lengths_by_L:
             point["lengths"] = list(lengths_by_L[L])
         elif "ell_bar" in row and row["ell_bar"]:
-            point["ell_bar"] = float(row["ell_bar"])
+            point["ell_bar"] = cell(line, row, "ell_bar", float)
         else:
             raise ValueError(f"no chain lengths or ell_bar for L={L}")
         out.append(point)

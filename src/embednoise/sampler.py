@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,27 +168,11 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
                 del u  # before the next tile is drawn
             start += reads * len(b) * n
 
-    failed = [None] * parts
-
-    def run(p):
-        try:
-            anneal_part(p)
-        except BaseException as exc:  # re-raised on the calling thread
-            failed[p] = exc
-
-    threads = []
-    try:
-        for p in range(1, parts):
-            thread = threading.Thread(target=run, args=(p,))
-            thread.start()
-            threads.append(thread)
+    with ThreadPoolExecutor(max(1, parts - 1)) as pool:  # joins every part, even on a raise
+        futures = [pool.submit(anneal_part, p) for p in range(1, parts)]
         anneal_part(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in failed:
-        if exc is not None:
-            raise exc
+    for future in futures:  # the first failing part's exception, in part order
+        future.result()
     del h2, jv2, errors  # the perturbed models are not needed for scoring
 
     energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
@@ -263,13 +247,26 @@ def _chain_spins(spins, chains) -> tuple[np.ndarray, np.ndarray]:
     """The spins gathered in chain order along the last axis, and where each chain starts;
     ValueError unless every spin is +1 or -1 and every chain is nonempty and holds integer
     spin ids in 0..n-1."""
-    spins, sizes = np.asarray(spins), np.array([len(c) for c in chains])
+    spins = np.asarray(spins)
     if not np.all((spins == 1) | (spins == -1)):
         raise ValueError("spins must be +1 or -1")
-    ids = _labels(chains)[0]
-    if not sizes.all() or not len(ids) or not 0 <= ids.min() <= ids.max() < spins.shape[-1]:
+    ids, _, ptr = _labels(chains)
+    if not np.diff(ptr).all() or not len(ids) or not 0 <= ids.min() <= ids.max() < spins.shape[-1]:
         raise ValueError(f"chains must be nonempty and hold spin ids in 0..{spins.shape[-1] - 1}")
-    return spins[..., ids], np.cumsum(sizes) - sizes
+    return spins[..., ids], ptr[:-1]
+
+
+def _broken(gathered: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per chain of spins gathered in chain order, chains starting at `starts`: not all equal."""
+    return np.maximum.reduceat(gathered, starts, -1) != np.minimum.reduceat(gathered, starts, -1)
+
+
+def _majority(gathered: np.ndarray, starts: np.ndarray, stream: np.random.Generator) -> np.ndarray:
+    """Per chain of spins gathered in chain order, the majority sign; an even split takes
+    a coin from `stream`, which draws one coin per chain and read either way."""
+    coins = (stream.integers(0, 2, size=gathered.shape[:-1] + starts.shape) * 2 - 1).astype(np.int8)
+    maj = np.sign(np.add.reduceat(gathered, starts, axis=-1, dtype=np.int64))
+    return np.where(maj == 0, coins, maj.astype(np.int8))
 
 
 def detect_breaks(spins, chains) -> dict:
@@ -278,9 +275,8 @@ def detect_breaks(spins, chains) -> dict:
     `spins` is one read (n,), giving a list of flags and a float CBF, or a
     batch (reads, n), giving a (reads, chains) flag array and a CBF per read.
     """
-    spins, starts = _chain_spins(spins, chains)
-    flags = np.maximum.reduceat(spins, starts, -1) != np.minimum.reduceat(spins, starts, -1)
-    if spins.ndim == 1:
+    flags = _broken(*_chain_spins(spins, chains))
+    if flags.ndim == 1:
         return {"broken": flags.tolist(), "cbf": float(flags.mean())}
     return {"broken": flags, "cbf": flags.mean(axis=-1)}
 
@@ -289,10 +285,7 @@ def resolve_chains(spins, chains, stream: np.random.Generator) -> np.ndarray:
     """Collapse physical spins, one read (n,) or a batch (reads, n), to logical
     spins by per-chain majority vote; even splits resolve by a coin from `stream`.
     """
-    spins, starts = _chain_spins(spins, chains)
-    coins = (stream.integers(0, 2, size=spins.shape[:-1] + starts.shape) * 2 - 1).astype(np.int8)
-    maj = np.sign(np.add.reduceat(spins, starts, axis=-1, dtype=np.int64))
-    return np.where(maj == 0, coins, maj.astype(np.int8))
+    return _majority(*_chain_spins(spins, chains), stream)
 
 
 def margin_errors(lengths, nm: NoiseModel, reads: int, seed: int) -> np.ndarray:
@@ -358,13 +351,15 @@ def synthetic_hardware_run(
     if isinstance(spec, ChainLengthModel):
         spec = synth_chain_lengths(q.L, spec, seed)
     emb = build_embedded_ising(logical, spec, k)
-    chains, model = emb.spin_chains(), emb.model
+    model, starts = emb.model, emb.chain_ptr[:-1]
     physical = _anneal(model, reads, schedule, seed, backend,
                        control_errors(model, nm, substream(seed, "perturb"), (reads,)))
-    physical.cbf = detect_breaks(physical.spins, chains)["cbf"]
-    physical.metadata.update(chain_strength=k, noise=nm.to_dict(), lengths=[len(c) for c in chains])
+    gathered = physical.spins[:, emb.chain_spins]
+    physical.cbf = _broken(gathered, starts).mean(axis=-1)
+    physical.metadata.update(chain_strength=k, noise=nm.to_dict(),
+                             lengths=np.diff(emb.chain_ptr).tolist())
 
-    logical_spins = resolve_chains(physical.spins, chains, substream(seed, "tie"))
+    logical_spins = _majority(gathered, starts, substream(seed, "tie"))
     logical_energies = _batch_energies(logical_spins, logical.h, logical.ei, logical.ej,
                                        logical.jv, logical.offset)
     resolved = SampleSet(spins=logical_spins, energies=logical_energies, cbf=physical.cbf,

@@ -160,7 +160,8 @@ def test_criterion_7_embedded_energy_identity():
         lengths = rng.integers(1, 4, size=n)
         k = 1.0 + 0.25 * seed
         emb = en.build_embedded_ising(logical, lengths, k)
-        intra = emb.intra_edge_count()
+        chain = np.repeat(np.arange(n), np.diff(emb.chain_ptr))[np.argsort(emb.chain_spins)]
+        intra = int(np.count_nonzero(chain[emb.model.ei] == chain[emb.model.ej]))
         for idx in range(1 << n):
             s = np.array([2 * ((idx >> (n - 1 - b)) & 1) - 1 for b in range(n)])
             phys = np.empty(emb.model.n, dtype=np.int64)

@@ -133,10 +133,15 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("csv, message", [
         ("L,cbf\n5,0.01\n", "observations CSV has no 'cbf_obs' column (header L,cbf_obs)"),
-        ("size,cbf_obs\n5,0.01\n", "observations CSV has no 'L' column (header L,cbf_obs)")],
-        ids=["no-cbf_obs", "no-L"])
+        ("size,cbf_obs\n5,0.01\n", "observations CSV has no 'L' column (header L,cbf_obs)"),
+        ("L,cbf_obs,ell_bar\n5,0.01,1.6\n10,,2.2\n",
+         "observations CSV line 3, column 'cbf_obs': expected a number, got ''"),
+        ("L,cbf_obs,ell_bar\nfive,0.01,1.6\n",
+         "observations CSV line 2, column 'L': expected an integer, got 'five'")],
+        ids=["no-cbf_obs", "no-L", "empty-cbf_obs", "word-L"])
     def test_csv_without_a_column_names_it(self, tmp_path, capsys, csv, message):
-        # used to print the bare KeyError "error: 'cbf_obs'"
+        # used to print the bare KeyError "error: 'cbf_obs'", and for a bad cell
+        # "could not convert string to float: ''" or "invalid literal for int()"
         obs = tmp_path / "obs.csv"
         obs.write_text(csv)
         assert main(["fit", str(obs), "--out", str(tmp_path / "out")]) == 1
@@ -452,7 +457,15 @@ class TestConfigPrecedence:
          "slope and intercept must be finite"),
         ("chainlen", {"chain_length": {"jitter": 1.5}}, "jitter must be an integer >= 0"),
         ("bench", {"sweeps": 12.5, "bench_L": [3]}, "sweeps must be an integer >= 1"),
-    ], ids=["nan-slope", "inf-intercept", "fractional-jitter", "fractional-sweeps"])
+        # a number for a list used to print "'int' (or 'float') object is not iterable"
+        ("bench", {"bench_L": 5}, "config key 'bench_L' takes a list, got 5"),
+        ("kstar", {"taus": 0.02}, "config key 'taus' takes a list, got 0.02"),
+        ("chainlen", {"L_sweep": 50}, "config key 'L_sweep' takes a list, got 50"),
+        ("kstar", {"ell_sweep": 7}, "config key 'ell_sweep' takes a list, got 7"),
+        ("heatmap", {"k_values": 0.5}, "config key 'k_values' takes a list, got 0.5"),
+    ], ids=["nan-slope", "inf-intercept", "fractional-jitter", "fractional-sweeps",
+            "scalar-bench_L", "scalar-taus", "scalar-L_sweep", "scalar-ell_sweep",
+            "scalar-k_values"])
     def test_bad_model_field_exits_1(self, tmp_path, capsys, command, extra, message):
         # json writes and reads NaN and Infinity, so a config file can carry them
         cfg = write_config(tmp_path, extra)

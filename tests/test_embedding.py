@@ -24,10 +24,24 @@ def hardware_couplers(emb):
     return {(q[i], q[j]): v for (i, j), v in couplers(emb.model).items()}
 
 
+def chain_of_spin(emb):
+    """The chain of each model spin, read off chain_spins and chain_ptr."""
+    chain = np.empty(emb.model.n, dtype=np.int64)
+    chain[emb.chain_spins] = np.repeat(np.arange(len(emb.chain_ptr) - 1), np.diff(emb.chain_ptr))
+    return chain
+
+
+def intra_count(emb):
+    """The couplers whose two spins lie in one chain."""
+    chain = chain_of_spin(emb)
+    return int(np.count_nonzero(chain[emb.model.ei] == chain[emb.model.ej]))
+
+
 def provenance(emb):
     """Each coupler (p, q), by hardware id, mapped to ("intra", i) for the penalty inside
     chain i or to ("inter", (i, j)) for a share of J_ij."""
-    ci, cj = emb._chain_ends()
+    chain = chain_of_spin(emb)
+    ci, cj = chain[emb.model.ei], chain[emb.model.ej]
     p, q = emb.qubits[emb.model.ei], emb.qubits[emb.model.ej]
     return {(a, b): ("intra", i) if i == j else ("inter", (min(i, j), max(i, j)))
             for a, b, i, j in zip(p.tolist(), q.tolist(), ci.tolist(), cj.tolist())}
@@ -155,7 +169,10 @@ class TestBuildEmbeddedIsing:
         assert J[(0, 1)] == -1.5 and J[(1, 2)] == -1.5 and J[(3, 4)] == -1.5
         assert J[(0, 3)] == pytest.approx(0.8)
         assert m.offset == 0.25
-        assert emb.intra_edge_count() == 3
+        assert intra_count(emb) == 3
+        # path chains over ids 0..n-1: spins in chain order, chains at the cumulative lengths
+        assert emb.chain_spins.tolist() == [0, 1, 2, 3, 4]
+        assert emb.chain_ptr.tolist() == [0, 3, 5]
 
     @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
     def test_rejects_non_integral_lengths(self, bad):
@@ -199,7 +216,9 @@ class TestBuildEmbeddedIsing:
         logical = qubo_to_ising(q)
         k = 1.7
         emb = build_embedded_ising(logical, lengths, k)
-        intra = emb.intra_edge_count()
+        assert np.array_equal(emb.chain_spins, np.arange(emb.model.n))
+        assert np.array_equal(emb.chain_ptr, np.cumsum([0] + lengths))
+        intra = intra_count(emb)
         for s in enumerate_spins(n):
             phys = aligned_physical(s, emb.embedding.chains, emb.model.n)
             lhs = ising_energy(emb.model, phys)
@@ -241,7 +260,7 @@ class TestBuildEmbeddedIsing:
         assert emb.model.n == 2 and emb.qubits.tolist() == [158, 159]
         assert emb.model.h.tolist() == [-0.5, 0.5] and couplers(emb.model) == {(0, 1): 1.0}
         assert provenance(emb) == {(158, 159): ("inter", (0, 1))}
-        assert emb.spin_chains() == [[1], [0]]
+        assert emb.chain_spins.tolist() == [1, 0] and emb.chain_ptr.tolist() == [0, 1, 2]
         assert validate_embedding(emb.embedding, hw, [(0, 1)]).ok
 
     def test_non_integral_member_rejected(self):
@@ -255,7 +274,7 @@ class TestBuildEmbeddedIsing:
         with pytest.raises(ValueError, match="chain members must be integers"):
             validate_embedding(bad, hw, [(0, 1)])
         emb = build_embedded_ising(logical, Embedding([[159.0], [158]], hw), k=1.0)
-        assert emb.qubits.tolist() == [158, 159] and emb.spin_chains() == [[1], [0]]
+        assert emb.qubits.tolist() == [158, 159] and emb.chain_spins.tolist() == [1, 0]
 
     def test_embedding_without_hardware_rejected(self):
         # consecutive ids would be taken as chain edges that may not exist

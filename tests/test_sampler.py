@@ -17,7 +17,7 @@ from embednoise.noise import NoiseModel, chain_error_sample, variance_law
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
 from embednoise.rng import substream
 from embednoise.topology import build_zephyr
-from embednoise import sampler
+from embednoise import embedding, sampler
 from embednoise.sampler import (AnnealSchedule, _batch_energies, brute_force,
                                 detect_breaks, margin_errors, margin_model_run,
                                 resolve_chains, schedule_betas, simulated_anneal,
@@ -738,9 +738,15 @@ class TestSyntheticHardwareRun:
         q = generate_random_qubo(8, 1.0, seed=7)
         phys, res = synthetic_hardware_run(q, [3] * 8, k=0.5, nm=NoiseModel(0.3, 0.1),
                                            reads=30, seed=4)
-        chains = build_embedded_ising(qubo_to_ising(q), [3] * 8, 0.5).spin_chains()
+        chains = [list(range(3 * i, 3 * i + 3)) for i in range(8)]  # path ids are spin ids
         assert np.array_equal(phys.cbf, detect_breaks(phys.spins, chains)["cbf"])
         assert np.array_equal(res.cbf, phys.cbf) and phys.cbf.max() > 0
+        # on hardware ids 158, 19 and 159 the chains are spins [[1, 0], [2]]
+        emb = Embedding([[158, 19], [159]], build_zephyr(2, 4))
+        phys, res = synthetic_hardware_run(generate_random_qubo(2, 1.0, seed=3), emb, k=0.3,
+                                           nm=NoiseModel(0.3, 0.1), reads=60, seed=2)
+        assert np.array_equal(phys.cbf, detect_breaks(phys.spins, [[1, 0], [2]])["cbf"])
+        assert np.array_equal(res.cbf, phys.cbf) and 0 < phys.cbf.max() < 1
 
     def test_hardware_embedding_anneals_only_chain_qubits(self):
         # chains on qubits 19, 158 and 159 of Z(2,4): a 3-spin model, chains read by spin index
@@ -748,12 +754,26 @@ class TestSyntheticHardwareRun:
         emb = Embedding([[158, 19], [159]], build_zephyr(2, 4))
         phys, res = synthetic_hardware_run(q, emb, k=0.3, nm=NoiseModel(0.3, 0.1), reads=60, seed=2)
         model = build_embedded_ising(qubo_to_ising(q), emb, 0.3)
-        assert phys.spins.shape == (60, 3) and model.spin_chains() == [[1, 0], [2]]
-        assert np.array_equal(phys.cbf, detect_breaks(phys.spins, [[1, 0], [2]])["cbf"])
+        assert phys.spins.shape == (60, 3) and model.qubits.tolist() == [19, 158, 159]
+        assert model.chain_spins.tolist() == [1, 0, 2] and model.chain_ptr.tolist() == [0, 2, 3]
         assert 0 < phys.cbf.max() and res.spins.shape == (60, 2)
         for r in range(phys.num_reads):
             assert phys.energies[r] == pytest.approx(ising_energy(model.model, phys.spins[r]),
                                                      abs=1e-9)
+
+    def test_chains_are_flattened_once(self, monkeypatch):
+        # the chain arrays are built once and scored from: validation, break detection
+        # and resolution each used to flatten the chains again, four times in all
+        calls, labels = [], embedding._labels
+        def counted(chains):
+            calls.append(1)
+            return labels(chains)
+        monkeypatch.setattr(embedding, "_labels", counted)
+        monkeypatch.setattr(sampler, "_labels", counted)
+        emb = Embedding([[158, 19], [159]], build_zephyr(2, 4))
+        synthetic_hardware_run(generate_random_qubo(2, 1.0, seed=3), emb, k=0.3,
+                               nm=NoiseModel(0.3, 0.1), reads=4, seed=2)
+        assert len(calls) == 1
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_traced_peak_memory(self):
