@@ -9,6 +9,7 @@ schemas are documented in the README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from .fitting import FitGrid, GridRange, fit_noise_params, fit_report, read_leng
 from .noise import NoiseModel
 from .problem import generate_random_qubo, qubo_to_ising
 from .rng import substream
-from .sampler import (AnnealSchedule, brute_force, margin_errors, margin_model_run,
+from .sampler import (AnnealSchedule, _cpu_map, brute_force, margin_errors, margin_model_run,
                       simulated_anneal, synthetic_hardware_run)
 from .topology import build_zephyr, degree_histogram
 
@@ -81,16 +82,21 @@ def _int_values(key: str, values) -> list[int]:
 
 
 def _merge(base: dict, override: dict, where: str = "") -> None:
-    """Deep-merge `override` into `base`, rejecting keys that `base` lacks and a
-    scalar where `base` holds a list or a sweep."""
+    """Deep-merge `override` into `base`, rejecting keys that `base` lacks, a
+    scalar where `base` holds a list or a sweep, and a non-object where it
+    holds an object."""
     for key, val in override.items():
         if key not in base:
             raise ValueError(f"unknown config key {where + key!r}")
-        listed = isinstance(base[key], list) or isinstance(base[key], dict) and "start" in base[key]
-        if listed and not isinstance(val, (list, dict)):  # a list, or a start..stop sweep
-            raise ValueError(f"config key {where + key!r} takes a list, got {val!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            _merge(base[key], val, f"{where}{key}.")
+        default, name = base[key], where + key
+        if isinstance(default, list) or isinstance(default, dict) and "start" in default:
+            if not isinstance(val, (list, dict)):  # a list, or a start..stop sweep
+                raise ValueError(f"config key {name!r} takes a list, got {val!r}")
+        elif isinstance(default, dict) and not isinstance(val, dict):
+            if (name, val) != ("grid", None):  # fit reads a null grid as the default grid
+                raise ValueError(f"config key {name!r} takes an object, got {val!r}")
+        if isinstance(default, dict) and isinstance(val, dict):
+            _merge(default, val, f"{name}.")
         else:
             base[key] = val
 
@@ -140,14 +146,18 @@ def cmd_chainlen(cfg) -> int:
 def cmd_cbf_curve(cfg) -> int:
     model, nm = ChainLengthModel(**cfg["chain_length"]), NoiseModel(**cfg["noise"])
     k, eta = cfg["k"], cfg["eta"]
-    lines = ["L,cbf_obs,cbf_pred"]
-    lengths_map = {}
-    for L in _int_values("L_sweep", _sweep_values(cfg, "L_sweep")):
+    Ls = _int_values("L_sweep", _sweep_values(cfg, "L_sweep"))
+
+    def point(L):
         lengths = synth_chain_lengths(L, model, cfg["seed"])
         obs = float(np.mean(margin_model_run(  # raises unless k > 0 and eta in (0, 1]
             lengths, k, eta, nm, cfg["reads"], _point_seed(cfg["seed"], "cbf-curve", L))))
-        lines.append(f"{L},{obs:.12g},{cbf_predict(lengths, nm, eta * k):.12g}")
-        lengths_map[L] = [int(v) for v in lengths]
+        return lengths, obs, cbf_predict(lengths, nm, eta * k)
+
+    points = _cpu_map(point, Ls)
+    lines = ["L,cbf_obs,cbf_pred"]
+    lines += [f"{L},{obs:.12g},{pred:.12g}" for L, (_, obs, pred) in zip(Ls, points)]
+    lengths_map = {L: [int(v) for v in lengths] for L, (lengths, _, _) in zip(Ls, points)}
     out = _out_dir(cfg)
     _write(out / "cbf_curve.csv", "\n".join(lines) + "\n")
     _write(out / "cbf_curve_lengths.json", json.dumps(lengths_map) + "\n")
@@ -195,9 +205,8 @@ def cmd_kstar(cfg, empirical: bool = False) -> int:
     eta = cfg["eta"]
     ells = _int_values("ell_sweep", _sweep_values(cfg, "ell_sweep"))
     if empirical:  # one draw per length, seeded by the length alone, read at every tau
-        seeds = [_point_seed(cfg["seed"], "kstar", ell) for ell in ells]
-        draws = [np.abs(margin_errors([ell], nm, cfg["reads"], seed)[:, 0])
-                 for ell, seed in zip(ells, seeds)]
+        draws = _cpu_map(lambda ell: np.abs(margin_errors(
+            [ell], nm, cfg["reads"], _point_seed(cfg["seed"], "kstar", ell))[:, 0]), ells)
     lines = ["l,k_star,tau"]
     fits = {}
     for tau in cfg["taus"]:
@@ -224,13 +233,16 @@ def cmd_heatmap(cfg) -> int:
         raise ValueError("heatmap needs strictly increasing k values, k > 0 and eta in (0, 1]")
     if not 0.0 < tau < 1.0:  # NaN included
         raise ValueError(f"contour_tau must lie in (0, 1), got {tau}")
+
+    def cbf_row(L):  # every k shares the draws of L, freed when its row is done
+        mags = margin_errors(synth_chain_lengths(L, model, cfg["seed"]), nm, cfg["reads"],
+                             _point_seed(cfg["seed"], "heatmap", L))
+        np.abs(mags, out=mags)
+        return [np.count_nonzero(mags > eta * k) / mags.size for k in ks]
+
     lines = ["L,k,cbf_mean"]
     contour = ["L,k_star_empirical"]
-    for L in Ls:
-        lengths = synth_chain_lengths(L, model, cfg["seed"])
-        mags = margin_errors(lengths, nm, cfg["reads"], _point_seed(cfg["seed"], "heatmap", L))
-        np.abs(mags, out=mags)
-        row = [np.count_nonzero(mags > eta * k) / mags.size for k in ks]  # every k shares the draws
+    for L, row in zip(Ls, _cpu_map(cbf_row, Ls)):
         lines += [f"{L},{k:.12g},{cbf:.12g}" for k, cbf in zip(ks, row)]
         # smallest k reaching cbf <= tau, linearly interpolated on the k grid
         for j in range(1, len(ks)):
@@ -289,9 +301,10 @@ def cmd_repro(cfg) -> int:
     return rc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """One subparser per command; each sets `run(cfg, args)`, which looks its
-    cmd_* up by module-global name when called."""
+    """One subparser per command, built once per process; each sets `run(cfg, args)`,
+    which looks its cmd_* up by module-global name when called."""
     parser = argparse.ArgumentParser(
         prog="embednoise",
         description="Chain-break simulation and calibration experiments.")

@@ -177,17 +177,25 @@ def read_observations_csv(text: str, lengths_by_L: dict | None = None) -> list[d
         if column not in reader.fieldnames:
             raise ValueError(f"observations CSV has no {column!r} column (header L,cbf_obs)")
 
+    def integer(text) -> int:  # 10.0 counts as 10, as in L_sweep and the lengths JSON
+        try:
+            return int(text)
+        except ValueError:
+            if not float(text).is_integer():  # float() raises for a word
+                raise
+            return int(float(text))
+
     def cell(line, row, column, kind):
         try:
             return kind(row[column])
         except (TypeError, ValueError):  # TypeError: None, a cell the row lacks
             raise ValueError(f"observations CSV line {line}, column {column!r}: expected "
-                             f"{'an integer' if kind is int else 'a number'}, got {row[column]!r}"
-                             ) from None
+                             f"{'an integer' if kind is integer else 'a number'}, got "
+                             f"{row[column]!r}") from None
 
     out = []
     for line, row in enumerate(rows, start=2):  # line 1 is the header
-        L = cell(line, row, "L", int)
+        L = cell(line, row, "L", integer)
         point = {"L": L, "cbf_obs": cell(line, row, "cbf_obs", float)}
         if lengths_by_L is not None and L in lengths_by_L:
             point["lengths"] = list(lengths_by_L[L])

@@ -97,6 +97,36 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _cpu_map(fn, items) -> list:
+    """[fn(x) for x in items] on P = min(_cpus(), len(items)) threads, in item order.
+
+    Thread p runs items p, p + P, ... up to its first failure; thread 0 is
+    the calling thread. Every thread is joined before this returns or
+    raises, and a failure re-raises the first failing item's exception in
+    item order (any item a thread skipped comes after its own failure).
+    """
+    items = list(items)
+    parts = max(1, min(_cpus(), len(items)))
+    results, errors = [None] * len(items), {}
+
+    def part(p):
+        for i in range(p, len(items), parts):
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                errors[i] = exc
+                return
+
+    with ThreadPoolExecutor(max(1, parts - 1)) as pool:  # joins every part
+        futures = [pool.submit(part, p) for p in range(1, parts)]
+        part(0)
+    for future in futures:  # what part() lets through, such as KeyboardInterrupt
+        future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed: int,
             backend: str | None, errors=None) -> SampleSet:
     """Anneal `reads` Metropolis reads of `model` with the (seed, "sa") stream.
@@ -168,11 +198,7 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
                 del u  # before the next tile is drawn
             start += reads * len(b) * n
 
-    with ThreadPoolExecutor(max(1, parts - 1)) as pool:  # joins every part, even on a raise
-        futures = [pool.submit(anneal_part, p) for p in range(1, parts)]
-        anneal_part(0)
-    for future in futures:  # the first failing part's exception, in part order
-        future.result()
+    _cpu_map(anneal_part, range(parts))  # parts <= CPUs: part p on thread p
     del h2, jv2, errors  # the perturbed models are not needed for scoring
 
     energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)

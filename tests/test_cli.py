@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +138,10 @@ class TestFitCommand:
         ("L,cbf_obs,ell_bar\n5,0.01,1.6\n10,,2.2\n",
          "observations CSV line 3, column 'cbf_obs': expected a number, got ''"),
         ("L,cbf_obs,ell_bar\nfive,0.01,1.6\n",
-         "observations CSV line 2, column 'L': expected an integer, got 'five'")],
-        ids=["no-cbf_obs", "no-L", "empty-cbf_obs", "word-L"])
+         "observations CSV line 2, column 'L': expected an integer, got 'five'"),
+        ("L,cbf_obs,ell_bar\n10.5,0.01,1.6\n",
+         "observations CSV line 2, column 'L': expected an integer, got '10.5'")],
+        ids=["no-cbf_obs", "no-L", "empty-cbf_obs", "word-L", "fractional-L"])
     def test_csv_without_a_column_names_it(self, tmp_path, capsys, csv, message):
         # used to print the bare KeyError "error: 'cbf_obs'", and for a bad cell
         # "could not convert string to float: ''" or "invalid literal for int()"
@@ -161,6 +164,29 @@ class TestFitCommand:
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_integral_float_L_is_the_integer(self, tmp_path):
+        # "10.0" used to fail with "column 'L': expected an integer, got '10.0'"
+        outs = []
+        for L in ("10", "10.0"):
+            obs, out = tmp_path / f"obs{L}.csv", tmp_path / f"out{L}"
+            obs.write_text(f"L,cbf_obs\n5,0.002\n{L},0.02\n15,0.06\n")
+            lengths = tmp_path / "lengths.json"
+            lengths.write_text('{"5": [2, 2], "10": [3, 2, 3], "15": [3, 3, 4]}')
+            assert main(["fit", str(obs), "--lengths", str(lengths), "--out", str(out)]) == 0
+            outs.append([(out / name).read_text() for name in ("fit_result.json", "fit_report.csv")])
+        assert outs[0] == outs[1]
+        assert json.loads(outs[1][0])["per_L"][1]["L"] == 10
+
+    def test_null_grid_is_the_default_grid(self, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("L,cbf_obs,ell_bar\n5,0.002,1.6\n10,0.02,2.2\n15,0.06,2.8\n")
+        outs = []
+        for extra in ({}, {"grid": None}):
+            cfg, out = write_config(tmp_path, extra), tmp_path / f"out{len(extra)}"
+            assert main(["fit", str(obs), "--config", cfg, "--out", str(out)]) == 0
+            outs.append((out / "fit_result.json").read_text())
+        assert outs[0] == outs[1]
 
     def test_empty_grid_range_names_its_key(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
@@ -231,7 +257,7 @@ class TestKstar:
                             lambda *a: draws.append(a) or embednoise.margin_errors(*a))
         assert main(["kstar", "--empirical", "--config", cfg, "--out", str(tmp_path),
                      "--seed", "4"]) == 0
-        assert [a[0] for a in draws] == [[3], [6], [9]]
+        assert sorted(a[0] for a in draws) == [[3], [6], [9]]  # the lengths run on every CPU
         _, rows = read_csv(tmp_path / "kstar.csv")
         assert len(rows) == 9
         nm = NoiseModel(sigma_h=0.06, sigma_c=0.005)
@@ -463,13 +489,21 @@ class TestConfigPrecedence:
         ("chainlen", {"L_sweep": 50}, "config key 'L_sweep' takes a list, got 50"),
         ("kstar", {"ell_sweep": 7}, "config key 'ell_sweep' takes a list, got 7"),
         ("heatmap", {"k_values": 0.5}, "config key 'k_values' takes a list, got 0.5"),
+        # a non-object for an object used to print "argument after ** must be a mapping"
+        ("kstar", {"noise": 0.06}, "config key 'noise' takes an object, got 0.06"),
+        ("chainlen", {"chain_length": [1]}, "config key 'chain_length' takes an object, got [1]"),
+        ("kstar", {"noise": None}, "config key 'noise' takes an object, got None"),
+        ("fit", {"grid": 3}, "config key 'grid' takes an object, got 3"),
+        ("fit", {"grid": {"kappa": 0.5}}, "config key 'grid.kappa' takes an object, got 0.5"),
     ], ids=["nan-slope", "inf-intercept", "fractional-jitter", "fractional-sweeps",
             "scalar-bench_L", "scalar-taus", "scalar-L_sweep", "scalar-ell_sweep",
-            "scalar-k_values"])
+            "scalar-k_values", "scalar-noise", "list-chain_length", "null-noise", "scalar-grid",
+            "scalar-grid-axis"])
     def test_bad_model_field_exits_1(self, tmp_path, capsys, command, extra, message):
         # json writes and reads NaN and Infinity, so a config file can carry them
         cfg = write_config(tmp_path, extra)
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        args = [str(tmp_path / "absent.csv")] if command == "fit" else []
+        assert main([command, *args, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
 
 
@@ -604,3 +638,70 @@ class TestGoldenOutputs:
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in self.DIGESTS}
         assert got == self.DIGESTS
+
+
+class TestPointsOnEveryCpu:
+    """cbf-curve, kstar --empirical and heatmap map their L or l points over the CPUs
+    this process may run on; no output byte depends on how many there are."""
+
+    COMMANDS = (["cbf-curve"], ["fit", "cbf_curve.csv", "--lengths", "cbf_curve_lengths.json"],
+                ["kstar", "--empirical"], ["kstar"], ["heatmap"])
+
+    @staticmethod
+    def pin_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    def test_cpu_count_does_not_change_the_outputs(self, tmp_path, monkeypatch):
+        runs = {}
+        for cpus in (1, 2, 3):
+            self.pin_cpus(monkeypatch, cpus)
+            out, files = tmp_path / str(cpus), {}
+            common = ["--seed", "0", "--reads", "300", "--out", str(out)]
+            for step, argv in enumerate(self.COMMANDS):
+                argv = [str(out / a) if a.endswith((".csv", ".json")) else a for a in argv]
+                assert main(argv + common) == 0
+                files |= {(step, path.name): path.read_bytes() for path in out.iterdir()}
+            runs[cpus] = files
+            # the last command of each name leaves the golden files
+            got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in TestGoldenOutputs.DIGESTS}
+            assert got == TestGoldenOutputs.DIGESTS
+        assert runs[1] == runs[2] == runs[3]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_failing_last_point_writes_nothing(self, tmp_path, capsys, monkeypatch, cpus):
+        self.pin_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+
+        def run(lengths, *args):
+            if len(lengths) == 40:
+                raise ValueError("the largest L failed")
+            return margin_model_run(lengths, *args)
+
+        monkeypatch.setattr(cli, "margin_model_run", run)
+        out = tmp_path / "out"
+        assert main(["cbf-curve", "--config", write_config(tmp_path), "--out", str(out)]) == 1
+        assert "error: the largest L failed" in capsys.readouterr().err
+        assert not out.exists()
+        assert threading.active_count() == threads
+
+
+class TestParserBuiltOnce:
+    def test_two_mains_build_one_parser(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_kstar", lambda cfg, empirical: seen.append(
+            (cfg["seed"], empirical)) or 0)
+        cli._build_parser.cache_clear()
+        assert main(["kstar", "--empirical", "--seed", "5", "--out", str(tmp_path)]) == 0
+        assert main(["kstar", "--out", str(tmp_path)]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert seen == [(5, True), (0, False)]  # no option carries over to the next call
+
+    def test_parser_works_after_an_argparse_exit(self, tmp_path, capsys):
+        for argv in (["no-such-command"], ["zephyr"], ["kstar", "--reads", "many"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        assert main(["chainlen", "--config", write_config(tmp_path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "chainlen.csv").exists()

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import shutil
+import sys
 import threading
 import time
 import tracemalloc
@@ -447,6 +448,71 @@ class TestReadParts:
         with pytest.raises(RuntimeError, match=f"kernel failed in part {failing_part}"):
             simulated_anneal(model, 8, AnnealSchedule(sweeps=4), seed=1, backend="c")
         assert threading.active_count() == before
+
+
+class TestCpuMap:
+    """_cpu_map deals items round robin to min(CPUs, items) threads, the calling thread
+    first, and gives the results in item order; the calibration commands and _anneal
+    run through it."""
+
+    pin_cpus = staticmethod(TestReadParts.pin_cpus)
+
+    def test_items_run_at_once_on_every_cpu(self, monkeypatch):
+        self.pin_cpus(monkeypatch, 3)
+        barrier = threading.Barrier(3, timeout=10)  # breaks unless 3 items run together
+        assert sampler._cpu_map(lambda x: barrier.wait() * 0 + x * x, range(6)) == [
+            0, 1, 4, 9, 16, 25]
+        self.pin_cpus(monkeypatch, 8)
+        assert sampler._cpu_map(lambda x: -x, [2]) == [-2]
+        assert sampler._cpu_map(lambda x: x, []) == []
+
+    def test_first_failure_in_item_order(self, monkeypatch):
+        # on 2 CPUs the calling thread runs items 0, 2, 4 and a worker 1, 3, 5
+        self.pin_cpus(monkeypatch, 2)
+        threads, calls = threading.active_count(), []
+
+        def fn(x):
+            if x == 2:
+                time.sleep(0.05)  # item 3 fails first in time
+            calls.append(x)
+            if x in (2, 3):
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match="item 2"):
+            sampler._cpu_map(fn, range(6))
+        assert sorted(calls) == [0, 1, 2, 3]  # each thread stops at its own failure
+        assert threading.active_count() == threads
+
+    def test_interrupt_in_a_worker_is_raised(self, monkeypatch):
+        self.pin_cpus(monkeypatch, 2)
+
+        def fn(x):
+            if x == 1 and threading.current_thread() is not threading.main_thread():
+                raise KeyboardInterrupt
+            return x
+
+        with pytest.raises(KeyboardInterrupt):
+            sampler._cpu_map(fn, range(4))
+
+    def test_many_threads_switching_often_lose_no_result(self, monkeypatch):
+        self.pin_cpus(monkeypatch, 8)  # more threads than this machine's CPUs, most likely
+        switch = sys.getswitchinterval()
+
+        def fail_past_6_at_multiples_of_7(x):
+            if x > 6 and x % 7 == 0:
+                raise ValueError(str(x))
+            return x * x
+
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for _ in range(5):
+                squares = sampler._cpu_map(lambda x: x * x, range(500))
+                assert squares == [x * x for x in range(500)]
+                with pytest.raises(ValueError, match="^7$"):
+                    sampler._cpu_map(fail_past_6_at_multiples_of_7, range(500))
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestDetectBreaks:
