@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._integral import integral
 from .analytics import cbf_predict, critical_chain_strength, power_law_fit
 from .embedding import ChainLengthModel, fit_linear, synth_chain_lengths
 from .fitting import FitGrid, GridRange, fit_noise_params, fit_report, read_lengths_json, read_observations_csv
@@ -73,14 +74,6 @@ def _sweep_values(cfg: dict, key: str) -> list:
     return [round(x, 10) for x in values.tolist()]
 
 
-def _int_values(key: str, values) -> list[int]:
-    """`values` as ints, 10.0 as 10; ValueError naming `key` unless every value is integral."""
-    bad = [v for v in values if not (isinstance(v, (int, float)) and float(v).is_integer())]
-    if bad:
-        raise ValueError(f"{key}: values must be integers, got {bad[0]!r}")
-    return [int(v) for v in values]
-
-
 def _merge(base: dict, override: dict, where: str = "") -> None:
     """Deep-merge `override` into `base`, rejecting keys that `base` lacks, a
     scalar where `base` holds a list or a sweep, and a non-object where it
@@ -110,6 +103,7 @@ def _load_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    cfg["seed"], cfg["reads"] = (integral(k, cfg[k], lo) for k, lo in (("seed", 0), ("reads", 1)))
     return cfg
 
 
@@ -131,7 +125,7 @@ def _point_seed(seed: int, tag: str, value) -> int:
 
 def cmd_chainlen(cfg) -> int:
     model = ChainLengthModel(**cfg["chain_length"])
-    Ls = _int_values("L_sweep", _sweep_values(cfg, "L_sweep"))
+    Ls = integral("L_sweep: values", _sweep_values(cfg, "L_sweep")).tolist()
     means = [float(np.mean(synth_chain_lengths(L, model, cfg["seed"]))) for L in Ls]
     lines = ["L,mean_chain_len"]
     lines += [f"{L},{m:.12g}" for L, m in zip(Ls, means)]
@@ -146,7 +140,7 @@ def cmd_chainlen(cfg) -> int:
 def cmd_cbf_curve(cfg) -> int:
     model, nm = ChainLengthModel(**cfg["chain_length"]), NoiseModel(**cfg["noise"])
     k, eta = cfg["k"], cfg["eta"]
-    Ls = _int_values("L_sweep", _sweep_values(cfg, "L_sweep"))
+    Ls = integral("L_sweep: values", _sweep_values(cfg, "L_sweep")).tolist()
 
     def point(L):
         lengths = synth_chain_lengths(L, model, cfg["seed"])
@@ -203,7 +197,7 @@ def _kstar_of_draws(mags: np.ndarray, tau: float, eta: float) -> float:
 def cmd_kstar(cfg, empirical: bool = False) -> int:
     nm = NoiseModel(**cfg["noise"])
     eta = cfg["eta"]
-    ells = _int_values("ell_sweep", _sweep_values(cfg, "ell_sweep"))
+    ells = integral("ell_sweep: values", _sweep_values(cfg, "ell_sweep")).tolist()
     if empirical:  # one draw per length, seeded by the length alone, read at every tau
         draws = _cpu_map(lambda ell: np.abs(margin_errors(
             [ell], nm, cfg["reads"], _point_seed(cfg["seed"], "kstar", ell))[:, 0]), ells)
@@ -227,7 +221,7 @@ def cmd_kstar(cfg, empirical: bool = False) -> int:
 def cmd_heatmap(cfg) -> int:
     nm, model = NoiseModel(**cfg["noise"]), ChainLengthModel(**cfg["chain_length"])
     eta, tau = cfg["eta"], cfg["contour_tau"]
-    Ls = _int_values("L_sweep", _sweep_values(cfg, "L_sweep"))
+    Ls = integral("L_sweep: values", _sweep_values(cfg, "L_sweep")).tolist()
     ks = [float(v) for v in _sweep_values(cfg, "k_values")]
     if not (all(a < b for a, b in zip([0.0] + ks, ks)) and 0.0 < eta <= 1.0):  # 0 < k_1 < k_2 < ...
         raise ValueError("heatmap needs strictly increasing k values, k > 0 and eta in (0, 1]")
@@ -263,7 +257,7 @@ def cmd_bench(cfg) -> int:
     nm, model = NoiseModel(**cfg["noise"]), ChainLengthModel(**cfg["chain_length"])
     schedule, reads, seed = AnnealSchedule(sweeps=cfg["sweeps"]), cfg["reads"], cfg["seed"]
     lines = ["L,solver,E_min,seconds"]
-    for L in _int_values("bench_L", cfg["bench_L"]):
+    for L in integral("bench_L: values", cfg["bench_L"]).tolist():
         q = generate_random_qubo(L, cfg["density"], seed)
         ising = qubo_to_ising(q)
         for solver, e_min in (

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integral import integral
 from .problem import IsingModel
 from .rng import substream
 from .topology import ZephyrGraph
@@ -33,9 +34,7 @@ class ChainLengthModel:
             raise ValueError("slope and intercept must be finite")
         if self.slope < 0:
             raise ValueError("slope must be >= 0")
-        if not (float(self.jitter).is_integer() and self.jitter >= 0):
-            raise ValueError(f"jitter must be an integer >= 0, got {self.jitter!r}")
-        self.jitter = int(self.jitter)
+        self.jitter = integral("jitter", self.jitter, lo=0)
 
 
 @dataclass
@@ -65,8 +64,7 @@ class EmbeddedIsing:
 
 def synth_chain_lengths(L: int, model: ChainLengthModel, seed: int) -> np.ndarray:
     """Generate L chain lengths from the linear law, with seeded integer jitter."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    L = integral("L", L, lo=1)
     base = int(round(model.slope * L + model.intercept))
     lengths = np.full(L, base, dtype=np.int64)
     if model.jitter > 0:
@@ -94,12 +92,7 @@ def build_embedded_ising(logical: IsingModel, chains_or_lengths, k: float) -> Em
         if emb.hardware is None:
             raise ValueError("an Embedding needs a hardware graph; lengths mean path chains")
     else:
-        lengths = [float(v) for v in chains_or_lengths]
-        if not all(v.is_integer() for v in lengths):  # NaN and inf included
-            raise ValueError("chain lengths must be integers")
-        lengths = [int(v) for v in lengths]
-        if any(v < 1 for v in lengths):
-            raise ValueError("chain lengths must be >= 1")
+        lengths = integral("chain lengths", chains_or_lengths, lo=1).tolist()
         ends = np.cumsum(lengths).tolist()
         emb = Embedding([list(range(e - ell, e)) for ell, e in zip(lengths, ends)])
     if len(emb.chains) != logical.n:
@@ -147,16 +140,13 @@ _MESSAGES = {
 
 def _labels(chains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every chain member as int64, chain after chain, the chain each belongs to, and
-    where each chain starts (length chains + 1); ValueError unless every member is an
-    integer (158.0 counts as 158)."""
-    members = np.asarray(list(itertools.chain.from_iterable(chains)))
+    where each chain starts (length chains + 1); ValueError naming the chain unless
+    every member is an integer."""
     sizes = [len(c) for c in chains]
     label = np.repeat(np.arange(len(chains)), sizes)
-    odd = np.flatnonzero(members % 1 != 0) if members.dtype.kind == "f" else []  # NaN, inf too
-    if len(odd):
-        raise ValueError(f"chain members must be integers; chain {label[odd[0]]} holds "
-                         f"{members[odd[0]]}")
-    return members.astype(np.int64), label, np.cumsum([0] + sizes)
+    members = integral(lambda i: f"chain {label[i]} members",
+                       list(itertools.chain.from_iterable(chains)))
+    return members, label, np.cumsum([0] + sizes)
 
 
 def _check(members, label, ptr, hardware: ZephyrGraph, ei: np.ndarray, ej: np.ndarray) -> tuple:
@@ -222,7 +212,7 @@ def validate_embedding(e: Embedding, hardware: ZephyrGraph, logical_edges) -> Va
     is valid. A logical edge (i, j) needs 0 <= i, j < len(e.chains) and
     i != j, else ValueError.
     """
-    edges = np.array(list(logical_edges), dtype=np.int64).reshape(-1, 2)
+    edges = integral("logical edges", list(logical_edges)).reshape(-1, 2)
     return ValidationReport(_check(*_labels(e.chains), hardware, *edges.T)[0])
 
 

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._integral import integral
 from .analytics import cbp
 from .noise import NoiseModel
 
@@ -136,7 +137,7 @@ def fit_noise_params(observations, grid: FitGrid | None = None,
     best_pred = preds[ih, ic, :, ik]
     per_L = [
         {
-            "L": int(p["L"]),
+            "L": integral("L", p["L"]),
             "cbf_obs": float(cbf_obs[i]),
             "cbf_pred": float(best_pred[i]),
             "abs_err": float(abs(cbf_obs[i] - best_pred[i])),
@@ -177,25 +178,17 @@ def read_observations_csv(text: str, lengths_by_L: dict | None = None) -> list[d
         if column not in reader.fieldnames:
             raise ValueError(f"observations CSV has no {column!r} column (header L,cbf_obs)")
 
-    def integer(text) -> int:  # 10.0 counts as 10, as in L_sweep and the lengths JSON
-        try:
-            return int(text)
-        except ValueError:
-            if not float(text).is_integer():  # float() raises for a word
-                raise
-            return int(float(text))
-
     def cell(line, row, column, kind):
         try:
             return kind(row[column])
         except (TypeError, ValueError):  # TypeError: None, a cell the row lacks
             raise ValueError(f"observations CSV line {line}, column {column!r}: expected "
-                             f"{'an integer' if kind is integer else 'a number'}, got "
+                             f"{'a number' if kind is float else 'an integer'}, got "
                              f"{row[column]!r}") from None
 
     out = []
     for line, row in enumerate(rows, start=2):  # line 1 is the header
-        L = cell(line, row, "L", integer)
+        L = cell(line, row, "L", lambda s: integral("L", s, text=True))
         point = {"L": L, "cbf_obs": cell(line, row, "cbf_obs", float)}
         if lengths_by_L is not None and L in lengths_by_L:
             point["lengths"] = list(lengths_by_L[L])
@@ -216,7 +209,6 @@ def read_lengths_json(text: str) -> dict[int, list[int]]:
     for key, vals in data.items():
         if not isinstance(vals, list):
             raise ValueError(f'lengths JSON must be {{"L": [lengths]}}; L={key} holds {vals!r}')
-        if not all(float(v).is_integer() for v in vals):  # NaN and Infinity included
-            raise ValueError(f"L={key}: chain lengths must be integers, got {vals}")
-        lengths[int(key)] = [int(v) for v in vals]
+        lengths[integral("lengths JSON key", key, text=True)] = integral(
+            f"L={key}: chain lengths", vals).tolist()
     return lengths

@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._integral import integral
+
 
 @dataclass
 class NoiseModel:
@@ -57,13 +59,12 @@ def chain_error_sample(ell: int, nm: NoiseModel, stream: np.random.Generator, si
     Built literally as the sum of ell field draws and ell-1 coupler
     draws, plus one correlated draw when corr_strength > 0.
     """
-    if ell < 1:
-        raise ValueError("chain length must be >= 1")
+    ell = integral("chain length", ell, lo=1)
     shape = () if size is None else (size,)
     total = np.zeros(shape)
-    for _ in range(int(ell)):
+    for _ in range(ell):
         total = total + stream.normal(0.0, nm.sigma_h, size=size)
-    for _ in range(int(ell) - 1):
+    for _ in range(ell - 1):
         total = total + stream.normal(0.0, nm.sigma_c, size=size)
     if nm.corr_strength > 0:
         width = np.sqrt(nm.corr_strength * float(ell) ** nm.corr_exponent)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integral import integral
 from .rng import substream
 
 ENERGY_BLOCK_TERMS = 1 << 17  # coupler terms per row block of _batch_energies: 1 MB of float64
@@ -53,12 +54,8 @@ class IsingModel:
             raise ValueError(f"h must have length n={n}")
         J = {} if J is None else J
         if isinstance(J, dict):
-            pairs = np.array(list(J)).reshape(-1, 2)
-            J = pairs[:, 0], pairs[:, 1], list(J.values())
-        with np.errstate(invalid="ignore"):  # a NaN or inf index casts to junk, caught below
-            ei, ej = (np.asarray(a).astype(np.int64, copy=False) for a in J[:2])
-        if not (np.array_equal(ei, J[0]) and np.array_equal(ej, J[1])):
-            raise ValueError("coupler indices must be integers")
+            J = (*integral("coupler indices", list(J)).reshape(-1, 2).T, list(J.values()))
+        ei, ej = (np.asarray(integral("coupler indices", a)) for a in J[:2])
         jv = np.asarray(J[2], dtype=np.float64)
         if not (ei.ndim == 1 and ei.shape == ej.shape == jv.shape):
             raise ValueError("coupler arrays ei, ej, jv must be 1-d and of equal length")
@@ -82,8 +79,7 @@ def generate_random_qubo(L: int, rho: float, seed: int) -> QuboInstance:
     slots is present independently with probability rho. Deterministic
     given (L, rho, seed).
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    L = integral("L", L, lo=1)
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"density rho must lie in [0, 1], got {rho}")
     rng = substream(seed, "qubo", L)

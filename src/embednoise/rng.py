@@ -11,13 +11,7 @@ import zlib
 
 import numpy as np
 
-
-def _tag_to_int(tag) -> int:
-    if isinstance(tag, (int, np.integer)):
-        return int(tag)
-    if isinstance(tag, str):
-        return zlib.crc32(tag.encode("utf-8"))
-    raise TypeError(f"substream tag must be int or str, got {type(tag).__name__}")
+from ._integral import integral
 
 
 def substream(seed: int, *tags) -> np.random.Generator:
@@ -26,5 +20,6 @@ def substream(seed: int, *tags) -> np.random.Generator:
     The same (seed, tags) tuple always yields the same stream; distinct
     tag tuples yield statistically independent streams.
     """
-    key = tuple(_tag_to_int(t) for t in tags)
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
+    key = tuple(zlib.crc32(t.encode("utf-8")) if isinstance(t, str)
+                else integral("substream tag", t, lo=0) for t in tags)
+    return np.random.default_rng(np.random.SeedSequence(integral("seed", seed, 0), spawn_key=key))

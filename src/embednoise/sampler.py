@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._integral import integral
 from ._kernels import csr, get_kernel
 from .embedding import ChainLengthModel, _labels, build_embedded_ising, synth_chain_lengths
 from .noise import NoiseModel, control_errors, variance_law
@@ -56,9 +57,7 @@ class AnnealSchedule:
     sweeps: int = 128
 
     def __post_init__(self):
-        if not (float(self.sweeps).is_integer() and self.sweeps >= 1):
-            raise ValueError(f"sweeps must be an integer >= 1, got {self.sweeps!r}")
-        self.sweeps = int(self.sweeps)
+        self.sweeps = integral("sweeps", self.sweeps, lo=1)
         if any(b is not None and not 0 < b < math.inf for b in (self.beta_min, self.beta_max)):
             raise ValueError("beta_min and beta_max must be > 0 and finite")
         if None not in (self.beta_min, self.beta_max) and self.beta_min >= self.beta_max:
@@ -157,8 +156,7 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     """
     if model.n < 1:
         raise ValueError("model must have at least one spin")
-    if reads < 1:
-        raise ValueError("reads must be >= 1")
+    reads = integral("reads", reads, lo=1)
     schedule = schedule or AnnealSchedule()
     kernel = get_kernel(backend)
     n, m = model.n, len(model.jv)
@@ -258,7 +256,7 @@ def brute_force(model: IsingModel) -> dict:
         e += e_hi[start:start + rows, None]  # in place, in the order of (e + e_hi) + e_lo
         e += e_lo
         floor = min(floor, float(e.min()))
-        a, b = np.nonzero(e <= floor + tol)
+        a, b = np.divmod(np.flatnonzero(e <= floor + tol), e.shape[1])  # row-major, as nonzero
         for c in range(0, len(a), chunk):
             spins = np.concatenate([hi.take(a[c:c + chunk] + start, axis=0),
                                     lo.take(b[c:c + chunk], axis=0)], axis=1)
@@ -320,11 +318,8 @@ def margin_errors(lengths, nm: NoiseModel, reads: int, seed: int) -> np.ndarray:
     Column i is N(0, variance_law(lengths[i], nm)): chain_error_sample's
     distribution, correlated term included, from the (seed, "margin") stream.
     """
-    if reads < 1:
-        raise ValueError("reads must be >= 1")
-    lengths = np.atleast_1d(np.asarray(lengths, dtype=np.float64))
-    if np.any(lengths != np.floor(lengths)):  # NaN included; variance_law rejects inf
-        raise ValueError("chain lengths must be integers")
+    reads = integral("reads", reads, lo=1)
+    lengths = integral("chain lengths", lengths if np.ndim(lengths) else [lengths], lo=1)
     if lengths.size == 0:
         raise ValueError("lengths must hold at least one chain length")
     delta = substream(seed, "margin").standard_normal((reads, lengths.size))
@@ -367,8 +362,7 @@ def synthetic_hardware_run(
     SampleSet). The correlated noise term is not drawn, so corr_strength > 0
     raises.
     """
-    if reads < 1:
-        raise ValueError("reads must be >= 1")
+    reads = integral("reads", reads, lo=1)
     if nm.corr_strength > 0:
         raise ValueError("synthetic_hardware_run does not draw the correlated term; "
                          "needs corr_strength = 0")

@@ -36,6 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._integral import integral
+
 
 class ZephyrCoordinate(NamedTuple):
     u: int
@@ -65,15 +67,14 @@ class ZephyrGraph:
     """
 
     def __init__(self, m: int, t: int, edges, classes):
-        self.m, self.t = _size(m, t)
+        self.m, self.t = integral("m and t", [m, t], lo=1).tolist()
         n = len(self)
-        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        codes = np.asarray(classes, dtype=np.int64)
+        self.edges = np.array(integral("coupler ids", edges)).reshape(-1, 2)  # a copy
+        codes = integral("class codes", classes)
         a, b = self.edges.T
         if codes.shape != a.shape or np.any((codes < 0) | (codes >= len(EDGE_CLASSES))):
             raise ValueError("need one class code in 0..2 (an index into EDGE_CLASSES) per coupler")
-        if (np.any((a < 0) | (a >= b) | (b >= n)) or np.any(np.diff(a * n + b) <= 0)
-                or not np.array_equal(self.edges, np.reshape(edges, (-1, 2)))):
+        if np.any((a < 0) | (a >= b) | (b >= n)) or np.any(np.diff(a * n + b) <= 0):
             raise ValueError(f"couplers must be unique sorted integer rows 0 <= a < b < {n}")
         self.classes = codes.astype(np.int8)
         self.edges.flags.writeable = self.classes.flags.writeable = False
@@ -113,22 +114,15 @@ class ZephyrGraph:
         return "\n".join(f"{a} {b} {cls}" for a, b, cls in self._rows()) + "\n"
 
 
-def _size(m: int, t: int) -> tuple[int, int]:
-    """(m, t) as ints; ValueError unless both are integers >= 1 (4.0 counts as 4)."""
-    if not all(float(v).is_integer() and v >= 1 for v in (m, t)):  # NaN and inf included
-        raise ValueError(f"m and t must be integers >= 1, got {m!r}, {t!r}")
-    return int(m), int(t)
-
-
 def vertex_count(m: int, t: int) -> int:
     """Number of qubits in Z(m,t): 8tm^2 + 4tm."""
-    m, t = _size(m, t)
+    m, t = integral("m and t", [m, t], lo=1).tolist()
     return 8 * t * m * m + 4 * t * m
 
 
 def build_zephyr(m: int, t: int) -> ZephyrGraph:
     """Construct Z(m,t) with canonically ordered vertices and edges."""
-    m, t = _size(m, t)
+    m, t = integral("m and t", [m, t], lo=1).tolist()
     ids = np.arange(vertex_count(m, t)).reshape(_shape(m, t))
     # internal: vertical (w, k, j, z) crosses horizontal (2z+j+r, k', j', z') where 2z'+j' = w-1+q
     w, k, j, z, r, q, kp = np.ix_(range(2 * m + 1), range(t), (0, 1), range(m),

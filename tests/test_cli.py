@@ -153,8 +153,14 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", 'lengths JSON must be {"L": [lengths]}, got a list'),
-        ('{"5": 3}', 'lengths JSON must be {"L": [lengths]}; L=5 holds 3')],
-        ids=["list", "int-value"])
+        ('{"5": 3}', 'lengths JSON must be {"L": [lengths]}; L=5 holds 3'),
+        # these printed "invalid literal for int() with base 10: 'ten'" and "float() argument
+        # must be a string or a real number, not 'NoneType'", or read "2" and true as 2 and 1
+        ('{"ten": [2]}', "lengths JSON key must be an integer, got 'ten'"),
+        ('{"5": [2, null]}', "L=5: chain lengths must be integers, got None"),
+        ('{"5": ["2"]}', "L=5: chain lengths must be integers, got '2'"),
+        ('{"5": [true]}', "L=5: chain lengths must be integers, got True")],
+        ids=["list", "int-value", "word-key", "null-length", "text-length", "bool-length"])
     def test_lengths_json_of_another_shape_fails_cleanly(self, tmp_path, capsys, text, message):
         # used to print "'list' object has no attribute 'items'" and "'int' object is not iterable"
         obs, lengths = tmp_path / "obs.csv", tmp_path / "lengths.json"
@@ -177,6 +183,17 @@ class TestFitCommand:
             outs.append([(out / name).read_text() for name in ("fit_result.json", "fit_report.csv")])
         assert outs[0] == outs[1]
         assert json.loads(outs[1][0])["per_L"][1]["L"] == 10
+
+    def test_integral_float_key_is_the_integer(self, tmp_path):
+        # a key "10.0" used to fail with "invalid literal for int() with base 10: '10.0'"
+        outs = []
+        for key in ("10", "10.0"):
+            obs, lengths, out = tmp_path / "obs.csv", tmp_path / f"len{key}.json", tmp_path / key
+            obs.write_text("L,cbf_obs\n5,0.002\n10,0.02\n15,0.06\n")
+            lengths.write_text(f'{{"5": [2, 2], "{key}": [3, 2, 3], "15": [3, 3, 4]}}')
+            assert main(["fit", str(obs), "--lengths", str(lengths), "--out", str(out)]) == 0
+            outs.append([(out / name).read_text() for name in ("fit_result.json", "fit_report.csv")])
+        assert outs[0] == outs[1]
 
     def test_null_grid_is_the_default_grid(self, tmp_path):
         obs = tmp_path / "obs.csv"
@@ -495,16 +512,36 @@ class TestConfigPrecedence:
         ("kstar", {"noise": None}, "config key 'noise' takes an object, got None"),
         ("fit", {"grid": 3}, "config key 'grid' takes an object, got 3"),
         ("fit", {"grid": {"kappa": 0.5}}, "config key 'grid.kappa' takes an object, got 0.5"),
+        # seed 1.5, "1" and true used to run as seed 1; the reads and sweeps here printed a
+        # bare TypeError that named no key
+        ("cbf-curve", {"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ("cbf-curve", {"seed": "1"}, "seed must be an integer >= 0, got '1'"),
+        ("kstar", {"seed": True}, "seed must be an integer >= 0, got True"),
+        ("cbf-curve", {"reads": 200.5}, "reads must be an integer >= 1, got 200.5"),
+        ("heatmap", {"reads": "200"}, "reads must be an integer >= 1, got '200'"),
+        ("bench", {"sweeps": "128", "bench_L": [3]}, "sweeps must be an integer >= 1, got '128'"),
     ], ids=["nan-slope", "inf-intercept", "fractional-jitter", "fractional-sweeps",
             "scalar-bench_L", "scalar-taus", "scalar-L_sweep", "scalar-ell_sweep",
             "scalar-k_values", "scalar-noise", "list-chain_length", "null-noise", "scalar-grid",
-            "scalar-grid-axis"])
+            "scalar-grid-axis", "fractional-seed", "text-seed", "bool-seed", "fractional-reads",
+            "text-reads", "text-sweeps"])
     def test_bad_model_field_exits_1(self, tmp_path, capsys, command, extra, message):
         # json writes and reads NaN and Infinity, so a config file can carry them
         cfg = write_config(tmp_path, extra)
         args = [str(tmp_path / "absent.csv")] if command == "fit" else []
         assert main([command, *args, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_integral_float_reads_and_seed_are_the_integers(self, tmp_path):
+        # reads 200.0 used to fail with "'float' object cannot be interpreted as an integer"
+        outs = []
+        for extra in ({"reads": 200, "seed": 3}, {"reads": 200.0, "seed": 3.0}):
+            out = tmp_path / str(extra["reads"])
+            assert main(["cbf-curve", "--config", write_config(tmp_path, extra),
+                         "--out", str(out)]) == 0
+            outs.append([(out / name).read_bytes()
+                         for name in ("cbf_curve.csv", "cbf_curve_lengths.json")])
+        assert outs[0] == outs[1]
 
 
 class TestDispatch:
@@ -562,11 +599,13 @@ class TestSweepValues:
         ("heatmap", {"L_sweep": [10, 12.5]}, "12.5"),
         ("kstar", {"ell_sweep": {"start": 3, "stop": 9, "step": 1.5}}, "4.5"),
         ("bench", {"bench_L": [5.5]}, "5.5"),
-        ("bench", {"bench_L": [5, "6"]}, "'6'")])
+        ("bench", {"bench_L": [5, "6"]}, "'6'"),
+        ("bench", {"bench_L": [True]}, "True")])
     def test_non_integral_sweep_exits_1_and_writes_nothing(self, tmp_path, capsys, command,
                                                            extra, bad):
         # chainlen used to write L=5 for 5.5, cbf-curve L = 5, 7, 10 for a step of 2.5, kstar
-        # l=4 for 4.5, and bench to fail with "substream tag must be int or str, got float"
+        # l=4 for 4.5, and bench to fail with "substream tag must be int or str, got float";
+        # bench ran true as L=1
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, extra), "--out", str(out)]) == 1
         key, = extra

@@ -269,9 +269,9 @@ class TestBuildEmbeddedIsing:
         hw = build_zephyr(2, 4)
         logical = IsingModel(n=2, h=np.array([0.5, -0.5]), J={(0, 1): 1.0})
         bad = Embedding([[159.7], [158]], hw)
-        with pytest.raises(ValueError, match="chain members must be integers; chain 0 holds 159.7"):
+        with pytest.raises(ValueError, match="chain 0 members must be integers, got 159.7"):
             build_embedded_ising(logical, bad, k=1.0)
-        with pytest.raises(ValueError, match="chain members must be integers"):
+        with pytest.raises(ValueError, match="chain 0 members must be integers"):
             validate_embedding(bad, hw, [(0, 1)])
         emb = build_embedded_ising(logical, Embedding([[159.0], [158]], hw), k=1.0)
         assert emb.qubits.tolist() == [158, 159] and emb.chain_spins.tolist() == [1, 0]

@@ -188,7 +188,9 @@ class TestValidation:
         lambda: IsingModel(3, np.zeros(3), ([np.nan], [1], [0.5])),
         lambda: IsingModel(3, np.zeros(3), {(0, 1.5): 0.5}),
         lambda: QuboInstance(3, np.zeros(3), ([0.0], [1.7], [0.5])),
-        lambda: IsingModel(3, np.zeros(3), ([0.5], [2.0], [1.0]))])
+        lambda: IsingModel(3, np.zeros(3), ([0.5], [2.0], [1.0])),
+        lambda: IsingModel(3, np.zeros(3), {(0, True): 0.5}),  # used to store the pair (0, 1)
+        lambda: IsingModel(3, np.zeros(3), ([0, 1], [True, 2], [0.5, 0.5]))])
     def test_non_integral_index_rejected(self, make):
         # the index used to be truncated: [0, 1.7, 0.5] stored the pair (0, 1)
         with pytest.raises(ValueError, match="coupler indices must be integers"):

@@ -222,6 +222,14 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             ZephyrGraph(1, 1, edges, classes)
 
+    def test_constructor_copies_the_edges(self):
+        # the order check runs once, so an edit to the caller's array must not reach the graph
+        g = build_zephyr(1, 1)
+        edges = np.array(g.edges)
+        h = ZephyrGraph(1, 1, edges, g.classes)
+        edges[0] = [5, 6]
+        assert np.array_equal(h.edges, g.edges)
+
     def test_constructor_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             ZephyrGraph(0, 1, [], [])
