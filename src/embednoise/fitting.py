@@ -201,14 +201,26 @@ def read_observations_csv(text: str, lengths_by_L: dict | None = None) -> list[d
 
 
 def read_lengths_json(text: str) -> dict[int, list[int]]:
-    """Parse the optional lengths JSON {"L": [lengths...]}; ValueError unless it has that
-    shape, naming the L, and every length is an integer (3.0 counts as 3)."""
-    data, lengths = json.loads(text), {}
+    """Parse the optional lengths JSON {"L": [lengths...]}; ValueError, naming the L, unless
+    every key is an integer L >= 1 that no other key names ("10", "10.0" and "010" are one L)
+    and every value is a flat, nonempty list of integer lengths >= 1 (3.0 counts as 3)."""
+    objects = []  # each JSON object's (key, value) pairs, the outermost last
+    data = json.loads(text, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
     if not isinstance(data, dict):
         raise ValueError(f'lengths JSON must be {{"L": [lengths]}}, got a {type(data).__name__}')
-    for key, vals in data.items():
+    keys, lengths = {}, {}
+    for key, vals in objects[-1]:
+        L = integral("lengths JSON key", key, text=True)
+        if L < 1:
+            raise ValueError(f"lengths JSON key must be an L >= 1, got {key!r}")
+        if L in keys:
+            raise ValueError(f"lengths JSON keys {keys[L]!r} and {key!r} both name L={L}")
         if not isinstance(vals, list):
             raise ValueError(f'lengths JSON must be {{"L": [lengths]}}; L={key} holds {vals!r}')
-        lengths[integral("lengths JSON key", key, text=True)] = integral(
-            f"L={key}: chain lengths", vals).tolist()
+        if not vals or any(isinstance(v, list) for v in vals):
+            raise ValueError(f"L={key}: chain lengths must be a flat, nonempty list, got {vals!r}")
+        ints = integral(f"L={key}: chain lengths", vals)
+        if ints.min() < 1:
+            raise ValueError(f"L={key}: chain lengths must be >= 1, got {ints[ints < 1][0]}")
+        keys[L], lengths[L] = key, ints.tolist()
     return lengths

@@ -77,7 +77,9 @@ def control_errors(model, nm: NoiseModel, stream: np.random.Generator, batch: tu
 
     Returns (dh, dj) of shapes batch + (n,) and batch + (couplers,), with
     widths sigma_h and sigma_c, drawn as standard normals: all field draws
-    first, then all coupler draws, in the model's (i, j) coupler order.
+    first, then all coupler draws, in the model's (i, j) coupler order. The
+    synthetic-hardware run calls it once per read, batch (), on the read's
+    own stream: (seed, "perturb") advanced by r << 64 outputs for read r.
     """
     dh, dj = (stream.normal(0.0, 1.0, size=batch + (m,)) for m in (model.n, len(model.jv)))
     return np.multiply(dh, nm.sigma_h, out=dh), np.multiply(dj, nm.sigma_c, out=dj)

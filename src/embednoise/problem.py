@@ -18,7 +18,7 @@ import numpy as np
 from ._integral import integral
 from .rng import substream
 
-ENERGY_BLOCK_TERMS = 1 << 17  # coupler terms per row block of _batch_energies: 1 MB of float64
+ENERGY_BLOCK_TERMS = 1 << 17  # field or coupler terms per row block of _batch_energies: 1 MB
 
 
 @dataclass
@@ -104,14 +104,15 @@ def qubo_energy(q: QuboInstance, x) -> float:
 def _batch_energies(spins: np.ndarray, h, ei, ej, jv, offset) -> np.ndarray:
     """Energies of C-order spin rows; a row's value does not depend on the other rows.
 
-    The coupler terms are formed and summed for row blocks of about ENERGY_BLOCK_TERMS
-    terms, so memory does not grow with the number of rows.
+    The field and coupler terms are formed and summed for row blocks of about
+    ENERGY_BLOCK_TERMS terms each, so memory does not grow with the number of rows.
     """
-    e = (spins * h).sum(axis=1) + offset
-    if len(jv):
-        rows = max(1, ENERGY_BLOCK_TERMS // len(jv))
-        for r in range(0, len(spins), rows):
-            s = spins[r:r + rows]
+    e = np.empty(len(spins))
+    rows = max(1, ENERGY_BLOCK_TERMS // max(len(h), len(jv), 1))
+    for r in range(0, len(spins), rows):
+        s = spins[r:r + rows]
+        e[r:r + rows] = (s * h).sum(axis=1) + offset
+        if len(jv):
             e[r:r + rows] += (s.take(ei, axis=1) * s.take(ej, axis=1) * jv).sum(axis=1)
     return e
 

@@ -2,9 +2,10 @@
 chain-break sampling and the synthetic-hardware pipeline.
 
 The annealer draws its initial spins and per-read visit permutations up
-front and its acceptance uniforms chunk by chunk, all from named
-substreams, and feeds them to a Metropolis sweep kernel, so results are
-reproducible per seed and identical across kernel backends.
+front, its acceptance uniforms chunk by chunk and a synthetic run's control
+errors tile by tile, all from named substreams, and feeds them to a
+Metropolis sweep kernel, so results are reproducible per seed and identical
+across kernel backends.
 """
 
 from __future__ import annotations
@@ -127,32 +128,39 @@ def _cpu_map(fn, items) -> list:
 
 
 def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed: int,
-            backend: str | None, errors=None) -> SampleSet:
+            backend: str | None, nm: NoiseModel | None = None) -> SampleSet:
     """Anneal `reads` Metropolis reads of `model` with the (seed, "sa") stream.
 
-    With errors = (dh, dj), read r runs on h + dh[r] and jv + dj[r], summed
-    into dh and dj in place; betas and energies come from the unperturbed
-    model. The stream gives the initial spins, the visit orders, then the
-    log acceptance uniforms in sweep chunks of all reads, chunk sweeps =
-    clip(2^25 // (reads * n), 1, 32). That one size decides which uniform
-    goes to which (read, sweep, spin), so changing it changes every seeded
-    SA stream; shared and per-read couplers draw alike.
+    With a noise model nm, read r runs on its own programming h + dh_r and
+    jv + dj_r, (dh_r, dj_r) = control_errors(model, nm, g) where g draws
+    from the (seed, "perturb") stream advanced by r << 64 outputs (a read
+    uses about n + m, so the reads' segments never overlap); betas and
+    energies come from the unperturbed model. The SA stream gives the
+    initial spins, the visit orders, then the log acceptance uniforms in
+    sweep chunks of all reads, chunk sweeps = clip(2^25 // (reads * n), 1,
+    32). That one size decides which uniform goes to which (read, sweep,
+    spin), so changing it changes every seeded SA stream; shared and
+    per-read couplers draw alike.
 
     The reads are split into P contiguous parts, P = min(CPUs this process
     may run on, tiles the first chunk needs at max(1, kernel.DRAWS_PER_CALL
     // (chunk sweeps * n)) reads each). Part 0 runs on the calling thread,
     parts 1..P-1 on threads joined before this returns or raises; sa.c,
-    Generator.random and np.log release the GIL. Each part anneals its rows
-    through every chunk, drawing from its own copy of the stream jumped
-    ahead (PCG64.advance, one 64-bit output per double) to its first
-    uniform of the chunk: the earlier chunks' uniforms plus lo * chunk
-    sweeps * n. Within a part the draws go to the kernel in tiles of
-    max(1, kernel.DRAWS_PER_CALL // (P * chunk sweeps * n)) reads, drawn
-    just before their call, so all parts hold at most one DRAWS_PER_CALL
-    (1 MB for sa.c) of draws at a time. Generator.random fills in C order,
-    so every (read, sweep, spin) gets the uniform of one array for the
-    whole chunk: neither P nor the tile size changes the stream. The NumPy
-    kernel takes whole chunks, so it runs as one part.
+    Generator.random and np.log release the GIL. A part takes its rows in
+    tiles of max(1, kernel.DRAWS_PER_CALL // (P * first chunk sweeps * n))
+    reads. Before a tile anneals, the part draws its reads' programmings
+    and keeps them through every chunk; for each chunk it draws the tile's
+    uniforms from its own copy of the SA stream jumped ahead
+    (PCG64.advance, one 64-bit output per double) to the tile's first
+    uniform of the chunk: the earlier chunks' uniforms plus t * chunk
+    sweeps * n for first read t. So all parts hold about one
+    DRAWS_PER_CALL (1 MB for sa.c) of uniforms, more when a tile of one
+    read exceeds DRAWS_PER_CALL / P, and P tiles of programmings at a
+    time. Generator.random fills in C order, so every (read, sweep, spin)
+    gets the uniform of one array for the whole chunk, and read r's
+    programming is drawn from its own segment: neither P nor the tile
+    size changes a stream. The NumPy kernel takes whole chunks, so it
+    runs as one part of one tile.
     """
     if model.n < 1:
         raise ValueError("model must have at least one spin")
@@ -172,32 +180,41 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     rng = substream(seed, "sa")
     spins = (rng.integers(0, 2, size=(reads, n)) * 2 - 1).astype(np.int8)
     perms = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (reads, 1)), axis=1)
-    h2, jv2 = np.broadcast_to(model.h, (reads, n)), np.broadcast_to(model.jv, (reads, m))
-    if errors is not None:  # summed into the error arrays: e + jv has the bits of jv + e
-        h2, jv2 = (np.add(e, v, out=e) for e, v in zip(errors, (h2, jv2)))
     chunk = int(np.clip((1 << 25) // (reads * n), 1, 32))
     chunks = np.split(betas, range(chunk, len(betas), chunk))
     parts = min(_cpus(), -(-reads // max(1, kernel.DRAWS_PER_CALL // (len(chunks[0]) * n))))
+    tile = max(1, kernel.DRAWS_PER_CALL // (parts * len(chunks[0]) * n))
     state = rng.bit_generator.state  # after the perms: the first chunk's first uniform
+    perturb = None if nm is None else substream(seed, "perturb").bit_generator.state
 
     def anneal_part(p):
         lo, hi = reads * p // parts, reads * (p + 1) // parts
-        bits, start = np.random.PCG64(), 0  # start: the uniforms of the earlier chunks
-        draw = np.random.Generator(bits).random
-        for b in chunks:
-            bits.state = state
-            bits.advance(start + lo * len(b) * n)
-            tile = max(1, kernel.DRAWS_PER_CALL // (parts * len(b) * n))
-            for t in range(lo, hi, tile):
-                rows = slice(t, min(t + tile, hi))
-                u = draw((rows.stop - t, len(b), n))
-                kernel.run_metropolis(spins[rows], h2[rows], edges, jv2[rows], perms[rows], b,
+        bits, perturb_bits = np.random.PCG64(), np.random.PCG64()
+        draw, g = np.random.Generator(bits).random, np.random.Generator(perturb_bits)
+        for t in range(lo, hi, tile):
+            size = min(tile, hi - t)
+            if perturb is None:
+                h, jv = (np.broadcast_to(v, (size, len(v))) for v in (model.h, model.jv))
+            else:  # the tile's programmings, read r's errors from its own segment of the stream
+                h, jv = np.empty((size, n)), np.empty((size, m))
+                for i in range(size):
+                    perturb_bits.state = perturb
+                    perturb_bits.advance((t + i) << 64)
+                    dh, dj = control_errors(model, nm, g)
+                    np.add(model.h, dh, out=h[i])
+                    np.add(model.jv, dj, out=jv[i])
+            start = 0  # the uniforms of the earlier chunks
+            for b in chunks:
+                bits.state = state
+                bits.advance(start + t * len(b) * n)
+                u = draw((size, len(b), n))
+                kernel.run_metropolis(spins[t:t + size], h, edges, jv, perms[t:t + size], b,
                                       np.log(u, out=u))
-                del u  # before the next tile is drawn
-            start += reads * len(b) * n
+                del u  # before the next chunk is drawn
+                start += reads * len(b) * n
+            del h, jv  # before the next tile's are drawn
 
     _cpu_map(anneal_part, range(parts))  # parts <= CPUs: part p on thread p
-    del h2, jv2, errors  # the perturbed models are not needed for scoring
 
     energies = _batch_energies(spins, model.h, model.ei, model.ej, model.jv, model.offset)
     meta = {"reads": reads, "sweeps": schedule.sweeps, "seed": seed, "kernel": kernel.NAME,
@@ -289,7 +306,7 @@ def _majority(gathered: np.ndarray, starts: np.ndarray, stream: np.random.Genera
     """Per chain of spins gathered in chain order, the majority sign; an even split takes
     a coin from `stream`, which draws one coin per chain and read either way."""
     coins = (stream.integers(0, 2, size=gathered.shape[:-1] + starts.shape) * 2 - 1).astype(np.int8)
-    maj = np.sign(np.add.reduceat(gathered, starts, axis=-1, dtype=np.int64))
+    maj = np.sign(np.add.reduceat(gathered, starts, axis=-1, dtype=np.int32))  # exact below 2^31
     return np.where(maj == 0, coins, maj.astype(np.int8))
 
 
@@ -354,13 +371,14 @@ def synthetic_hardware_run(
 ) -> tuple[SampleSet, SampleSet]:
     """Anneal ICE-perturbed embedded Hamiltonians on synthetic hardware.
 
-    Per read: perturb the programmed embedded model (one row of control
-    errors from the (seed, "perturb") stream), run one annealing read,
-    score the spins against the unperturbed model, detect chain breaks
-    and majority-resolve to logical spins, even splits by a coin from the
-    (seed, "tie") stream. Returns (physical SampleSet, resolved logical
-    SampleSet). The correlated noise term is not drawn, so corr_strength > 0
-    raises.
+    Per read: perturb the programmed embedded model (read r's control
+    errors from the (seed, "perturb") stream advanced by r << 64 outputs,
+    drawn by the anneal part that runs the read, one tile at a time; see
+    _anneal), run one annealing read, score the spins against the
+    unperturbed model, detect chain breaks and majority-resolve to logical
+    spins, even splits by a coin from the (seed, "tie") stream. Returns
+    (physical SampleSet, resolved logical SampleSet). The correlated noise
+    term is not drawn, so corr_strength > 0 raises.
     """
     reads = integral("reads", reads, lo=1)
     if nm.corr_strength > 0:
@@ -372,8 +390,7 @@ def synthetic_hardware_run(
         spec = synth_chain_lengths(q.L, spec, seed)
     emb = build_embedded_ising(logical, spec, k)
     model, starts = emb.model, emb.chain_ptr[:-1]
-    physical = _anneal(model, reads, schedule, seed, backend,
-                       control_errors(model, nm, substream(seed, "perturb"), (reads,)))
+    physical = _anneal(model, reads, schedule, seed, backend, nm)
     gathered = physical.spins[:, emb.chain_spins]
     physical.cbf = _broken(gathered, starts).mean(axis=-1)
     physical.metadata.update(chain_strength=k, noise=nm.to_dict(),

@@ -314,6 +314,27 @@ class TestObservationIO:
             read_lengths_json('{"5": [2.5, 3]}')
         assert read_lengths_json('{"5": [2, 3.0]}') == {5: [2, 3]}
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"5": [[2], 3]}', "L=5: chain lengths must be a flat, nonempty list, got [[2], 3]"),
+        ('{"5": [[2], [3]]}', "L=5: chain lengths must be a flat, nonempty list, got [[2], [3]]"),
+        ('{"5": []}', "L=5: chain lengths must be a flat, nonempty list, got []"),
+        ('{"5": [0, 2]}', "L=5: chain lengths must be >= 1, got 0"),
+        ('{"0": [2]}', "lengths JSON key must be an L >= 1, got '0'"),
+        ('{"-5": [2]}', "lengths JSON key must be an L >= 1, got '-5'")],
+        ids=["ragged", "nested", "empty", "zero-length", "zero-L", "negative-L"])
+    def test_lengths_json_values_and_keys_checked(self, text, message):
+        # these printed NumPy's "inhomogeneous shape", failed later in fit with "same number
+        # of dimensions", or were read and failed later without naming the L, or not at all
+        with pytest.raises(ValueError) as info:
+            read_lengths_json(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("first, second", [("10", "10.0"), ("10", "010"), ("10", "10")])
+    def test_two_keys_of_one_L_rejected(self, first, second):
+        # the last of them used to win silently
+        with pytest.raises(ValueError, match=f"keys '{first}' and '{second}' both name L=10"):
+            read_lengths_json(f'{{"{first}": [2], "5": [1], "{second}": [3]}}')
+
     def test_csv_with_ell_bar_column(self):
         csv_text = "L,cbf_obs,ell_bar\n5,0.01,1.6\n10,0.02,2.2\n15,0.05,2.8\n"
         obs = read_observations_csv(csv_text)

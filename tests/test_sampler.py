@@ -14,7 +14,7 @@ import pytest
 from embednoise._kernels import _sa_c, csr, get_kernel
 from embednoise.analytics import cbf_predict, cbp
 from embednoise.embedding import ChainLengthModel, Embedding, build_embedded_ising
-from embednoise.noise import NoiseModel, chain_error_sample, variance_law
+from embednoise.noise import NoiseModel, chain_error_sample, control_errors, variance_law
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
 from embednoise.rng import substream
 from embednoise.topology import build_zephyr
@@ -350,15 +350,16 @@ class TestGoldenStreams:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_synthetic_hardware_run(self, backend):
-        # L = 10 on path chains; 16 sweeps leave reads unsettled, so halving the coupler
-        # errors moves some spins (at 128 sweeps the reads settle and the digest misses that)
+        # L = 10 on path chains; 16 sweeps leave reads unsettled, so halving the field errors
+        # or doubling the coupler errors moves some spins (at 128 sweeps the reads settle and
+        # the digest misses that). test_a_reads_programming_is_its_own_segment pins every value
         phys, res = synthetic_hardware_run(generate_random_qubo(10, 1.0, seed=17),
                                            [2, 1, 3, 2, 1, 2, 3, 1, 2, 2], 1.0,
                                            NoiseModel(0.06, 0.005), AnnealSchedule(sweeps=16),
                                            reads=20, seed=23, backend=backend)
         assert phys.metadata["kernel"] == backend
         assert self.digest(phys.spins, res.spins) == (
-            "94dc184197344c02bbc1f7f6e24786ac01746766a9b3a2251b33fcbd32dc4d2f")
+            "e03dc6cb43ca150c8c0dbe143513e444480d0cef5ef742c53d95f1ea289d1018")
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -430,6 +431,50 @@ class TestReadParts:
             bits.state = state
             bits.advance(lo)
             assert np.random.Generator(bits).random(hi - lo).tobytes() == whole[lo:hi].tobytes()
+
+    @staticmethod
+    def programmings(monkeypatch, reads, backend):
+        """Per read of a synthetic run (n=14, 100 sweeps: chunks of 32, 32, 32 and 4), the
+        fields and couplers of each kernel call it was in."""
+        module, seen = get_kernel(backend), {}
+        run = module.run_metropolis
+
+        def record(spins, h, edges, jv, *rest):
+            first = (spins.ctypes.data - spins.base.ctypes.data) // spins.strides[0]
+            for i in range(len(spins)):
+                seen.setdefault(first + i, []).append((h[i].copy(), jv[i].copy()))
+            return run(spins, h, edges, jv, *rest)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "run_metropolis", record)
+            synthetic_hardware_run(generate_random_qubo(6, 0.8, seed=4), [3, 2, 3, 1, 2, 3], 1.0,
+                                   NoiseModel(0.05, 0.02), AnnealSchedule(sweeps=100),
+                                   reads=reads, seed=5, backend=backend)
+        return [seen[r] for r in range(reads)]
+
+    def test_a_reads_programming_is_its_own_segment(self, monkeypatch):
+        # read r anneals h + dh_r and jv + dj_r, drawn by control_errors from the (seed,
+        # "perturb") stream advanced by r << 64 outputs, through every chunk: neither the read
+        # count, the tile size nor the CPU count moves it
+        model = build_embedded_ising(qubo_to_ising(generate_random_qubo(6, 0.8, seed=4)),
+                                     [3, 2, 3, 1, 2, 3], 1.0).model
+        nm, want = NoiseModel(0.05, 0.02), []
+        for r in range(9):
+            bits = np.random.PCG64()
+            bits.state = substream(5, "perturb").bit_generator.state
+            dh, dj = control_errors(model, nm, np.random.Generator(bits.advance(r << 64)))
+            want.append((model.h + dh, model.jv + dj))
+        dh, dj = control_errors(model, nm, substream(5, "perturb"))  # read 0: the stream's start
+        assert np.array_equal(want[0][0], model.h + dh)
+        assert np.array_equal(want[0][1], model.jv + dj)
+        # one tile of 9; 3 parts in tiles of 1; 2 parts in tiles of 2; the NumPy kernel's one tile
+        for reads, draws, cpus, backend in [(9, 1 << 17, 1, "c"), (9, 1, 3, "c"),
+                                            (5, 4 * 32 * 14, 2, "c"), (9, 1, 1, "python")]:
+            monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", draws)
+            self.pin_cpus(monkeypatch, cpus)
+            got = self.programmings(monkeypatch, reads, backend)
+            for calls, (h, jv) in zip(got, want):
+                assert len(calls) >= 4  # one call per chunk at least
+                assert all(np.array_equal(a, h) and np.array_equal(b, jv) for a, b in calls)
 
     @pytest.mark.parametrize("failing_part", [0, 1])
     def test_an_error_in_any_part_propagates_and_no_thread_outlives_the_call(
@@ -845,9 +890,8 @@ class TestSyntheticHardwareRun:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_traced_peak_memory(self):
         # the synthetic benchmark's batch: 480 spins, 2,190 couplers, 40 reads. It holds one
-        # 1 MB tile of log-uniforms and one 0.85 MB set of perturbed coefficients at a time (2.5
-        # MB in all), so a tile kept while the next is drawn, or a perturbed copy of the control
-        # errors beside them, passes 3 MB
+        # 1 MB tile of log-uniforms at a time and the programmings of one tile of reads per part
+        # (1.8 MB in all), so a tile of uniforms kept while the next is drawn passes 3 MB
         args = (generate_random_qubo(60, 1.0, seed=0), ChainLengthModel(slope=0.122), 2.0,
                 NoiseModel(0.06, 0.005))
         synthetic_hardware_run(*args, reads=40, seed=0, backend="c")  # load the kernel
@@ -858,6 +902,35 @@ class TestSyntheticHardwareRun:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_control_errors_are_held_one_tile_at_a_time(self, monkeypatch):
+        # 400 reads of the synthetic benchmark's model, n = 480 spins and m = 2,190 couplers,
+        # on 2 CPUs: each part anneals tiles of DRAWS_PER_CALL // (2 * 32 sweeps * n) = 4 reads.
+        # Beside what a noiseless anneal of the model holds, a part holds one tile's
+        # programmings (n + m doubles a read) and the kernel call's couplers in entry order (2m
+        # a read); twice that allows a tile's arrays while the next tile's are drawn. That is
+        # 0.9 MB; every read's control errors at once are 8.5 MB (the run peaked at 11.0 MB)
+        TestReadParts.pin_cpus(monkeypatch, 2)
+        q, lengths_model = generate_random_qubo(60, 1.0, seed=0), ChainLengthModel(slope=0.122)
+        model = build_embedded_ising(qubo_to_ising(q),
+                                     embedding.synth_chain_lengths(60, lengths_model, 0), 2.0).model
+        n, m = model.n, len(model.jv)
+        tile = _sa_c.DRAWS_PER_CALL // (2 * 32 * n)
+        assert (n, m, tile) == (480, 2190, 4)
+        simulated_anneal(model, 40, seed=0, backend="c")  # load the kernel
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                assert run().metadata["threads"] == 2
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        noiseless = traced_peak(lambda: simulated_anneal(model, 400, seed=0, backend="c"))
+        peak = traced_peak(lambda: synthetic_hardware_run(
+            q, lengths_model, 2.0, NoiseModel(0.06, 0.005), reads=400, seed=0, backend="c")[0])
+        assert peak < noiseless + 2 * 2 * tile * (n + 3 * m) * 8
 
     def test_python_kernel_traced_peak_memory(self):
         # per-read couplers are read from the (reads, m) errors by edge id: a padded
