@@ -21,7 +21,7 @@ import numpy as np
 
 from ._integral import integral
 from .analytics import cbf_predict, critical_chain_strength, power_law_fit
-from .embedding import ChainLengthModel, fit_linear, synth_chain_lengths
+from .embedding import ChainLengthModel, _check_chain_strength, fit_linear, synth_chain_lengths
 from .fitting import FitGrid, GridRange, fit_noise_params, fit_report, read_lengths_json, read_observations_csv
 from .noise import NoiseModel
 from .problem import generate_random_qubo, qubo_to_ising
@@ -225,6 +225,8 @@ def cmd_heatmap(cfg) -> int:
     ks = [float(v) for v in _sweep_values(cfg, "k_values")]
     if not (all(a < b for a, b in zip([0.0] + ks, ks)) and 0.0 < eta <= 1.0):  # 0 < k_1 < k_2 < ...
         raise ValueError("heatmap needs strictly increasing k values, k > 0 and eta in (0, 1]")
+    for k in ks:  # the ordering check lets an infinite k through
+        _check_chain_strength(k)
     if not 0.0 < tau < 1.0:  # NaN included
         raise ValueError(f"contour_tau must lie in (0, 1), got {tau}")
 

@@ -62,6 +62,12 @@ class EmbeddedIsing:
     chain_ptr: np.ndarray
 
 
+def _check_chain_strength(k: float) -> None:
+    """ValueError unless the chain strength k is > 0 and finite (NaN fails both)."""
+    if not 0 < k < np.inf:
+        raise ValueError(f"chain strength k must be > 0 and finite, got {k}")
+
+
 def synth_chain_lengths(L: int, model: ChainLengthModel, seed: int) -> np.ndarray:
     """Generate L chain lengths from the linear law, with seeded integer jitter."""
     L = integral("L", L, lo=1)
@@ -85,8 +91,7 @@ def build_embedded_ising(logical: IsingModel, chains_or_lengths, k: float) -> Em
     the chains use, so a qubit outside every chain is not swept or
     perturbed.
     """
-    if k <= 0:
-        raise ValueError("chain strength k must be > 0")
+    _check_chain_strength(k)
     if isinstance(chains_or_lengths, Embedding):
         emb = chains_or_lengths
         if emb.hardware is None:
@@ -118,15 +123,6 @@ def build_embedded_ising(logical: IsingModel, chains_or_lengths, k: float) -> Em
     model = IsingModel(len(h), h, (pairs[:, 0], pairs[:, 1], values), logical.offset)
     return EmbeddedIsing(model=model, embedding=emb, qubits=qubits, chain_spins=spin,
                          chain_ptr=ptr)
-
-
-@dataclass
-class ValidationReport:
-    violations: list[dict]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 _MESSAGES = {
@@ -205,15 +201,15 @@ def _check(members, label, ptr, hardware: ZephyrGraph, ei: np.ndarray, ej: np.nd
     return violations, edges[intra], edges[inter], edge, count
 
 
-def validate_embedding(e: Embedding, hardware: ZephyrGraph, logical_edges) -> ValidationReport:
+def validate_embedding(e: Embedding, hardware: ZephyrGraph, logical_edges) -> list[dict]:
     """Check qubit ids, disjointness, connectivity and logical-edge coverage.
 
-    Violations are reported as data; an empty report means the embedding
-    is valid. A logical edge (i, j) needs 0 <= i, j < len(e.chains) and
+    Returns the violations as data; an empty list means the embedding is
+    valid. A logical edge (i, j) needs 0 <= i, j < len(e.chains) and
     i != j, else ValueError.
     """
     edges = integral("logical edges", list(logical_edges)).reshape(-1, 2)
-    return ValidationReport(_check(*_labels(e.chains), hardware, *edges.T)[0])
+    return _check(*_labels(e.chains), hardware, *edges.T)[0]
 
 
 def fit_linear(xs, ys) -> dict:

@@ -72,14 +72,13 @@ def chain_error_sample(ell: int, nm: NoiseModel, stream: np.random.Generator, si
     return float(total) if size is None else total
 
 
-def control_errors(model, nm: NoiseModel, stream: np.random.Generator, batch: tuple = ()):
+def control_errors(model, nm: NoiseModel, stream: np.random.Generator):
     """Gaussian deviations of every programmed field and coupler of an IsingModel.
 
-    Returns (dh, dj) of shapes batch + (n,) and batch + (couplers,), with
-    widths sigma_h and sigma_c, drawn as standard normals: all field draws
-    first, then all coupler draws, in the model's (i, j) coupler order. The
-    synthetic-hardware run calls it once per read, batch (), on the read's
-    own stream: (seed, "perturb") advanced by r << 64 outputs for read r.
+    Returns (dh, dj) of shapes (n,) and (couplers,), with widths sigma_h and
+    sigma_c, drawn as standard normals: fields first, then couplers in the
+    model's (i, j) order. The synthetic-hardware run calls it once per read r,
+    on (seed, "perturb") advanced by r << 64 outputs.
     """
-    dh, dj = (stream.normal(0.0, 1.0, size=batch + (m,)) for m in (model.n, len(model.jv)))
+    dh, dj = (stream.normal(0.0, 1.0, size=m) for m in (model.n, len(model.jv)))
     return np.multiply(dh, nm.sigma_h, out=dh), np.multiply(dj, nm.sigma_c, out=dj)

@@ -19,10 +19,11 @@ import numpy as np
 
 from ._integral import integral
 from ._kernels import csr, get_kernel
-from .embedding import ChainLengthModel, _labels, build_embedded_ising, synth_chain_lengths
+from .embedding import (ChainLengthModel, _check_chain_strength, _labels, build_embedded_ising,
+                        synth_chain_lengths)
 from .noise import NoiseModel, control_errors, variance_law
 from .noise import chain_error_sample  # noqa: F401  unused here; perfbench's tracer wraps it
-from .problem import IsingModel, QuboInstance, _batch_energies, qubo_to_ising
+from .problem import ENERGY_BLOCK_TERMS, IsingModel, QuboInstance, _batch_energies, qubo_to_ising
 from .rng import substream
 
 ENUMERATION_LIMIT = 24
@@ -136,11 +137,13 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     from the (seed, "perturb") stream advanced by r << 64 outputs (a read
     uses about n + m, so the reads' segments never overlap); betas and
     energies come from the unperturbed model. The SA stream gives the
-    initial spins, the visit orders, then the log acceptance uniforms in
-    sweep chunks of all reads, chunk sweeps = clip(2^25 // (reads * n), 1,
-    32). That one size decides which uniform goes to which (read, sweep,
-    spin), so changing it changes every seeded SA stream; shared and
-    per-read couplers draw alike.
+    initial spins in row blocks of max(1, ENERGY_BLOCK_TERMS // n) reads
+    (the values of one whole draw: a spin takes half a 64-bit output, and
+    PCG64 keeps the spare half across calls), the visit orders, shuffled
+    in place, then the log acceptance uniforms in sweep chunks of all
+    reads, chunk sweeps = clip(2^25 // (reads * n), 1, 32). That one size
+    decides which uniform goes to which (read, sweep, spin), so changing it
+    changes every seeded SA stream; shared and per-read couplers draw alike.
 
     The reads are split into P contiguous parts, P = min(CPUs this process
     may run on, tiles the first chunk needs at max(1, kernel.DRAWS_PER_CALL
@@ -178,8 +181,11 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     betas = schedule_betas(schedule, model.h, abs_coupling)
 
     rng = substream(seed, "sa")
-    spins = (rng.integers(0, 2, size=(reads, n)) * 2 - 1).astype(np.int8)
-    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (reads, 1)), axis=1)
+    spins, rows = np.empty((reads, n), dtype=np.int8), max(1, ENERGY_BLOCK_TERMS // n)
+    for block in np.split(spins, range(rows, reads, rows)):
+        block[...] = rng.integers(0, 2, size=block.shape) * 2 - 1
+    perms = np.tile(np.arange(n, dtype=np.int32), (reads, 1))
+    rng.permuted(perms, axis=1, out=perms)
     chunk = int(np.clip((1 << 25) // (reads * n), 1, 32))
     chunks = np.split(betas, range(chunk, len(betas), chunk))
     parts = min(_cpus(), -(-reads // max(1, kernel.DRAWS_PER_CALL // (len(chunks[0]) * n))))
@@ -351,8 +357,7 @@ def margin_model_run(lengths, k: float, eta: float, nm: NoiseModel,
     Each chain's error delta comes from margin_errors; the chain breaks
     when |delta| exceeds the margin eta * k.
     """
-    if not k > 0:
-        raise ValueError("chain strength k must be > 0")
+    _check_chain_strength(k)
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must lie in (0, 1]")
     delta = margin_errors(lengths, nm, reads, seed)

@@ -32,20 +32,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import NamedTuple
 
 import numpy as np
 
 from ._integral import integral
-
-
-class ZephyrCoordinate(NamedTuple):
-    u: int
-    w: int
-    k: int
-    j: int
-    z: int
-
 
 INTERNAL = "internal"
 EXTERNAL = "external"
@@ -87,9 +77,6 @@ class ZephyrGraph:
         """(n, 5) array whose row v is the coordinate (u, w, k, j, z) of vertex v."""
         return np.stack(np.unravel_index(np.arange(len(self)), _shape(self.m, self.t)), axis=1)
 
-    def vertex_id(self, c: ZephyrCoordinate) -> int:
-        return int(np.ravel_multi_index(tuple(c), _shape(self.m, self.t)))
-
     def _rows(self):
         return zip(*self.edges.T.tolist(), (EDGE_CLASSES[c] for c in self.classes.tolist()))
 
@@ -99,15 +86,6 @@ class ZephyrGraph:
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ZephyrGraph":
-        codes = {c: i for i, c in enumerate(EDGE_CLASSES)}
-        g = cls(d["m"], d["t"], [e[:2] for e in d["edges"]],
-                [codes.get(e[2], -1) for e in d["edges"]])
-        if not np.array_equal(np.asarray(d["vertices"]), g.vertices):
-            raise ValueError(f"vertices are not the coordinates of Z({g.m},{g.t}) in id order")
-        return g
 
     def to_edgelist(self) -> str:
         """One edge per line: 'a b class'."""

@@ -359,6 +359,13 @@ class TestHeatmap:
         assert not (tmp_path / "heatmap.csv").exists()
 
 
+    def test_rejects_infinite_k(self, tmp_path, capsys):
+        # 1e309 reads as inf and used to write rows "L,inf,0" and exit 0
+        cfg = write_config(tmp_path, {"k_values": [0.1, 1e309]})
+        assert main(["heatmap", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "chain strength k must be > 0 and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "heatmap.csv").exists()
+
     @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, -0.1, math.nan])
     def test_rejects_contour_tau_outside_unit_interval(self, tmp_path, capsys, tau):
         # 1.5 used to give the smallest k as the contour at every L, -0.1 an empty contour

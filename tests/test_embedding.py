@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from embednoise.embedding import (ChainLengthModel, Embedding, build_embedded_ising,
                                   fit_linear, synth_chain_lengths, validate_embedding)
 from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
-from embednoise.topology import ZephyrCoordinate, build_zephyr
+from embednoise.topology import _shape, build_zephyr
 
 
 def couplers(m):
@@ -193,6 +193,13 @@ class TestBuildEmbeddedIsing:
         with pytest.raises(ValueError):
             build_embedded_ising(logical, [2], k=0.0)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_rejects_non_finite_k(self, k):
+        # both used to fail later as "J is not finite", which does not name k
+        logical = qubo_to_ising(generate_random_qubo(2, 1.0, seed=0))
+        with pytest.raises(ValueError, match=f"chain strength k must be > 0 and finite, got {k}"):
+            build_embedded_ising(logical, [2, 2], k=k)
+
     def test_provenance_partition_and_recovery(self):
         q = generate_random_qubo(4, 1.0, seed=5)
         logical = qubo_to_ising(q)
@@ -261,7 +268,7 @@ class TestBuildEmbeddedIsing:
         assert emb.model.h.tolist() == [-0.5, 0.5] and couplers(emb.model) == {(0, 1): 1.0}
         assert provenance(emb) == {(158, 159): ("inter", (0, 1))}
         assert emb.chain_spins.tolist() == [1, 0] and emb.chain_ptr.tolist() == [0, 1, 2]
-        assert validate_embedding(emb.embedding, hw, [(0, 1)]).ok
+        assert validate_embedding(emb.embedding, hw, [(0, 1)]) == []
 
     def test_non_integral_member_rejected(self):
         # 159.7 used to be cast to 159: the model built on qubits [158, 159] and the
@@ -324,8 +331,8 @@ class TestBuildEmbeddedIsing:
             hw = build_zephyr(2, 4)
             lines = [[(0, 2, 1, 1)], [(0, 2, 1, 0)], [(0, 1, 1, 0), (1, 1, 1, 0)],
                      [(0, 1, 0, 0), (1, 1, 0, 0)]]
-            chains = [[hw.vertex_id(ZephyrCoordinate(*line, z)) for line in spec for z in (0, 1)]
-                      for spec in lines]
+            ids = np.arange(len(hw)).reshape(_shape(2, 4))
+            chains = [[int(ids[line][z]) for line in spec for z in (0, 1)] for spec in lines]
             logical = qubo_to_ising(generate_random_qubo(4, 1.0, seed=0))
             emb = build_embedded_ising(logical, Embedding(chains, hw), k=2.0)
             shares = Counter(tag[1] for tag in provenance(emb).values() if tag[0] == "inter")
@@ -340,14 +347,14 @@ class TestBuildEmbeddedIsing:
     def test_build_raises_iff_report_not_ok(self, case):
         hw, chains, edges = case
         logical = IsingModel(len(chains), np.zeros(len(chains)), {e: 1.0 for e in edges})
-        report = validate_embedding(Embedding(chains), hw,
-                                    zip(logical.ei.tolist(), logical.ej.tolist()))
+        violations = validate_embedding(Embedding(chains), hw,
+                                        zip(logical.ei.tolist(), logical.ej.tolist()))
         try:
             build_embedded_ising(logical, Embedding(chains, hw), k=1.0)
         except ValueError:
-            assert not report.ok
+            assert violations
         else:
-            assert report.ok
+            assert violations == []
 
     def test_chain_count_mismatch(self):
         logical = IsingModel(n=3, h=np.zeros(3))
@@ -361,37 +368,36 @@ class TestValidateEmbedding:
 
     def test_valid_single_qubit_chains(self):
         a, b = self.hw.edges[0].tolist()
-        report = validate_embedding(Embedding([[a], [b]]), self.hw, [(0, 1)])
-        assert report.ok
+        assert validate_embedding(Embedding([[a], [b]]), self.hw, [(0, 1)]) == []
 
     def test_overlap_detected(self):
         a, b = self.hw.edges[0].tolist()
-        report = validate_embedding(Embedding([[a, b], [b]]), self.hw, [])
-        assert any(v["kind"] == "disjointness" for v in report.violations)
+        violations = validate_embedding(Embedding([[a, b], [b]]), self.hw, [])
+        assert any(v["kind"] == "disjointness" for v in violations)
 
     def test_disconnected_chain_detected(self):
         adj = adjacency(self.hw)
         far = next(v for v in range(len(adj)) if v not in adj[0] and v != 0)
-        report = validate_embedding(Embedding([[0, far]]), self.hw, [])
-        assert any(v["kind"] == "connectivity" for v in report.violations)
+        violations = validate_embedding(Embedding([[0, far]]), self.hw, [])
+        assert any(v["kind"] == "connectivity" for v in violations)
 
     def test_missing_edge_coverage(self):
         adj = adjacency(self.hw)
         far = next(v for v in range(len(adj)) if v not in adj[0] and v != 0)
-        report = validate_embedding(Embedding([[0], [far]]), self.hw, [(0, 1)])
-        assert any(v["kind"] == "edge_coverage" for v in report.violations)
+        violations = validate_embedding(Embedding([[0], [far]]), self.hw, [(0, 1)])
+        assert any(v["kind"] == "edge_coverage" for v in violations)
 
     def test_empty_chain(self):
-        report = validate_embedding(Embedding([[]]), self.hw, [])
-        assert any(v["kind"] == "empty_chain" for v in report.violations)
+        violations = validate_embedding(Embedding([[]]), self.hw, [])
+        assert any(v["kind"] == "empty_chain" for v in violations)
 
     # Z(1,1) has qubits 0..11; [11, -1] is connected only if -1 wraps onto 11
     @pytest.mark.parametrize("chains, chain, qubit", [
         ([[0], [10**6]], 1, 10**6), ([[0], [-3]], 1, -3), ([[11, -1]], 0, -1),
     ], ids=["too-large", "negative", "negative-in-chain"])
     def test_unknown_qubit(self, chains, chain, qubit):
-        report = validate_embedding(Embedding(chains), build_zephyr(1, 1), [])
-        assert report.violations == [{"kind": "unknown_qubit", "chain": chain, "qubit": qubit}]
+        violations = validate_embedding(Embedding(chains), build_zephyr(1, 1), [])
+        assert violations == [{"kind": "unknown_qubit", "chain": chain, "qubit": qubit}]
 
     @pytest.mark.parametrize("edge", [(-1, 0), (0, 2), (1, 1)])
     def test_bad_logical_edge_rejected(self, edge):

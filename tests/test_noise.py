@@ -160,14 +160,6 @@ class TestPerturbHamiltonian:
         assert out.model.jv.tolist() == (m.jv + z[m.n:] * 0.02).tolist()
         assert (out.model.ei.tolist(), out.model.ej.tolist()) == (m.ei.tolist(), m.ej.tolist())
 
-    def test_batch_draws_every_field_row_first(self):
-        m, nm = self.make_embedded().model, NoiseModel(sigma_h=0.06, sigma_c=0.02)
-        dh, dj = control_errors(m, nm, substream(9, "p"), (3,))
-        z = substream(9, "p").standard_normal(3 * (m.n + len(m.jv)))
-        assert dh.shape == (3, m.n) and dj.shape == (3, len(m.jv))
-        assert dh.ravel().tolist() == (z[:3 * m.n] * 0.06).tolist()
-        assert dj.ravel().tolist() == (z[3 * m.n:] * 0.02).tolist()
-
     def test_perturbation_moments(self):
         logical = IsingModel(n=2, h=np.zeros(2), J={(0, 1): 0.0})
         emb = build_embedded_ising(logical, [1, 1], k=1.0)
@@ -177,7 +169,7 @@ class TestPerturbHamiltonian:
         m = emb.model
         dh = np.empty(n_draws)
         dj = np.empty(n_draws)
-        for r in range(n_draws):  # one call per draw: a batch would draw every field first
+        for r in range(n_draws):  # one programming per call
             eh, ej = control_errors(m, nm, stream)
             dh[r] = m.h[0] + eh[0]
             dj[r] = (m.jv[0] + ej[0]) - m.jv[0]

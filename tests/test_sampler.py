@@ -11,11 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from embednoise._kernels import _sa_c, csr, get_kernel
+from embednoise._kernels import _sa_c, _sa_py, csr, get_kernel
 from embednoise.analytics import cbf_predict, cbp
 from embednoise.embedding import ChainLengthModel, Embedding, build_embedded_ising
 from embednoise.noise import NoiseModel, chain_error_sample, control_errors, variance_law
-from embednoise.problem import IsingModel, generate_random_qubo, ising_energy, qubo_to_ising
+from embednoise.problem import (ENERGY_BLOCK_TERMS, IsingModel, generate_random_qubo, ising_energy,
+                                qubo_to_ising)
 from embednoise.rng import substream
 from embednoise.topology import build_zephyr
 from embednoise import embedding, sampler
@@ -495,6 +496,54 @@ class TestReadParts:
         assert threading.active_count() == before
 
 
+class TestInitialDraws:
+    """The initial spins are drawn in row blocks of max(1, ENERGY_BLOCK_TERMS // n) reads and
+    the visit orders shuffled in place: the kernel gets the values of one whole draw of each,
+    and the uniforms that follow them on the stream."""
+
+    # 37 reads of 13 spins: reads * n is odd, and 39 terms are blocks of 3 reads, 39 spins,
+    # so each odd block ends on half of a 64-bit output and the next starts on its spare half
+    @pytest.mark.parametrize("terms", [1, 39, 52, 65, 91, 1 << 17])
+    def test_blocks_draw_the_values_of_one_whole_draw(self, monkeypatch, terms):
+        rng = substream(7, "sa")
+        want = [(rng.integers(0, 2, size=(37, 13)) * 2 - 1).astype(np.int8),
+                rng.permuted(np.tile(np.arange(13, dtype=np.int32), (37, 1)), axis=1)]
+        want.append(np.log(rng.random((37, 2, 13))))
+        calls, run = [], _sa_py.run_metropolis
+
+        def record(spins, h, edges, jv, perms, betas, log_u):
+            calls.append([spins.copy(), perms.copy(), log_u.copy()])
+            return run(spins, h, edges, jv, perms, betas, log_u)
+        monkeypatch.setattr(sampler, "ENERGY_BLOCK_TERMS", terms)
+        monkeypatch.setattr(_sa_py, "run_metropolis", record)
+        simulated_anneal(qubo_to_ising(generate_random_qubo(13, 0.5, seed=1)), 37,
+                         AnnealSchedule(sweeps=2), seed=7, backend="python")
+        assert len(calls) == 1  # the NumPy kernel takes the one chunk of all reads
+        for got, expected in zip(calls[0], want):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_traced_peak_memory_at_large_n(self, monkeypatch):
+        # 800 reads of a 5,000-spin path, one sweep, on 2 CPUs: the run holds the int8 spins
+        # and the int32 visit orders, 5 bytes a spin of a read, and beside them one block of
+        # int64 spin draws or 1 MB of uniforms and the O(n) arrays of the model and kernel.
+        # The allowance is four blocks of 2^17 8-byte terms; one whole int64 draw of the
+        # spins took 8 bytes a spin of a read more (the run peaked at 36 MB, now 21.7 MB)
+        TestReadParts.pin_cpus(monkeypatch, 2)
+        n, reads = 5000, 800
+        i = np.arange(n - 1)
+        model = IsingModel(n, np.linspace(-1.0, 1.0, n), (i, i + 1, -np.ones(n - 1)))
+        simulated_anneal(model, 2, AnnealSchedule(sweeps=1), seed=1, backend="c")  # load the kernel
+        tracemalloc.start()
+        try:
+            ss = simulated_anneal(model, reads, AnnealSchedule(sweeps=1), seed=1, backend="c")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ss.metadata["threads"] == 2
+        assert peak < reads * n * (1 + 4) + 4 * 8 * ENERGY_BLOCK_TERMS, peak
+
+
 class TestCpuMap:
     """_cpu_map deals items round robin to min(CPUs, items) threads, the calling thread
     first, and gives the results in item order; the calibration commands and _anneal
@@ -699,6 +748,9 @@ class TestMarginModelRun:
             margin_model_run([5], 0.5, 1.5, nm, 10, seed=0)
         with pytest.raises(ValueError, match="k must be > 0"):  # nan used to give CBF 0.0
             margin_model_run([5], math.nan, 1.0, nm, 10, seed=0)
+        # an infinite margin used to give a CBF of 0.0 on every read
+        with pytest.raises(ValueError, match="chain strength k must be > 0 and finite, got inf"):
+            margin_model_run([5, 6], math.inf, 1.0, nm, 10, seed=1)
 
     def test_rejects_empty_lengths_and_no_reads(self):
         nm = NoiseModel(0.06, 0.005)
