@@ -236,3 +236,28 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             ZephyrGraph(0, 1, [], [])
 
+    @pytest.mark.parametrize("edit", ["a>=b", "duplicate", "unsorted", "id>=n", "fractional-id",
+                                      "class", "fractional-m"])
+    def test_from_dict_rejects(self, edit):
+        # no command reads the zephyr JSON back, so an edited copy must still fail in the
+        # constructor when its m, t, edge rows and class names are passed to it as they stand
+        d = json.loads(build_zephyr(1, 1).dumps())
+        if edit == "a>=b":
+            d["edges"][0][:2] = d["edges"][0][1::-1]
+        elif edit == "duplicate":
+            d["edges"].append(d["edges"][-1])
+        elif edit == "unsorted":
+            d["edges"][0], d["edges"][1] = d["edges"][1], d["edges"][0]
+        elif edit == "id>=n":
+            d["edges"][-1][1] = 12
+        elif edit == "fractional-id":  # would truncate to the coupler (0, 1)
+            d["edges"][0][1] = 1.5
+        elif edit == "class":
+            d["edges"][0][2] = "diagonal"
+        else:  # would build as Z(1,1)
+            d["m"] = 1.5
+        codes = {name: code for code, name in enumerate(EDGE_CLASSES)}
+        with pytest.raises(ValueError):
+            ZephyrGraph(d["m"], d["t"], [e[:2] for e in d["edges"]],
+                        [codes.get(e[2], len(EDGE_CLASSES)) for e in d["edges"]])
+
