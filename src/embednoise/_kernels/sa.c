@@ -5,8 +5,7 @@
    that row j sums. field is (n,) scratch, summed for each read before its first sweep. */
 void run_metropolis(long reads, long n, long sweeps, signed char *spins, const double *h,
                     long h_stride, const int *row_ptr, const int *nbr_idx, const double *nbr_val,
-                    long val_stride, const int *perms, const double *betas, const double *log_u,
-                    double *field)
+                    long val_stride, const double *betas, const double *log_u, double *field)
 {
     for (long r = 0; r < reads; r++) {
         signed char *s = spins + r * n;
@@ -18,14 +17,12 @@ void run_metropolis(long reads, long n, long sweeps, signed char *spins, const d
             field[i] = f;
         }
         for (long c = 0; c < sweeps; c++)
-            for (long t = 0; t < n; t++) {
-                long i = perms[r * n + t];
-                if (log_u[(r * sweeps + c) * n + t] < -betas[c] * (-2.0 * s[i] * field[i])) {
+            for (long i = 0; i < n; i++)
+                if (log_u[(r * sweeps + c) * n + i] < -betas[c] * (-2.0 * s[i] * field[i])) {
                     s[i] = -s[i];
                     double two_s = 2.0 * s[i];
                     for (long d = row_ptr[i]; d < row_ptr[i + 1]; d++)
                         field[nbr_idx[d]] += two_s * vr[d];
                 }
-            }
     }
 }

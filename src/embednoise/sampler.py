@@ -1,10 +1,10 @@
 """Monte Carlo engines: simulated annealing, exhaustive search, margin-model
 chain-break sampling and the synthetic-hardware pipeline.
 
-The annealer draws its initial spins and per-read visit permutations up
-front, its acceptance uniforms chunk by chunk and a synthetic run's control
-errors tile by tile, all from named substreams, and feeds them to a
-Metropolis sweep kernel, so results are reproducible per seed and identical
+The annealer draws its initial spins up front, then its acceptance uniforms
+chunk by chunk and a synthetic run's control errors tile by tile, all from
+named substreams, and feeds them to a Metropolis sweep kernel that visits
+the spins in index order, so results are reproducible per seed and identical
 across kernel backends.
 """
 
@@ -139,31 +139,33 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     energies come from the unperturbed model. The SA stream gives the
     initial spins in row blocks of max(1, ENERGY_BLOCK_TERMS // n) reads
     (the values of one whole draw: a spin takes half a 64-bit output, and
-    PCG64 keeps the spare half across calls), the visit orders, shuffled
-    in place, then the log acceptance uniforms in sweep chunks of all
-    reads, chunk sweeps = clip(2^25 // (reads * n), 1, 32). That one size
-    decides which uniform goes to which (read, sweep, spin), so changing it
-    changes every seeded SA stream; shared and per-read couplers draw alike.
+    PCG64 keeps the spare half across calls), then the log acceptance
+    uniforms in sweep chunks of all reads, chunk sweeps = clip(2^25 //
+    (reads * n), 1, 32). That one size decides which uniform goes to which
+    (read, sweep, spin), so changing it changes every seeded SA stream;
+    shared and per-read couplers draw alike. Every sweep visits spins 0..n-1
+    in order. The row sums of |J| build the kernel's CSR, and every kernel
+    call finds it in csr's cache.
 
-    The reads are split into P contiguous parts, P = min(CPUs this process
-    may run on, tiles the first chunk needs at max(1, kernel.DRAWS_PER_CALL
-    // (chunk sweeps * n)) reads each). Part 0 runs on the calling thread,
+    The reads are split into P = min(CPUs this process may run on,
+    ceil(reads / F), F) contiguous parts, where F = max(1,
+    kernel.DRAWS_PER_CALL // (first chunk sweeps * n)) one-read tiles of
+    uniforms fit in DRAWS_PER_CALL. Part 0 runs on the calling thread,
     parts 1..P-1 on threads joined before this returns or raises; sa.c,
     Generator.random and np.log release the GIL. A part takes its rows in
-    tiles of max(1, kernel.DRAWS_PER_CALL // (P * first chunk sweeps * n))
-    reads. Before a tile anneals, the part draws its reads' programmings
-    and keeps them through every chunk; for each chunk it draws the tile's
-    uniforms from its own copy of the SA stream jumped ahead
-    (PCG64.advance, one 64-bit output per double) to the tile's first
+    tiles of F // P reads. Before a tile anneals, the part draws its reads'
+    programmings and keeps them through every chunk; for each chunk it
+    draws the tile's uniforms from its own copy of the SA stream jumped
+    ahead (PCG64.advance, one 64-bit output per double) to the tile's first
     uniform of the chunk: the earlier chunks' uniforms plus t * chunk
-    sweeps * n for first read t. So all parts hold about one
-    DRAWS_PER_CALL (1 MB for sa.c) of uniforms, more when a tile of one
-    read exceeds DRAWS_PER_CALL / P, and P tiles of programmings at a
-    time. Generator.random fills in C order, so every (read, sweep, spin)
-    gets the uniform of one array for the whole chunk, and read r's
-    programming is drawn from its own segment: neither P nor the tile
-    size changes a stream. The NumPy kernel takes whole chunks, so it
-    runs as one part of one tile.
+    sweeps * n for first read t. So all parts hold at most one
+    DRAWS_PER_CALL (1 MB for sa.c) of uniforms, unless one read's chunk
+    alone exceeds it and P = 1, and P tiles of programmings at a time.
+    Generator.random fills in C order, so every (read, sweep, spin) gets
+    the uniform of one array for the whole chunk, and read r's programming
+    is drawn from its own segment: neither P nor the tile size changes a
+    stream. The NumPy kernel takes whole chunks, so it runs as one part of
+    one tile.
     """
     if model.n < 1:
         raise ValueError("model must have at least one spin")
@@ -184,13 +186,12 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     spins, rows = np.empty((reads, n), dtype=np.int8), max(1, ENERGY_BLOCK_TERMS // n)
     for block in np.split(spins, range(rows, reads, rows)):
         block[...] = rng.integers(0, 2, size=block.shape) * 2 - 1
-    perms = np.tile(np.arange(n, dtype=np.int32), (reads, 1))
-    rng.permuted(perms, axis=1, out=perms)
     chunk = int(np.clip((1 << 25) // (reads * n), 1, 32))
     chunks = np.split(betas, range(chunk, len(betas), chunk))
-    parts = min(_cpus(), -(-reads // max(1, kernel.DRAWS_PER_CALL // (len(chunks[0]) * n))))
-    tile = max(1, kernel.DRAWS_PER_CALL // (parts * len(chunks[0]) * n))
-    state = rng.bit_generator.state  # after the perms: the first chunk's first uniform
+    fit = max(1, kernel.DRAWS_PER_CALL // (len(chunks[0]) * n))  # one-read tiles of uniforms
+    parts = min(_cpus(), -(-reads // fit), fit)
+    tile = fit // parts
+    state = rng.bit_generator.state  # after the spins: the first chunk's first uniform
     perturb = None if nm is None else substream(seed, "perturb").bit_generator.state
 
     def anneal_part(p):
@@ -214,8 +215,9 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
                 bits.state = state
                 bits.advance(start + t * len(b) * n)
                 u = draw((size, len(b), n))
-                kernel.run_metropolis(spins[t:t + size], h, edges, jv, perms[t:t + size], b,
-                                      np.log(u, out=u))
+                # betas by name: perfbench's counter reads them at position 5 or as "betas"
+                kernel.run_metropolis(spins[t:t + size], h, edges, jv, betas=b,
+                                      log_u=np.log(u, out=u))
                 del u  # before the next chunk is drawn
                 start += reads * len(b) * n
             del h, jv  # before the next tile's are drawn

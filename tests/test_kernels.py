@@ -41,22 +41,21 @@ def make_inputs(reads=8, n=12, sweeps=16, density=0.3, seed=0, edges=None, dyadi
         edges = np.argwhere(np.triu(rng.random((n, n)) < density, 1))
     edges = np.ascontiguousarray(np.reshape(edges, (-1, 2)), dtype=np.int32)
     jv = draw((reads, len(edges)))
-    perms = np.stack([rng.permutation(n) for _ in range(reads)]).astype(np.int32)
     betas = np.linspace(0.1, 3.0, sweeps)
     log_u = np.log(rng.random((reads, sweeps, n)))
-    return spins, h, edges, jv, perms, betas, log_u
+    return spins, h, edges, jv, betas, log_u
 
 
-def fresh_sum_metropolis(spins, h, edges, jv, perms, betas, log_u):
+def fresh_sum_metropolis(spins, h, edges, jv, betas, log_u):
     """The kernels' dynamics with every field summed from scratch at its visit; returns the flips."""
     row_ptr, nbr_idx, edge_id = csr(spins.shape[1], edges)
     flips = 0
     for r, s in enumerate(spins):
         for c, beta in enumerate(betas):
-            for t, i in enumerate(perms[r]):
+            for i in range(len(s)):
                 row = slice(row_ptr[i], row_ptr[i + 1])
                 field = h[r, i] + sum(jv[r, edge_id[row]] * s[nbr_idx[row]])
-                if log_u[r, c, t] < -beta * (-2.0 * s[i] * field):
+                if log_u[r, c, i] < -beta * (-2.0 * s[i] * field):
                     s[i], flips = -s[i], flips + 1
     return flips
 
@@ -87,12 +86,40 @@ class TestPythonKernel:
     def test_unit_uniforms_admit_only_downhill_moves(self):
         # at u = 1 (log u = 0) a flip needs -beta*de > 0, i.e. de < 0: with
         # h = +1 every +1 spin flips down and every -1 spin stays put
-        spins, h, edges, jv, perms, betas, log_u = make_inputs(sweeps=1)
+        spins, h, edges, jv, betas, log_u = make_inputs(sweeps=1)
         log_u[:] = 0.0
         jv[:] = 0.0
         h[:] = 1.0
-        _sa_py.run_metropolis(spins, h, edges, jv, perms, betas, log_u)
+        _sa_py.run_metropolis(spins, h, edges, jv, betas, log_u)
         assert np.all(spins == -1)
+
+    @pytest.mark.parametrize("case", ["neighbour", "negative", "self-loop"])
+    def test_rejects_bad_edges(self, case):
+        # csr checks the endpoints for both kernels: an end outside 0..n-1 would index past the
+        # fields, and a self-loop's two entries in one row would update the spin's own field
+        spins, h, edges, jv, betas, log_u = make_inputs(n=4, edges=[(0, 1), (0, 2), (2, 3)])
+        edges[1] = {"neighbour": (0, 4), "negative": (-1, 2), "self-loop": (2, 2)}[case]
+        before = spins.copy()
+        with pytest.raises(ValueError, match="edges must join two distinct spins in 0..n-1"):
+            _sa_py.run_metropolis(spins, h, edges, jv, betas, log_u)
+        assert np.array_equal(spins, before)
+
+    @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+    def test_one_csr_build_per_anneal(self, backend, monkeypatch):
+        # _anneal's row sums of |J| fill csr's cache before any part starts, and every kernel
+        # call finds it there: 4 chunks of 32 sweeps, in tiles on two parts for sa.c
+        builds, build = [], _sa_py._build_csr
+        monkeypatch.setattr(_sa_py, "_build_csr", lambda *a: builds.append(1) or build(*a))
+        monkeypatch.setattr(_sa_py, "_last", (None, None))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", 5 * 32 * 14)
+        ss = simulated_anneal(qubo_to_ising(generate_random_qubo(12, 0.7, seed=3)), 37, seed=4,
+                              backend=backend)
+        phys, _ = synthetic_hardware_run(generate_random_qubo(6, 0.8, seed=4), [3, 2, 3, 1, 2, 3],
+                                         1.0, NoiseModel(0.05, 0.02), reads=37, seed=5,
+                                         backend=backend)
+        assert ss.metadata["threads"] == phys.metadata["threads"] == (2 if backend == "c" else 1)
+        assert len(builds) == 2  # one per anneal
 
 
 @needs_cc
@@ -107,9 +134,9 @@ class TestBackendParity:
 
     def test_parity_with_broadcast_arrays(self):
         # shared h and couplers enter as stride-0 broadcast views
-        spins, h, edges, jv, perms, betas, log_u = make_inputs(reads=6, seed=9)
+        spins, h, edges, jv, betas, log_u = make_inputs(reads=6, seed=9)
         h1, jv1 = np.broadcast_to(h[0], h.shape), np.broadcast_to(jv[0], jv.shape)
-        assert np.array_equal(*both_kernels(spins, h1, edges, jv1, perms, betas, log_u))
+        assert np.array_equal(*both_kernels(spins, h1, edges, jv1, betas, log_u))
 
     @pytest.mark.parametrize("shape", ["hub", "degree-0", "no-couplers"])
     def test_parity_on_skewed_rows(self, shape):
@@ -121,13 +148,13 @@ class TestBackendParity:
         edges = {"hub": [(0, j) for j in range(1, n)],
                  "degree-0": ring + [(odd[k], odd[k + 10]) for k in range(10)],
                  "no-couplers": []}[shape]
-        spins, h, edges, jv, perms, betas, log_u = make_inputs(
+        spins, h, edges, jv, betas, log_u = make_inputs(
             reads=5, n=n, sweeps=12, seed=4, edges=edges)
         assert list(np.diff(csr(n, edges)[0])) == {"hub": [n - 1] + [1] * (n - 1),
                                                    "degree-0": [0, 5] * (n // 2),
                                                    "no-couplers": [0] * n}[shape]
         for val in (jv, np.broadcast_to(jv[0], jv.shape)):
-            out = both_kernels(spins, h, edges, val, perms, betas, log_u)
+            out = both_kernels(spins, h, edges, val, betas, log_u)
             assert np.array_equal(*out)
             assert not np.array_equal(out[0], spins)
 
@@ -144,9 +171,7 @@ class TestBackendParity:
         edges = np.array([[0, 1], [0, 2], [0, 3]], dtype=np.int32)
         terms = np.array([[1e16, 1.0, -1e16], [1.0, 1e16, -1e16]])
         h = np.array([0.0, -1e17, -1e17, -1e17])
-        perms = np.tile(np.arange(4, dtype=np.int32), (2, 1))
-        args = (np.broadcast_to(h, (2, 4)), edges, terms, perms, np.array([1.0]),
-                np.full((2, 1, 4), -1.0))
+        args = (np.broadcast_to(h, (2, 4)), edges, terms, np.array([1.0]), np.full((2, 1, 4), -1.0))
         for mod in (_sa_py, get_kernel("c")):
             s = spins.copy()
             mod.run_metropolis(s, *args)
@@ -154,16 +179,14 @@ class TestBackendParity:
 
     def test_c_kernel_rejects_unsafe_inputs(self):
         c = get_kernel("c")
-        spins, h, edges, jv, perms, betas, log_u = make_inputs()
-        bad = [(spins, h.astype(np.float32), edges, jv, perms, betas, log_u),
-               (spins, h, edges, jv[:, ::-1], perms, betas, log_u),
-               (spins, h, edges, jv[:, :-1], perms, betas, log_u),
-               (spins, h, edges, jv, perms, betas, log_u[:, :1]),
-               (spins, h, edges, jv, perms + 1, betas, log_u),
-               (spins, h, edges, jv, perms - 1, betas, log_u),
-               (np.broadcast_to(spins[0], spins.shape), h, edges, jv, perms, betas, log_u),
-               (spins, h, edges.astype(np.int64), jv, perms, betas, log_u),
-               (spins, h, edges.T.copy(), jv, perms, betas, log_u)]
+        spins, h, edges, jv, betas, log_u = make_inputs()
+        bad = [(spins, h.astype(np.float32), edges, jv, betas, log_u),
+               (spins, h, edges, jv[:, ::-1], betas, log_u),
+               (spins, h, edges, jv[:, :-1], betas, log_u),
+               (spins, h, edges, jv, betas, log_u[:, :1]),
+               (np.broadcast_to(spins[0], spins.shape), h, edges, jv, betas, log_u),
+               (spins, h, edges.astype(np.int64), jv, betas, log_u),
+               (spins, h, edges.T.copy(), jv, betas, log_u)]
         before = spins.copy()
         for args in bad:
             with pytest.raises(ValueError):
@@ -173,35 +196,35 @@ class TestBackendParity:
     def test_c_kernel_rechecks_a_csr_changed_in_place(self):
         # the endpoint checks and the CSR are kept for the last edge list, by value: an edge
         # list that passed and is then edited in place is checked again
-        spins, h, edges, jv, perms, betas, log_u = make_inputs(seed=6)
+        spins, h, edges, jv, betas, log_u = make_inputs(seed=6)
         c = get_kernel("c")
-        c.run_metropolis(spins.copy(), h, edges, jv, perms, betas, log_u)
+        c.run_metropolis(spins.copy(), h, edges, jv, betas, log_u)
         edges[0, 1] = spins.shape[1]
         before = spins.copy()
         with pytest.raises(ValueError, match="edges must join two distinct spins in 0..n-1"):
-            c.run_metropolis(spins, h, edges, jv, perms, betas, log_u)
+            c.run_metropolis(spins, h, edges, jv, betas, log_u)
         assert np.array_equal(spins, before)
 
     @pytest.mark.parametrize("case", ["neighbour", "negative", "self-loop"])
     def test_c_kernel_rejects_bad_edges(self, case):
         # an end outside 0..n-1 would make sa.c write outside the fields; a self-loop's two
         # entries sit in one row, so a flip would update the spin's own field
-        spins, h, edges, jv, perms, betas, log_u = make_inputs(n=4, edges=[(0, 1), (0, 2), (2, 3)])
+        spins, h, edges, jv, betas, log_u = make_inputs(n=4, edges=[(0, 1), (0, 2), (2, 3)])
         edges[1] = {"neighbour": (0, 4), "negative": (-1, 2), "self-loop": (2, 2)}[case]
         before = spins.copy()
         with pytest.raises(ValueError, match="edges must join two distinct spins in 0..n-1"):
-            get_kernel("c").run_metropolis(spins, h, edges, jv, perms, betas, log_u)
+            get_kernel("c").run_metropolis(spins, h, edges, jv, betas, log_u)
         assert np.array_equal(spins, before)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_c_kernel_rejects_nonfinite_values(self, shared):
-        spins, h, edges, jv, perms, betas, log_u = make_inputs(n=4, edges=[(0, 1), (0, 2), (2, 3)])
+        spins, h, edges, jv, betas, log_u = make_inputs(n=4, edges=[(0, 1), (0, 2), (2, 3)])
         jv[0 if shared else 5, 1] = np.nan
         if shared:
             jv = np.broadcast_to(jv[0], jv.shape)
         before = spins.copy()
         with pytest.raises(ValueError, match="coupler values must be finite"):
-            get_kernel("c").run_metropolis(spins, h, edges, jv, perms, betas, log_u)
+            get_kernel("c").run_metropolis(spins, h, edges, jv, betas, log_u)
         assert np.array_equal(spins, before)
 
     def test_full_sampler_parity(self):
@@ -227,15 +250,15 @@ class TestIncrementalFields:
     def test_match_fresh_sums_on_dyadic_inputs(self, backend, shared):
         # on dyadic inputs every partial sum is exact, so fields updated at each
         # accepted flip must equal fields summed at each visit, bit for bit
-        spins, h, edges, jv, perms, _, log_u = make_inputs(
+        spins, h, edges, jv, _, log_u = make_inputs(
             reads=4, n=16, sweeps=24, density=0.4, seed=5, dyadic=True)
         if shared:
             jv = np.broadcast_to(jv[0], jv.shape)
         betas = np.full(24, 0.3)  # hot: hundreds of flips accepted
         want = spins.copy()
-        flips = fresh_sum_metropolis(want, h, edges, jv, perms, betas, log_u)
+        flips = fresh_sum_metropolis(want, h, edges, jv, betas, log_u)
         assert flips >= 300
-        get_kernel(backend).run_metropolis(spins, h, edges, jv, perms, betas, log_u)
+        get_kernel(backend).run_metropolis(spins, h, edges, jv, betas, log_u)
         assert np.array_equal(spins, want)
 
     @needs_cc
@@ -249,19 +272,20 @@ class TestIncrementalFields:
         # edges (i, i + k + 1 mod n), so either orientation, possibly repeated: the second
         # example lists (0, 1) twice and as (1, 0); the kernels must agree on every edge list
         edges = [(i % n, (i + k % (n - 1) + 1) % n) for i, k in steps]
-        spins, h, edges, jv, perms, betas, log_u = make_inputs(
+        spins, h, edges, jv, betas, log_u = make_inputs(
             reads=reads, n=n, sweeps=8, seed=seed, edges=edges)
         if shared:
             jv = np.broadcast_to(jv[0], jv.shape)
-        assert np.array_equal(*both_kernels(spins, h, edges, jv, perms, betas, log_u))
+        assert np.array_equal(*both_kernels(spins, h, edges, jv, betas, log_u))
 
 
 class TestKernelContract:
     def test_kernels_share_one_signature(self):
-        # perfbench's tracer reads spins, coupler values and betas at positions 0, 3 and 5
+        # perfbench's tracer reads spins and coupler values at positions 0 and 3, and betas at
+        # position 5 or by name, so _anneal passes betas and log_u by name
         sig = inspect.signature(_sa_py.run_metropolis)
         assert inspect.signature(_sa_c.run_metropolis) == sig
-        assert list(sig.parameters) == ["spins", "h", "edges", "jv", "perms", "betas", "log_u"]
+        assert list(sig.parameters) == ["spins", "h", "edges", "jv", "betas", "log_u"]
 
     @needs_cc
     def test_sa_c_compiles_without_warnings(self):
@@ -281,7 +305,8 @@ class TestDrawTiles:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", draws)
         calls, run = [], _sa_c.run_metropolis
-        monkeypatch.setattr(_sa_c, "run_metropolis", lambda *a: calls.append(len(a[0])) or run(*a))
+        monkeypatch.setattr(_sa_c, "run_metropolis",
+                            lambda *a, **kw: calls.append(len(a[0])) or run(*a, **kw))
         sa = simulated_anneal(qubo_to_ising(generate_random_qubo(12, 0.7, seed=3)), 37, seed=4,
                               backend="c")
         synth, _ = synthetic_hardware_run(generate_random_qubo(6, 0.8, seed=4), [3, 2, 3, 1, 2, 3],
@@ -291,8 +316,9 @@ class TestDrawTiles:
     def test_tile_size_does_not_change_the_streams(self, monkeypatch):
         # 128 sweeps are 4 chunks of 32; n is 12 for simulated_anneal and 14 (the chain lengths'
         # sum) for the synthetic run. When the first chunk needs more than one tile of
-        # max(1, DRAWS_PER_CALL // (32 * n)) reads, the two CPUs anneal parts of 18 and 19
-        # reads, in tiles of max(1, DRAWS_PER_CALL // (2 * 32 * n)) reads, on two threads
+        # F = max(1, DRAWS_PER_CALL // (32 * n)) reads, the reads split into min(2, F) parts (18
+        # and 19 reads on two threads), in tiles of max(1, DRAWS_PER_CALL // (parts * 32 * n))
+        # reads; at DRAWS_PER_CALL = 1 that is one part of one-read tiles
         whole = self.runs(monkeypatch, sys.maxsize)
         assert whole[2] == [37] * 8  # one call per chunk of each anneal
         for draws, sa_tiles, synth_tiles in [(1, [1] * 37, [1] * 37),
@@ -305,7 +331,7 @@ class TestDrawTiles:
     def test_numpy_kernel_gets_whole_chunks(self, monkeypatch):
         calls, run = [], _sa_py.run_metropolis
         monkeypatch.setattr(_sa_py, "run_metropolis",
-                            lambda *a: calls.append(a[6].shape) or run(*a))  # a[6]: log_u
+                            lambda *a, **kw: calls.append(kw["log_u"].shape) or run(*a, **kw))
         simulated_anneal(qubo_to_ising(generate_random_qubo(12, 0.7, seed=3)), 37, seed=4,
                          backend="python")
         assert calls == [(37, 32, 12)] * 4
@@ -326,11 +352,11 @@ class TestDrawTiles:
         assert peak < bound
 
 
-@needs_cc
 def test_edge_list_cache_is_thread_safe():
-    # a call must sweep the CSR of its own edge list, even when another thread's call keeps
-    # the CSR of a longer list (neighbour ids beyond this n) between its check and its read
-    kernel, switch = get_kernel("c"), sys.getswitchinterval()
+    # csr keeps the CSR of the last edge list for both kernels: a call must sweep the CSR of its
+    # own edge list, even when another thread's call keeps the CSR of a longer list (neighbour
+    # ids beyond this n) between its check and its read
+    kernel, switch = get_kernel(), sys.getswitchinterval()
     inputs = [make_inputs(reads=2, n=n, sweeps=2, seed=n) for n in (5, 40)]
 
     def run(args):

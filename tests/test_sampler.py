@@ -345,22 +345,22 @@ class TestGoldenStreams:
                               backend=backend)
         assert ss.metadata["kernel"] == backend
         assert self.digest(ss.spins, ss.energies) == (
-            "6d99901ef2dc3a02fd37b2e1fb7f9cb1bf7bb339ffdc0a3100eeecb49e7abf15")
+            "14e7fd7dcdc13c25e27e330a8fbfa581a3dce2bd7a5fdf972f0b07c4be0e41e5")
         assert self.digest(ss.metadata["betas"]) == (
             "d7f4be9faa3ab220592503219dc6196919013cc202d0abaf713156135e600693")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_synthetic_hardware_run(self, backend):
-        # L = 10 on path chains; 16 sweeps leave reads unsettled, so halving the field errors
-        # or doubling the coupler errors moves some spins (at 128 sweeps the reads settle and
-        # the digest misses that). test_a_reads_programming_is_its_own_segment pins every value
+        # L = 10 on path chains, 16 sweeps: halving the field errors moves the spins of 5 of
+        # the 20 reads, and doubling the coupler errors those of 1, so the digest sees either.
+        # test_a_reads_programming_is_its_own_segment pins every value
         phys, res = synthetic_hardware_run(generate_random_qubo(10, 1.0, seed=17),
                                            [2, 1, 3, 2, 1, 2, 3, 1, 2, 2], 1.0,
                                            NoiseModel(0.06, 0.005), AnnealSchedule(sweeps=16),
                                            reads=20, seed=23, backend=backend)
         assert phys.metadata["kernel"] == backend
         assert self.digest(phys.spins, res.spins) == (
-            "e03dc6cb43ca150c8c0dbe143513e444480d0cef5ef742c53d95f1ea289d1018")
+            "8f3c8b2e400e0c0a66ad205e4dfa2fff9889664f4b164f9122a78d7aab0a9859")
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -388,9 +388,11 @@ class TestReadParts:
         return outputs, (sa.metadata["threads"], phys.metadata["threads"])
 
     # (reads, sweeps, DRAWS_PER_CALL, threads on 3 CPUs): 100 sweeps end in a short chunk of 4;
-    # with 2 reads there are fewer reads than CPUs; 1 read is one part
-    CASES = [(37, 100, 5 * 32 * 12, 3), (37, 128, 1, 3), (2, 100, 1, 2), (1, 100, 1, 1),
-             (37, 100, 1 << 17, 1)]
+    # 3 * 32 * 14 fits 3 one-read tiles of either anneal, and 2 * 32 * 14 two, which caps the
+    # parts at 2; with DRAWS_PER_CALL = 1 a one-read tile exceeds it and 2 reads are one part;
+    # 1 read is one part
+    CASES = [(37, 100, 5 * 32 * 12, 3), (37, 128, 3 * 32 * 14, 3), (37, 100, 2 * 32 * 14, 2),
+             (2, 100, 1, 1), (1, 100, 1, 1), (37, 100, 1 << 17, 1)]
 
     @pytest.mark.parametrize("reads, sweeps, draws, threads", CASES)
     def test_cpu_count_does_not_change_the_streams(self, monkeypatch, reads, sweeps, draws,
@@ -418,13 +420,30 @@ class TestReadParts:
         assert np.array_equal(runs[0].spins, runs[1].spins)
         assert np.array_equal(runs[0].energies, runs[1].energies)
 
+    def test_many_cpus_hold_at_most_one_tile_of_draws(self, monkeypatch):
+        # 400 reads of the synthetic benchmark's model, n = 480: F = DRAWS_PER_CALL // (32 * n)
+        # = 8 one-read tiles fit, so 16 CPUs run 8 parts (16 parts of one-read tiles held twice
+        # DRAWS_PER_CALL), and the spins are a 1-CPU run's
+        q, lengths_model = generate_random_qubo(60, 1.0, seed=0), ChainLengthModel(slope=0.122)
+        sizes, run = [], _sa_c.run_metropolis
+        monkeypatch.setattr(_sa_c, "run_metropolis",
+                            lambda *a, **kw: sizes.append(kw["log_u"].size) or run(*a, **kw))
+        runs = []
+        for cpus in (1, 16):
+            monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
+            runs.append(synthetic_hardware_run(q, lengths_model, 2.0, NoiseModel(0.06, 0.005),
+                                               AnnealSchedule(sweeps=32), reads=400, seed=0,
+                                               backend="c")[0])
+        assert [ss.metadata["threads"] for ss in runs] == [1, 8]
+        assert 8 * max(sizes[-400:]) <= _sa_c.DRAWS_PER_CALL  # 8 parts' one-read tiles at once
+        assert np.array_equal(runs[0].spins, runs[1].spins)
+
     def test_advanced_copies_draw_pieces_of_the_stream(self):
-        # as _anneal: integers and a permutation first (the 32-bit buffer may hold a value),
-        # then doubles, one 64-bit output each, so advance(k) skips k of them
+        # as _anneal: integers first (the 32-bit buffer may hold a value), then doubles, one
+        # 64-bit output each, so advance(k) skips k of them
         def stream():
             rng = substream(8, "sa")
             rng.integers(0, 2, size=(3, 5))
-            rng.permuted(np.tile(np.arange(5), (3, 1)), axis=1)
             return rng
         whole, state = stream().random(1000), stream().bit_generator.state
         for lo, hi in [(0, 1), (1, 300), (300, 1000), (999, 1000)]:
@@ -440,11 +459,11 @@ class TestReadParts:
         module, seen = get_kernel(backend), {}
         run = module.run_metropolis
 
-        def record(spins, h, edges, jv, *rest):
+        def record(spins, h, edges, jv, *rest, **kw):
             first = (spins.ctypes.data - spins.base.ctypes.data) // spins.strides[0]
             for i in range(len(spins)):
                 seen.setdefault(first + i, []).append((h[i].copy(), jv[i].copy()))
-            return run(spins, h, edges, jv, *rest)
+            return run(spins, h, edges, jv, *rest, **kw)
         with monkeypatch.context() as patch:
             patch.setattr(module, "run_metropolis", record)
             synthetic_hardware_run(generate_random_qubo(6, 0.8, seed=4), [3, 2, 3, 1, 2, 3], 1.0,
@@ -468,7 +487,7 @@ class TestReadParts:
         assert np.array_equal(want[0][0], model.h + dh)
         assert np.array_equal(want[0][1], model.jv + dj)
         # one tile of 9; 3 parts in tiles of 1; 2 parts in tiles of 2; the NumPy kernel's one tile
-        for reads, draws, cpus, backend in [(9, 1 << 17, 1, "c"), (9, 1, 3, "c"),
+        for reads, draws, cpus, backend in [(9, 1 << 17, 1, "c"), (9, 3 * 32 * 14, 3, "c"),
                                             (5, 4 * 32 * 14, 2, "c"), (9, 1, 1, "python")]:
             monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", draws)
             self.pin_cpus(monkeypatch, cpus)
@@ -481,13 +500,13 @@ class TestReadParts:
     def test_an_error_in_any_part_propagates_and_no_thread_outlives_the_call(
             self, monkeypatch, failing_part):
         self.pin_cpus(monkeypatch, 2)
-        monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", 1)
+        monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", 2 * 4 * 12)  # two one-read tiles of 4 sweeps
         run, main = _sa_c.run_metropolis, threading.main_thread()
 
-        def fail_in_one_part(*args):
+        def fail_in_one_part(*args, **kwargs):
             if (threading.current_thread() is main) == (failing_part == 0):
                 raise RuntimeError(f"kernel failed in part {failing_part}")
-            return run(*args)
+            return run(*args, **kwargs)
         monkeypatch.setattr(_sa_c, "run_metropolis", fail_in_one_part)
         before = threading.active_count()
         model = qubo_to_ising(generate_random_qubo(12, 0.7, seed=3))
@@ -497,23 +516,21 @@ class TestReadParts:
 
 
 class TestInitialDraws:
-    """The initial spins are drawn in row blocks of max(1, ENERGY_BLOCK_TERMS // n) reads and
-    the visit orders shuffled in place: the kernel gets the values of one whole draw of each,
-    and the uniforms that follow them on the stream."""
+    """The initial spins are drawn in row blocks of max(1, ENERGY_BLOCK_TERMS // n) reads: the
+    kernel gets the values of one whole draw, and the uniforms that follow it on the stream."""
 
     # 37 reads of 13 spins: reads * n is odd, and 39 terms are blocks of 3 reads, 39 spins,
     # so each odd block ends on half of a 64-bit output and the next starts on its spare half
     @pytest.mark.parametrize("terms", [1, 39, 52, 65, 91, 1 << 17])
     def test_blocks_draw_the_values_of_one_whole_draw(self, monkeypatch, terms):
         rng = substream(7, "sa")
-        want = [(rng.integers(0, 2, size=(37, 13)) * 2 - 1).astype(np.int8),
-                rng.permuted(np.tile(np.arange(13, dtype=np.int32), (37, 1)), axis=1)]
+        want = [(rng.integers(0, 2, size=(37, 13)) * 2 - 1).astype(np.int8)]
         want.append(np.log(rng.random((37, 2, 13))))
         calls, run = [], _sa_py.run_metropolis
 
-        def record(spins, h, edges, jv, perms, betas, log_u):
-            calls.append([spins.copy(), perms.copy(), log_u.copy()])
-            return run(spins, h, edges, jv, perms, betas, log_u)
+        def record(spins, h, edges, jv, betas, log_u):
+            calls.append([spins.copy(), log_u.copy()])
+            return run(spins, h, edges, jv, betas, log_u)
         monkeypatch.setattr(sampler, "ENERGY_BLOCK_TERMS", terms)
         monkeypatch.setattr(_sa_py, "run_metropolis", record)
         simulated_anneal(qubo_to_ising(generate_random_qubo(13, 0.5, seed=1)), 37,
@@ -524,11 +541,11 @@ class TestInitialDraws:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_traced_peak_memory_at_large_n(self, monkeypatch):
-        # 800 reads of a 5,000-spin path, one sweep, on 2 CPUs: the run holds the int8 spins
-        # and the int32 visit orders, 5 bytes a spin of a read, and beside them one block of
-        # int64 spin draws or 1 MB of uniforms and the O(n) arrays of the model and kernel.
-        # The allowance is four blocks of 2^17 8-byte terms; one whole int64 draw of the
-        # spins took 8 bytes a spin of a read more (the run peaked at 36 MB, now 21.7 MB)
+        # 800 reads of a 5,000-spin path, one sweep, on 2 CPUs: the run holds the int8 spins,
+        # 1 byte a spin of a read, and beside them one block of int64 spin draws or 1 MB of
+        # uniforms and the O(n) arrays of the model and kernel. The allowance is four blocks of
+        # 2^17 8-byte terms. One whole int64 draw of the spins took 8 bytes a spin of a read
+        # more, and the int32 visit orders 4 (the run peaked at 36 MB, then 21.7, now 5.2 MiB)
         TestReadParts.pin_cpus(monkeypatch, 2)
         n, reads = 5000, 800
         i = np.arange(n - 1)
@@ -541,7 +558,7 @@ class TestInitialDraws:
         finally:
             tracemalloc.stop()
         assert ss.metadata["threads"] == 2
-        assert peak < reads * n * (1 + 4) + 4 * 8 * ENERGY_BLOCK_TERMS, peak
+        assert peak < reads * n + 4 * 8 * ENERGY_BLOCK_TERMS, peak
 
 
 class TestCpuMap:
