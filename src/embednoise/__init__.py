@@ -4,8 +4,7 @@ from .analytics import (PowerLawFit, cbf_predict, cbp, critical_chain_strength, 
                         power_law_fit)
 from .embedding import (ChainLengthModel, EmbeddedIsing, Embedding, build_embedded_ising,
                         fit_linear, synth_chain_lengths, validate_embedding)
-from .fitting import (FitGrid, FitResult, GridRange, fit_noise_params,
-                      fit_report, sse)
+from .fitting import FitGrid, FitResult, GridRange, fit_noise_params, fit_report
 from .noise import NoiseModel, chain_error_sample, variance_law
 from .problem import (IsingModel, QuboInstance, generate_random_qubo,
                       ising_energy, qubo_energy, qubo_to_ising)
@@ -27,6 +26,6 @@ __all__ = [
     "fit_noise_params", "fit_report", "generate_random_qubo", "ising_energy",
     "margin_errors", "margin_model_run", "power_law_fit",
     "qubo_energy", "qubo_to_ising", "resolve_chains", "simulated_anneal",
-    "sse", "substream", "synth_chain_lengths", "synthetic_hardware_run",
+    "substream", "synth_chain_lengths", "synthetic_hardware_run",
     "validate_embedding", "variance_law", "vertex_count",
 ]

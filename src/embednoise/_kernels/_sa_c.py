@@ -8,7 +8,7 @@ import numpy as np
 from ._sa_py import csr
 
 NAME = "c"
-DRAWS_PER_CALL = 1 << 17  # log-uniforms held at once by all of an anneal's threads, 1 MB
+DRAWS_PER_CALL = 1 << 16  # log-uniforms one call, so one thread, holds at once: 512 KB
 SOURCE = os.path.join(os.path.dirname(__file__), "sa.c")
 FLAGS = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
 

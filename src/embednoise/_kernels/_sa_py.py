@@ -1,10 +1,8 @@
 """NumPy reference Metropolis kernel: sa.c's operations in sa.c's order, across reads."""
-import sys
-
 import numpy as np
 
 NAME = "python"
-DRAWS_PER_CALL = sys.maxsize  # whole chunks: the steps loop over spins in Python, across all reads
+DRAWS_PER_CALL = 1 << 25  # whole chunks up to 256 MB: the steps loop over spins across all reads
 
 
 def _build_csr(n, edges):

@@ -64,9 +64,12 @@ def _grid_range(key: str, lo, hi, step) -> GridRange:
 
 
 def _sweep_values(cfg: dict, key: str) -> list:
-    """A list sweep cfg[key] as given, or start..stop by step, rounded to 10 digits."""
+    """A list sweep cfg[key] as given, or start..stop by step, rounded to 10 digits;
+    ValueError on an empty list."""
     spec = cfg[key]
     if not isinstance(spec, dict):
+        if not len(spec):
+            raise ValueError(f"{key}: needs at least one value")
         return list(spec)
     if spec["step"] <= 0:
         raise ValueError(f"{key}: sweep step must be > 0, got {spec['step']}")
@@ -198,12 +201,13 @@ def cmd_kstar(cfg, empirical: bool = False) -> int:
     nm = NoiseModel(**cfg["noise"])
     eta = cfg["eta"]
     ells = integral("ell_sweep: values", _sweep_values(cfg, "ell_sweep")).tolist()
+    taus = _sweep_values(cfg, "taus")
     if empirical:  # one draw per length, seeded by the length alone, read at every tau
         draws = _cpu_map(lambda ell: np.abs(margin_errors(
             [ell], nm, cfg["reads"], _point_seed(cfg["seed"], "kstar", ell))[:, 0]), ells)
     lines = ["l,k_star,tau"]
     fits = {}
-    for tau in cfg["taus"]:
+    for tau in taus:
         if empirical:
             ks = [_kstar_of_draws(mags, tau, eta) for mags in draws]
         else:
@@ -259,7 +263,7 @@ def cmd_bench(cfg) -> int:
     nm, model = NoiseModel(**cfg["noise"]), ChainLengthModel(**cfg["chain_length"])
     schedule, reads, seed = AnnealSchedule(sweeps=cfg["sweeps"]), cfg["reads"], cfg["seed"]
     lines = ["L,solver,E_min,seconds"]
-    for L in integral("bench_L: values", cfg["bench_L"]).tolist():
+    for L in integral("bench_L: values", _sweep_values(cfg, "bench_L")).tolist():
         q = generate_random_qubo(L, cfg["density"], seed)
         ising = qubo_to_ising(q)
         for solver, e_min in (

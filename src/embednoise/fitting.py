@@ -76,17 +76,6 @@ class FitResult:
         return json.dumps(self.to_dict())
 
 
-def sse(obs, pred) -> float:
-    """Sum of squared errors between paired sequences."""
-    obs = np.asarray(obs, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    if obs.shape != pred.shape:
-        raise ValueError("obs and pred must have equal length")
-    if obs.size < 1:
-        raise ValueError("need at least one pair")
-    return float(np.sum((obs - pred) ** 2))
-
-
 def _point_lengths(point: dict) -> np.ndarray:
     if "lengths" in point and point["lengths"] is not None:
         lengths = np.asarray(point["lengths"], dtype=np.float64)

@@ -148,24 +148,25 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
     call finds it in csr's cache.
 
     The reads are split into P = min(CPUs this process may run on,
-    ceil(reads / F), F) contiguous parts, where F = max(1,
-    kernel.DRAWS_PER_CALL // (first chunk sweeps * n)) one-read tiles of
-    uniforms fit in DRAWS_PER_CALL. Part 0 runs on the calling thread,
+    ceil(reads / T)) contiguous parts, where T = max(1,
+    kernel.DRAWS_PER_CALL // (first chunk sweeps * n)) reads is the tile
+    whose uniforms fit in DRAWS_PER_CALL. Part 0 runs on the calling thread,
     parts 1..P-1 on threads joined before this returns or raises; sa.c,
     Generator.random and np.log release the GIL. A part takes its rows in
-    tiles of F // P reads. Before a tile anneals, the part draws its reads'
+    tiles of T reads. Before a tile anneals, the part draws its reads'
     programmings and keeps them through every chunk; for each chunk it
     draws the tile's uniforms from its own copy of the SA stream jumped
     ahead (PCG64.advance, one 64-bit output per double) to the tile's first
     uniform of the chunk: the earlier chunks' uniforms plus t * chunk
-    sweeps * n for first read t. So all parts hold at most one
-    DRAWS_PER_CALL (1 MB for sa.c) of uniforms, unless one read's chunk
-    alone exceeds it and P = 1, and P tiles of programmings at a time.
+    sweeps * n for first read t. So each part holds at most one
+    DRAWS_PER_CALL of uniforms (512 KB for sa.c, P * 512 KB in all), unless
+    one read's chunk alone exceeds it, and one tile of programmings.
     Generator.random fills in C order, so every (read, sweep, spin) gets
     the uniform of one array for the whole chunk, and read r's programming
     is drawn from its own segment: neither P nor the tile size changes a
-    stream. The NumPy kernel takes whole chunks, so it runs as one part of
-    one tile.
+    stream. The NumPy kernel's DRAWS_PER_CALL, 2^25, holds a whole chunk of
+    every read unless reads * n > 2^25 (below that the chunk rule keeps
+    reads * chunk sweeps * n <= 2^25), so there it runs as one part.
     """
     if model.n < 1:
         raise ValueError("model must have at least one spin")
@@ -188,9 +189,8 @@ def _anneal(model: IsingModel, reads: int, schedule: AnnealSchedule | None, seed
         block[...] = rng.integers(0, 2, size=block.shape) * 2 - 1
     chunk = int(np.clip((1 << 25) // (reads * n), 1, 32))
     chunks = np.split(betas, range(chunk, len(betas), chunk))
-    fit = max(1, kernel.DRAWS_PER_CALL // (len(chunks[0]) * n))  # one-read tiles of uniforms
-    parts = min(_cpus(), -(-reads // fit), fit)
-    tile = fit // parts
+    tile = max(1, kernel.DRAWS_PER_CALL // (len(chunks[0]) * n))  # reads whose uniforms fit
+    parts = min(_cpus(), -(-reads // tile))
     state = rng.bit_generator.state  # after the spins: the first chunk's first uniform
     perturb = None if nm is None else substream(seed, "perturb").bit_generator.state
 

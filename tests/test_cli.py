@@ -600,6 +600,34 @@ class TestSweepValues:
         assert f"{key}: grid range needs lo <= hi" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key", [
+        ("chainlen", "L_sweep"), ("cbf-curve", "L_sweep"), ("heatmap", "L_sweep"),
+        ("heatmap", "k_values"), ("kstar", "ell_sweep"), ("kstar", "taus"), ("bench", "bench_L")])
+    def test_empty_list_exits_1_and_writes_nothing(self, tmp_path, capsys, command, key):
+        # an empty L_sweep or k_values, taus or bench_L used to exit 0 with header-only CSVs
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, {key: []}), "--out", str(out)]) == 1
+        assert f"{key}: needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, values, sweep, names", [
+        ("kstar", "taus", [0.01, 0.02, 0.03], {"start": 0.01, "stop": 0.03, "step": 0.01},
+         ["kstar.csv", "kstar_fits.json"]),
+        ("bench", "bench_L", [4, 6], {"start": 4, "stop": 6, "step": 2}, ["bench.csv"])],
+        ids=["taus", "bench_L"])
+    def test_a_sweep_is_its_list(self, tmp_path, command, key, values, sweep, names):
+        # kstar used to fail on a taus sweep with "'<' not supported between instances of
+        # 'float' and 'str'", and bench on a bench_L sweep with "values must be an integer"
+        outputs = []
+        for spec in (values, sweep):
+            out = tmp_path / str(len(outputs))
+            cfg = write_config(tmp_path, {key: spec, "reads": 20, "sweeps": 4})
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            # bench.csv's last column is a timing
+            outputs.append([[ln.rsplit(",", 1)[0] if command == "bench" else ln
+                             for ln in (out / name).read_text().splitlines()] for name in names])
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("command, extra, bad", [
         ("chainlen", {"L_sweep": [5.5, 10]}, "5.5"),
         ("cbf-curve", {"L_sweep": {"start": 5, "stop": 10, "step": 2.5}}, "7.5"),

@@ -11,7 +11,7 @@ from embednoise import cli
 from embednoise.analytics import cbf_predict, cbp
 from embednoise.embedding import ChainLengthModel, synth_chain_lengths
 from embednoise.fitting import (FitGrid, GridRange, fit_noise_params, fit_report,
-                                read_lengths_json, read_observations_csv, sse)
+                                read_lengths_json, read_observations_csv)
 from embednoise.noise import NoiseModel
 
 
@@ -31,23 +31,6 @@ def synthetic_observations(sigma_h, sigma_c, kappa, jitter=1, seed=0):
         obs.append({"L": L, "lengths": [int(v) for v in lengths],
                     "cbf_obs": cbf_predict(lengths, *model)})
     return obs
-
-
-class TestSse:
-    def test_identical(self):
-        assert sse([0.1, 0.2], [0.1, 0.2]) == 0.0
-
-    def test_single_pair(self):
-        assert sse([0.1], [0.0]) == pytest.approx(0.01)
-
-    def test_order_matters(self):
-        a = sse([0.1, 0.4], [0.4, 0.1])
-        b = sse([0.1, 0.4], [0.1, 0.4])
-        assert a != b
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sse([0.1], [0.1, 0.2])
 
 
 class TestGridRange:
@@ -160,13 +143,13 @@ class TestFitNoiseParams:
                        sigma_c_range=GridRange(0.005, 0.02, 0.005),
                        kappa_range=GridRange(0.2, 0.6, 0.1))
         fr = fit_noise_params(obs, grid)
-        cbf_obs = [p["cbf_obs"] for p in obs]
+        cbf_obs = np.array([p["cbf_obs"] for p in obs])
         for sh in grid.sigma_h_range.values():
             for sc in grid.sigma_c_range.values():
                 for kp in grid.kappa_range.values():
                     m = NoiseModel(sh, sc), kp
                     preds = [cbf_predict(p["lengths"], *m) for p in obs]
-                    assert sse(cbf_obs, preds) >= fr.sse - 1e-15
+                    assert np.sum((cbf_obs - preds) ** 2) >= fr.sse - 1e-15
 
     def test_tie_break_lexicographic_on_degenerate_data(self):
         # one shared length makes sigma_h / sigma_c enter only through

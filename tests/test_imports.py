@@ -1,4 +1,5 @@
-"""No module of the package imports a name that it does not use.
+"""No module of the package, test file or benchmark script imports a name that it
+does not use.
 
 This is a linter's unused-import rule on the standard library's `ast`. An import
 whose lines say `noqa` is exempt, and so is the package `__init__`, whose imports
@@ -10,8 +11,13 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "embednoise"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "embednoise"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p != PACKAGE / "__init__.py")
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("benchmarks/*.py")])
+# by path in the package, or in the repo for the tests and benchmarks
+FILES = {**{str(p.relative_to(PACKAGE)): p for p in MODULES},
+         **{str(p.relative_to(ROOT)): p for p in SCRIPTS}}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +37,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(PACKAGE)) for p in MODULES])
+@pytest.mark.parametrize("path", list(FILES.values()), ids=list(FILES))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

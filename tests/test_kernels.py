@@ -316,13 +316,13 @@ class TestDrawTiles:
     def test_tile_size_does_not_change_the_streams(self, monkeypatch):
         # 128 sweeps are 4 chunks of 32; n is 12 for simulated_anneal and 14 (the chain lengths'
         # sum) for the synthetic run. When the first chunk needs more than one tile of
-        # F = max(1, DRAWS_PER_CALL // (32 * n)) reads, the reads split into min(2, F) parts (18
-        # and 19 reads on two threads), in tiles of max(1, DRAWS_PER_CALL // (parts * 32 * n))
-        # reads; at DRAWS_PER_CALL = 1 that is one part of one-read tiles
+        # T = max(1, DRAWS_PER_CALL // (32 * n)) reads, the reads split into two parts (18 and
+        # 19 reads on two threads), each in tiles of T reads; at DRAWS_PER_CALL = 1 those are
+        # one-read tiles
         whole = self.runs(monkeypatch, sys.maxsize)
         assert whole[2] == [37] * 8  # one call per chunk of each anneal
         for draws, sa_tiles, synth_tiles in [(1, [1] * 37, [1] * 37),
-                                             (5 * 32 * 12, [2] * 18 + [1], [2] * 18 + [1]),
+                                             (5 * 32 * 12, [5] * 6 + [3, 4], [4] * 8 + [2, 3]),
                                              (_sa_c.DRAWS_PER_CALL, [37], [37])]:
             sa, synth, calls = self.runs(monkeypatch, draws)
             assert sa.tobytes() == whole[0].tobytes() and synth.tobytes() == whole[1].tobytes()
@@ -336,10 +336,21 @@ class TestDrawTiles:
                          backend="python")
         assert calls == [(37, 32, 12)] * 4
 
+    def test_numpy_kernel_tiles_above_its_bound(self, monkeypatch):
+        # past reads * n = 2^25 the NumPy kernel tiles like sa.c; a bound of 5 reads of 32
+        # sweeps stands in for that size: two parts in tiles of 5, the spins of whole chunks
+        model = qubo_to_ising(generate_random_qubo(12, 0.7, seed=3))
+        whole = simulated_anneal(model, 37, seed=4, backend="python")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(_sa_py, "DRAWS_PER_CALL", 5 * 32 * 12)
+        tiled = simulated_anneal(model, 37, seed=4, backend="python")
+        assert (whole.metadata["threads"], tiled.metadata["threads"]) == (1, 2)
+        assert tiled.spins.tobytes() == whole.spins.tobytes()
+
     def test_draws_held_at_once_are_bounded(self):
         # a whole chunk's draws, 2000 reads x 32 sweeps x 20 spins, would be 10 MB, held twice
-        # while the next chunk's are drawn; a tile of draws and a row block of the energy
-        # pass's coupler terms are 1 MB each
+        # while the next chunk's are drawn; two parts' tiles of draws and a row block of the
+        # energy pass's coupler terms are 1 MB each
         bound = 4 * 2**20
         model = qubo_to_ising(generate_random_qubo(20, 1.0, seed=1))
         simulated_anneal(model, 10, seed=1, backend="c")  # load the kernel, cache the CSR
@@ -379,6 +390,23 @@ def test_edge_list_cache_is_thread_safe():
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert same == [[True] * 300] * 4
+
+
+def test_csr_returns_the_entry_it_compared(monkeypatch):
+    # another thread's call may replace the cached entry between csr's key comparison and its
+    # return, which the test above cannot time: here the comparison itself replaces it
+    small, large = (np.array(e, dtype=np.int32) for e in ([[0, 1], [1, 2]], [[0, 3], [3, 4]]))
+    want = _sa_py._build_csr(3, small)
+    other = ((5, large.shape, large.tobytes()), _sa_py._build_csr(5, large))
+
+    class Racing(tuple):
+        def __getitem__(self, i):
+            if i == 0:
+                _sa_py._last = other  # as a racing thread's csr call would
+            return tuple.__getitem__(self, i)
+    monkeypatch.setattr(_sa_py, "_last", Racing([(3, small.shape, small.tobytes()), want]))
+    assert csr(3, small) is want
+    assert _sa_py._last is other
 
 
 class TestLoader:

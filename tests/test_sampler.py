@@ -388,11 +388,11 @@ class TestReadParts:
         return outputs, (sa.metadata["threads"], phys.metadata["threads"])
 
     # (reads, sweeps, DRAWS_PER_CALL, threads on 3 CPUs): 100 sweeps end in a short chunk of 4;
-    # 3 * 32 * 14 fits 3 one-read tiles of either anneal, and 2 * 32 * 14 two, which caps the
-    # parts at 2; with DRAWS_PER_CALL = 1 a one-read tile exceeds it and 2 reads are one part;
-    # 1 read is one part
-    CASES = [(37, 100, 5 * 32 * 12, 3), (37, 128, 3 * 32 * 14, 3), (37, 100, 2 * 32 * 14, 2),
-             (2, 100, 1, 1), (1, 100, 1, 1), (37, 100, 1 << 17, 1)]
+    # 3 * 32 * 14 fits tiles of 3 reads of either anneal, and 2 * 32 * 14 tiles of 2; with
+    # DRAWS_PER_CALL = 1 a one-read tile exceeds it, and 2 reads are two parts of one; 1 read
+    # is one part; 1 << 17 fits all 37 reads in one tile, one part
+    CASES = [(37, 100, 5 * 32 * 12, 3), (37, 128, 3 * 32 * 14, 3), (37, 100, 2 * 32 * 14, 3),
+             (2, 100, 1, 2), (1, 100, 1, 1), (37, 100, 1 << 17, 1)]
 
     @pytest.mark.parametrize("reads, sweeps, draws, threads", CASES)
     def test_cpu_count_does_not_change_the_streams(self, monkeypatch, reads, sweeps, draws,
@@ -410,20 +410,20 @@ class TestReadParts:
             assert all(np.array_equal(a, b) for a, b in zip(outputs, runs[1][0]))
 
     def test_default_tiles_split_a_large_anneal(self, monkeypatch):
-        # 300 reads of 20 spins need two tiles of 204 reads in a chunk of 32 sweeps
+        # 300 reads of 20 spins need three tiles of 102 reads in a chunk of 32 sweeps
         model = qubo_to_ising(generate_random_qubo(20, 0.5, seed=2))
         runs = []
         for cpus in (1, 3):
             self.pin_cpus(monkeypatch, cpus)
             runs.append(simulated_anneal(model, 300, AnnealSchedule(sweeps=40), seed=6))
-        assert [ss.metadata["threads"] for ss in runs] == [1, 2]
+        assert [ss.metadata["threads"] for ss in runs] == [1, 3]
         assert np.array_equal(runs[0].spins, runs[1].spins)
         assert np.array_equal(runs[0].energies, runs[1].energies)
 
     def test_many_cpus_hold_at_most_one_tile_of_draws(self, monkeypatch):
-        # 400 reads of the synthetic benchmark's model, n = 480: F = DRAWS_PER_CALL // (32 * n)
-        # = 8 one-read tiles fit, so 16 CPUs run 8 parts (16 parts of one-read tiles held twice
-        # DRAWS_PER_CALL), and the spins are a 1-CPU run's
+        # 400 reads of the synthetic benchmark's model, n = 480: a tile is DRAWS_PER_CALL //
+        # (32 * n) = 4 reads, so 16 CPUs run 16 parts, each call holds at most DRAWS_PER_CALL
+        # uniforms, and the spins are a 1-CPU run's
         q, lengths_model = generate_random_qubo(60, 1.0, seed=0), ChainLengthModel(slope=0.122)
         sizes, run = [], _sa_c.run_metropolis
         monkeypatch.setattr(_sa_c, "run_metropolis",
@@ -434,8 +434,30 @@ class TestReadParts:
             runs.append(synthetic_hardware_run(q, lengths_model, 2.0, NoiseModel(0.06, 0.005),
                                                AnnealSchedule(sweeps=32), reads=400, seed=0,
                                                backend="c")[0])
-        assert [ss.metadata["threads"] for ss in runs] == [1, 8]
-        assert 8 * max(sizes[-400:]) <= _sa_c.DRAWS_PER_CALL  # 8 parts' one-read tiles at once
+        assert [ss.metadata["threads"] for ss in runs] == [1, 16]
+        assert max(sizes) <= _sa_c.DRAWS_PER_CALL  # every tile, on 1 CPU or 16
+        assert np.array_equal(runs[0].spins, runs[1].spins)
+
+    def test_a_large_embedded_model_anneals_on_every_cpu(self, monkeypatch):
+        # 100 path chains of 14, n = 1,400: a tile of 32 sweeps is one read, and 400 reads on 16
+        # CPUs run 16 parts (a cap of DRAWS_PER_CALL // (32 * n) parts ran 2). The kernel flips
+        # a spin where its last sweep's uniform is below 1/e, so every tile's draws reach the
+        # spins, which are a 1-CPU run's
+        model = build_embedded_ising(qubo_to_ising(generate_random_qubo(100, 0.3, seed=1)),
+                                     [14] * 100, 1.0).model
+        sizes = []
+
+        def kernel(spins, h, edges, jv, betas, log_u):
+            sizes.append(log_u.size)
+            spins[log_u[:, -1] < -1.0] *= -1
+        monkeypatch.setattr(_sa_c, "run_metropolis", kernel)
+        runs = []
+        for cpus in (1, 16):
+            monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
+            runs.append(simulated_anneal(model, 400, AnnealSchedule(sweeps=32), seed=1,
+                                         backend="c"))
+        assert [ss.metadata["threads"] for ss in runs] == [1, 16]
+        assert model.n == 1400 and sizes == [32 * 1400] * 800
         assert np.array_equal(runs[0].spins, runs[1].spins)
 
     def test_advanced_copies_draw_pieces_of_the_stream(self):
@@ -487,8 +509,8 @@ class TestReadParts:
         assert np.array_equal(want[0][0], model.h + dh)
         assert np.array_equal(want[0][1], model.jv + dj)
         # one tile of 9; 3 parts in tiles of 1; 2 parts in tiles of 2; the NumPy kernel's one tile
-        for reads, draws, cpus, backend in [(9, 1 << 17, 1, "c"), (9, 3 * 32 * 14, 3, "c"),
-                                            (5, 4 * 32 * 14, 2, "c"), (9, 1, 1, "python")]:
+        for reads, draws, cpus, backend in [(9, 1 << 17, 1, "c"), (9, 32 * 14, 3, "c"),
+                                            (5, 2 * 32 * 14, 2, "c"), (9, 1, 1, "python")]:
             monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", draws)
             self.pin_cpus(monkeypatch, cpus)
             got = self.programmings(monkeypatch, reads, backend)
@@ -500,7 +522,7 @@ class TestReadParts:
     def test_an_error_in_any_part_propagates_and_no_thread_outlives_the_call(
             self, monkeypatch, failing_part):
         self.pin_cpus(monkeypatch, 2)
-        monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", 2 * 4 * 12)  # two one-read tiles of 4 sweeps
+        monkeypatch.setattr(_sa_c, "DRAWS_PER_CALL", 2 * 4 * 12)  # tiles of 2 reads of 4 sweeps
         run, main = _sa_c.run_metropolis, threading.main_thread()
 
         def fail_in_one_part(*args, **kwargs):
@@ -542,10 +564,11 @@ class TestInitialDraws:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_traced_peak_memory_at_large_n(self, monkeypatch):
         # 800 reads of a 5,000-spin path, one sweep, on 2 CPUs: the run holds the int8 spins,
-        # 1 byte a spin of a read, and beside them one block of int64 spin draws or 1 MB of
-        # uniforms and the O(n) arrays of the model and kernel. The allowance is four blocks of
-        # 2^17 8-byte terms. One whole int64 draw of the spins took 8 bytes a spin of a read
-        # more, and the int32 visit orders 4 (the run peaked at 36 MB, then 21.7, now 5.2 MiB)
+        # 1 byte a spin of a read, and beside them one block of int64 spin draws or two parts'
+        # 0.5 MB tiles of uniforms and the O(n) arrays of the model and kernel. The allowance is
+        # four blocks of 2^17 8-byte terms. One whole int64 draw of the spins took 8 bytes a
+        # spin of a read more, and the int32 visit orders 4 (the run peaked at 36 MB, then
+        # 21.7, now 5.2 MiB)
         TestReadParts.pin_cpus(monkeypatch, 2)
         n, reads = 5000, 800
         i = np.arange(n - 1)
@@ -958,9 +981,9 @@ class TestSyntheticHardwareRun:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_traced_peak_memory(self):
-        # the synthetic benchmark's batch: 480 spins, 2,190 couplers, 40 reads. It holds one
-        # 1 MB tile of log-uniforms at a time and the programmings of one tile of reads per part
-        # (1.8 MB in all), so a tile of uniforms kept while the next is drawn passes 3 MB
+        # the synthetic benchmark's batch: 480 spins, 2,190 couplers, 40 reads. Each of its two
+        # parts holds one 0.5 MB tile of log-uniforms at a time and the programmings of one tile
+        # of reads (1.8 MB in all), so a tile of uniforms kept while the next is drawn passes 3 MB
         args = (generate_random_qubo(60, 1.0, seed=0), ChainLengthModel(slope=0.122), 2.0,
                 NoiseModel(0.06, 0.005))
         synthetic_hardware_run(*args, reads=40, seed=0, backend="c")  # load the kernel
@@ -975,7 +998,7 @@ class TestSyntheticHardwareRun:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_control_errors_are_held_one_tile_at_a_time(self, monkeypatch):
         # 400 reads of the synthetic benchmark's model, n = 480 spins and m = 2,190 couplers,
-        # on 2 CPUs: each part anneals tiles of DRAWS_PER_CALL // (2 * 32 sweeps * n) = 4 reads.
+        # on 2 CPUs: each part anneals tiles of DRAWS_PER_CALL // (32 sweeps * n) = 4 reads.
         # Beside what a noiseless anneal of the model holds, a part holds one tile's
         # programmings (n + m doubles a read) and the kernel call's couplers in entry order (2m
         # a read); twice that allows a tile's arrays while the next tile's are drawn. That is
@@ -985,7 +1008,7 @@ class TestSyntheticHardwareRun:
         model = build_embedded_ising(qubo_to_ising(q),
                                      embedding.synth_chain_lengths(60, lengths_model, 0), 2.0).model
         n, m = model.n, len(model.jv)
-        tile = _sa_c.DRAWS_PER_CALL // (2 * 32 * n)
+        tile = _sa_c.DRAWS_PER_CALL // (32 * n)
         assert (n, m, tile) == (480, 2190, 4)
         simulated_anneal(model, 40, seed=0, backend="c")  # load the kernel
 
