@@ -347,10 +347,12 @@ class TestDrawTiles:
         assert (whole.metadata["threads"], tiled.metadata["threads"]) == (1, 2)
         assert tiled.spins.tobytes() == whole.spins.tobytes()
 
-    def test_draws_held_at_once_are_bounded(self):
+    def test_draws_held_at_once_are_bounded(self, monkeypatch):
         # a whole chunk's draws, 2000 reads x 32 sweeps x 20 spins, would be 10 MB, held twice
-        # while the next chunk's are drawn; two parts' tiles of draws and a row block of the
-        # energy pass's coupler terms are 1 MB each
+        # while the next chunk's are drawn; on 2 CPUs (each further CPU adds a part's 0.5 MB)
+        # two parts' tiles of draws and a row block of the energy pass's coupler terms are 1 MB
+        # each
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         bound = 4 * 2**20
         model = qubo_to_ising(generate_random_qubo(20, 1.0, seed=1))
         simulated_anneal(model, 10, seed=1, backend="c")  # load the kernel, cache the CSR

@@ -421,44 +421,26 @@ class TestReadParts:
         assert np.array_equal(runs[0].energies, runs[1].energies)
 
     def test_many_cpus_hold_at_most_one_tile_of_draws(self, monkeypatch):
-        # 400 reads of the synthetic benchmark's model, n = 480: a tile is DRAWS_PER_CALL //
-        # (32 * n) = 4 reads, so 16 CPUs run 16 parts, each call holds at most DRAWS_PER_CALL
-        # uniforms, and the spins are a 1-CPU run's
-        q, lengths_model = generate_random_qubo(60, 1.0, seed=0), ChainLengthModel(slope=0.122)
+        # 400 reads on 16 CPUs run 16 parts, each call holds at most DRAWS_PER_CALL uniforms,
+        # and the spins are a 1-CPU run's. Of the synthetic benchmark's model (n = 480) a tile is
+        # DRAWS_PER_CALL // (32 * n) = 4 reads; of 100 path chains of 14 (n = 1,400) it is one
+        # read, and a cap of DRAWS_PER_CALL // (32 * n) parts ran 2
         sizes, run = [], _sa_c.run_metropolis
         monkeypatch.setattr(_sa_c, "run_metropolis",
                             lambda *a, **kw: sizes.append(kw["log_u"].size) or run(*a, **kw))
-        runs = []
-        for cpus in (1, 16):
-            monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
-            runs.append(synthetic_hardware_run(q, lengths_model, 2.0, NoiseModel(0.06, 0.005),
-                                               AnnealSchedule(sweeps=32), reads=400, seed=0,
-                                               backend="c")[0])
-        assert [ss.metadata["threads"] for ss in runs] == [1, 16]
-        assert max(sizes) <= _sa_c.DRAWS_PER_CALL  # every tile, on 1 CPU or 16
-        assert np.array_equal(runs[0].spins, runs[1].spins)
-
-    def test_a_large_embedded_model_anneals_on_every_cpu(self, monkeypatch):
-        # 100 path chains of 14, n = 1,400: a tile of 32 sweeps is one read, and 400 reads on 16
-        # CPUs run 16 parts (a cap of DRAWS_PER_CALL // (32 * n) parts ran 2). The kernel flips
-        # a spin where its last sweep's uniform is below 1/e, so every tile's draws reach the
-        # spins, which are a 1-CPU run's
-        model = build_embedded_ising(qubo_to_ising(generate_random_qubo(100, 0.3, seed=1)),
-                                     [14] * 100, 1.0).model
-        sizes = []
-
-        def kernel(spins, h, edges, jv, betas, log_u):
-            sizes.append(log_u.size)
-            spins[log_u[:, -1] < -1.0] *= -1
-        monkeypatch.setattr(_sa_c, "run_metropolis", kernel)
-        runs = []
-        for cpus in (1, 16):
-            monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
-            runs.append(simulated_anneal(model, 400, AnnealSchedule(sweeps=32), seed=1,
-                                         backend="c"))
-        assert [ss.metadata["threads"] for ss in runs] == [1, 16]
-        assert model.n == 1400 and sizes == [32 * 1400] * 800
-        assert np.array_equal(runs[0].spins, runs[1].spins)
+        for q, lengths, k, n in [(generate_random_qubo(60, 1.0, seed=0),
+                                  ChainLengthModel(slope=0.122), 2.0, 480),
+                                 (generate_random_qubo(100, 0.3, seed=1), [14] * 100, 1.0, 1400)]:
+            runs = []
+            for cpus in (1, 16):
+                monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
+                runs.append(synthetic_hardware_run(q, lengths, k, NoiseModel(0.06, 0.005),
+                                                   AnnealSchedule(sweeps=32), reads=400, seed=0,
+                                                   backend="c")[0])
+            assert [ss.metadata["threads"] for ss in runs] == [1, 16]
+            assert runs[0].spins.shape == (400, n)
+            assert max(sizes) <= _sa_c.DRAWS_PER_CALL  # every tile, on 1 CPU or 16
+            assert np.array_equal(runs[0].spins, runs[1].spins)
 
     def test_advanced_copies_draw_pieces_of_the_stream(self):
         # as _anneal: integers first (the 32-bit buffer may hold a value), then doubles, one
@@ -980,10 +962,12 @@ class TestSyntheticHardwareRun:
         assert len(calls) == 1
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-    def test_traced_peak_memory(self):
-        # the synthetic benchmark's batch: 480 spins, 2,190 couplers, 40 reads. Each of its two
-        # parts holds one 0.5 MB tile of log-uniforms at a time and the programmings of one tile
-        # of reads (1.8 MB in all), so a tile of uniforms kept while the next is drawn passes 3 MB
+    def test_traced_peak_memory(self, monkeypatch):
+        # the synthetic benchmark's batch: 480 spins, 2,190 couplers, 40 reads, on 2 CPUs (each
+        # further CPU adds a part's 0.5 MB). Each of its two parts holds one 0.5 MB tile of
+        # log-uniforms at a time and the programmings of one tile of reads (1.8 MB in all), so
+        # a tile of uniforms kept while the next is drawn passes 3 MB
+        TestReadParts.pin_cpus(monkeypatch, 2)
         args = (generate_random_qubo(60, 1.0, seed=0), ChainLengthModel(slope=0.122), 2.0,
                 NoiseModel(0.06, 0.005))
         synthetic_hardware_run(*args, reads=40, seed=0, backend="c")  # load the kernel
